@@ -84,16 +84,26 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 def trial_counts(spec: AllocationSpec, trial: int) -> np.ndarray:
     """Box counts of one trial; deterministic in (spec.seed, trial).
 
-    For the uniform multinomial the array covers only the occupied prefix
-    of boxes (trailing empty boxes are dropped); Dirichlet trials return
-    all n_boxes entries since every box carries its own weight.
+    For the uniform multinomial the array holds the counts of the occupied
+    boxes only, in box order (empty boxes are left out, so it sums to
+    n_balls and has no zero entry); Dirichlet trials return all n_boxes
+    entries since every box carries its own weight.
     """
     rng = _trial_rng(spec.seed, trial)
     if spec.kind == "multinomial":
-        if spec.n_balls == 0:
-            return np.zeros(1, dtype=np.int64)
+        if spec.n_balls >= spec.n_boxes:
+            # the draws are freed before filtering, so peak memory stays at
+            # draws + one box array
+            counts = np.bincount(rng.integers(0, spec.n_boxes, size=spec.n_balls))
+            return counts[counts > 0]
+        # fewer balls than boxes: run lengths of the sorted draws, with no
+        # pass over the mostly empty boxes
         draws = rng.integers(0, spec.n_boxes, size=spec.n_balls)
-        return np.bincount(draws)
+        draws.sort()
+        run_edge = np.ones(spec.n_balls + 1, dtype=bool)
+        np.not_equal(draws[1:], draws[:-1], out=run_edge[1:-1])
+        edges = run_edge.nonzero()[0]
+        return edges[1:] - edges[:-1]
     weights = rng.gamma(spec.r, 1.0, size=spec.n_boxes)
     weights /= weights.sum()
     return rng.multinomial(spec.n_balls, weights)
@@ -101,7 +111,11 @@ def trial_counts(spec: AllocationSpec, trial: int) -> np.ndarray:
 
 def simulate(spec: AllocationSpec, prof: ExtremalProfile,
              memory_budget: int = DEFAULT_MEMORY_BUDGET) -> AllocationSummary:
-    """Run spec.trials allocations and tally maxima, ties and occupancy."""
+    """Run spec.trials allocations and tally maxima, ties and occupancy.
+
+    Each trial is read from its occupancy histogram: occ[v] is the number
+    of boxes holding exactly v balls, empty boxes included.
+    """
     if spec.n_boxes * spec.trials > memory_budget:
         raise MemoryBudgetError(
             f"n_boxes * trials = {spec.n_boxes * spec.trials} exceeds budget {memory_budget}")
@@ -113,30 +127,22 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile,
     top_two_total = 0
     for t in range(spec.trials):
         counts = trial_counts(spec, t)
-        occupied = int((counts > 0).sum())
+        occ = np.bincount(counts, minlength=1).tolist()
+        occ[0] += spec.n_boxes - counts.size
+        # free the box array before the next trial draws: one held across
+        # trials fragments the heap and raises peak memory on dense specs
+        del counts
 
-        mx = int(counts.max()) if counts.size else 0
-        if mx == 0:
-            boxes_at_max = spec.n_boxes
-        else:
-            boxes_at_max = int((counts == mx).sum())
-        ties = boxes_at_max - 1
-
-        def boxes_with(value: int) -> int:
-            if value < 0:
-                return 0
-            if value == 0:
-                return spec.n_boxes - occupied
-            return int((counts == value).sum())
-
-        ge_anchor = spec.n_boxes if m <= 0 else int((counts >= m).sum())
+        mx = len(occ) - 1
+        ties = occ[mx] - 1
+        ge_anchor = sum(occ[max(m, 0):])
 
         max_hist[mx] = max_hist.get(mx, 0) + 1
         tie_hist[ties] = tie_hist.get(ties, 0) + 1
         ge_hist[ge_anchor] = ge_hist.get(ge_anchor, 0) + 1
         if mx in (m, m + 1):
             cluster += 1
-        top_two_total += boxes_with(m) + boxes_with(m + 1)
+        top_two_total += sum(occ[v] for v in (m, m + 1) if 0 <= v <= mx)
 
     return AllocationSummary(
         max_histogram=dict(sorted(max_hist.items())),
@@ -148,19 +154,22 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile,
     )
 
 
-def _compositions(total: int, parts: int):
+def _partitions(total: int, parts: int, largest: int):
+    """Non-increasing tuples of `parts` counts, each <= largest, summing to total."""
     if parts == 1:
-        yield (total,)
+        if total <= largest:
+            yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(min(total, largest), -(-total // parts) - 1, -1):
+        for rest in _partitions(total - first, parts - 1, first):
             yield (first,) + rest
 
 
-def _rising_factorial(a: Fraction, m: int) -> Fraction:
-    out = Fraction(1)
+def _rising_factorials(a: Fraction, m: int) -> list:
+    """[(a)_0, (a)_1, ..., (a)_m] with (a)_c = a (a + 1) ... (a + c - 1)."""
+    out = [Fraction(1)]
     for j in range(m):
-        out *= a + j
+        out.append(out[-1] * (a + j))
     return out
 
 
@@ -174,6 +183,11 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
     evaluates products of i.i.d. pmf values (Poisson(lam), or NB(r, p))
     normalized by the total mass on the sum.  The two columns must agree:
     the mixing parameter (lam or p) cancels in the conditional law.
+
+    Both probabilities are symmetric in the boxes, so the walk is over
+    partitions (non-increasing count tuples), each weighted by its number
+    of arrangements n_boxes! / prod_v mult(v)!, instead of over every
+    composition of n_balls into n_boxes parts.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -184,31 +198,31 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
 
     if kind == "multinomial":
         model = PoissonModel(lam)
+        denom = Fraction(n_boxes ** n_balls)
     else:
         model = NegativeBinomialModel(r, p)
         r_frac = Fraction(r)
+        rising = _rising_factorials(r_frac, n_balls)
+        denom = _rising_factorials(n_boxes * r_frac, n_balls)[-1]
+    log_pmf = [model.log_pmf(c) for c in range(n_balls + 1)]
 
-    fact = [math.factorial(i) for i in range(n_balls + 1)]
+    fact = [math.factorial(i) for i in range(max(n_balls, n_boxes) + 1)]
     alloc: dict = {}
     weight: dict = {}
-    total_weight = 0.0
-    for comp in _compositions(n_balls, n_boxes):
-        key = tuple(sorted(comp, reverse=True))
+    for key in _partitions(n_balls, n_boxes, n_balls):
+        arrangements = fact[n_boxes]
         coeff = fact[n_balls]
-        for c in comp:
+        for c in key:
             coeff //= fact[c]
-        if kind == "multinomial":
-            pr = Fraction(coeff, n_boxes ** n_balls)
-        else:
-            num = Fraction(coeff)
-            for c in comp:
-                num *= _rising_factorial(r_frac, c)
-            pr = num / _rising_factorial(n_boxes * r_frac, n_balls)
-        alloc[key] = alloc.get(key, Fraction(0)) + pr
-
-        w = math.exp(math.fsum(model.log_pmf(c) for c in comp))
-        weight[key] = weight.get(key, 0.0) + w
-        total_weight += w
+        for v in set(key):
+            arrangements //= fact[key.count(v)]
+        num = Fraction(arrangements * coeff)
+        if kind == "dirichlet":
+            for c in key:
+                num *= rising[c]
+        alloc[key] = num / denom
+        weight[key] = arrangements * math.exp(math.fsum(log_pmf[c] for c in key))
+    total_weight = math.fsum(weight.values())
 
     return {key: (float(alloc[key]), weight[key] / total_weight) for key in sorted(alloc)}
 

@@ -94,8 +94,8 @@ def _cluster_anchor(x: float) -> int:
 
 def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None) -> ExtremalProfile:
     """Solve G(x_n) = 1/n and assemble the derived extremal quantities."""
-    if n < 2:
-        raise ValueError(f"profile requires n >= 2, got {n}")
+    if not 2 <= n < math.inf:  # also rejects nan
+        raise ValueError(f"profile requires a finite n >= 2, got {n}")
     target = -math.log(n)
     lo = float(model.support_min - 1)
     f_lo = _ext_log_tail(model, lo)

@@ -1,9 +1,15 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discmax.allocsim import (
+    KINDS,
     AllocationSpec,
+    AllocationSummary,
     MemoryBudgetError,
     enumerate_conditional,
     merging_report,
@@ -11,12 +17,73 @@ from discmax.allocsim import (
     trial_counts,
 )
 from discmax.extremes import profile
-from discmax.tailmodel import PoissonModel
+from discmax.tailmodel import NegativeBinomialModel, PoissonModel
 
 
 def asym_profile(n_boxes: int, n_balls: int, sigfigs=6):
     lam = n_balls / n_boxes
     return profile(PoissonModel(lam, extension="asymptotic"), n_boxes, x_sigfigs=sigfigs)
+
+
+def composition_walk(n_boxes: int, n_balls: int, kind: str,
+                     lam: float = 1.0, r: float = 1.0, p: float = 0.4) -> dict:
+    """Reference for enumerate_conditional: the same two columns, summed
+    over every composition of n_balls into n_boxes parts."""
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    def rising_factorial(a, m):
+        out = Fraction(1)
+        for j in range(m):
+            out *= a + j
+        return out
+
+    if kind == "multinomial":
+        model = PoissonModel(lam)
+    else:
+        model = NegativeBinomialModel(r, p)
+        r_frac = Fraction(r)
+
+    fact = [math.factorial(i) for i in range(n_balls + 1)]
+    alloc: dict = {}
+    weight: dict = {}
+    total_weight = 0.0
+    for comp in compositions(n_balls, n_boxes):
+        key = tuple(sorted(comp, reverse=True))
+        coeff = fact[n_balls]
+        for c in comp:
+            coeff //= fact[c]
+        if kind == "multinomial":
+            pr = Fraction(coeff, n_boxes ** n_balls)
+        else:
+            num = Fraction(coeff)
+            for c in comp:
+                num *= rising_factorial(r_frac, c)
+            pr = num / rising_factorial(n_boxes * r_frac, n_balls)
+        alloc[key] = alloc.get(key, Fraction(0)) + pr
+
+        w = math.exp(math.fsum(model.log_pmf(c) for c in comp))
+        weight[key] = weight.get(key, 0.0) + w
+        total_weight += w
+
+    return {key: (float(alloc[key]), weight[key] / total_weight) for key in sorted(alloc)}
+
+
+# (n_boxes, n_balls, kind, mixing parameters) for the oracle comparison
+ORACLE_CASES = {
+    "criterion4": [(boxes, balls, "multinomial", {"lam": lam})
+                   for boxes in (2, 3, 4) for balls in range(2, 9) for lam in (0.3, 1.0, 2.0)]
+                  + [(boxes, balls, "dirichlet", {"r": r, "p": 0.4})
+                     for boxes in (2, 3, 4) for balls in range(2, 9) for r in (0.5, 1.0, 2.0)],
+    "cap": [(6, 12, kind, {}) for kind in KINDS],
+    "edges": [(boxes, 0, kind, {}) for boxes in (1, 3, 6) for kind in KINDS]
+             + [(1, balls, kind, {}) for balls in (1, 5, 12) for kind in KINDS],
+}
 
 
 class TestAllocationSpec:
@@ -39,6 +106,17 @@ class TestTrialCounts:
             for t in range(25):
                 counts = trial_counts(spec, t)
                 assert int(counts.sum()) == 23
+
+    @pytest.mark.parametrize("n_boxes,n_balls", [(50, 20), (20, 60), (8, 8), (10, 0)])
+    def test_multinomial_returns_occupied_boxes(self, n_boxes, n_balls):
+        spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind="multinomial",
+                              trials=1, seed=41)
+        for t in range(20):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=41, spawn_key=(t,)))
+            dense = np.bincount(rng.integers(0, n_boxes, size=n_balls), minlength=n_boxes)
+            counts = trial_counts(spec, t)
+            assert counts.tolist() == dense[dense > 0].tolist()
+            assert int(counts.sum()) == n_balls
 
     def test_deterministic_per_trial(self):
         spec = AllocationSpec(n_boxes=5, n_balls=9, kind="multinomial", trials=1, seed=3)
@@ -78,6 +156,49 @@ class TestSimulate:
         s = simulate(spec, prof)
         assert s.max_histogram == {0: 20}
         assert s.tie_histogram == {9: 20}  # all ten boxes tie at zero
+
+    # summaries computed before simulate read occupancy histograms; the
+    # rewrite must reproduce them exactly
+    @pytest.mark.parametrize("spec,anchor_spec,want", [
+        (AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=200, seed=12345),
+         (50, 20),
+         AllocationSummary(
+             max_histogram={1: 4, 2: 130, 3: 64, 4: 2},
+             tie_histogram={0: 85, 1: 33, 2: 30, 3: 33, 4: 12, 5: 2, 6: 1, 19: 4},
+             cluster_freq=0.97, mean_top_two_occupancy=3.0,
+             ge_anchor_histogram={0: 4, 1: 25, 2: 39, 3: 57, 4: 52, 5: 19, 6: 3, 7: 1},
+             trials=200)),
+        (AllocationSpec(n_boxes=20, n_balls=60, kind="multinomial", trials=200, seed=2024),
+         (20, 60),
+         AllocationSummary(
+             max_histogram={5: 22, 6: 68, 7: 74, 8: 26, 9: 8, 10: 2},
+             tie_histogram={0: 137, 1: 39, 2: 12, 3: 8, 4: 4},
+             cluster_freq=0.45, mean_top_two_occupancy=2.995,
+             ge_anchor_histogram={1: 4, 2: 23, 3: 66, 4: 62, 5: 35, 6: 8, 7: 2},
+             trials=200)),
+        (AllocationSpec(n_boxes=30, n_balls=45, kind="dirichlet", trials=150, seed=77, r=0.7),
+         (30, 45),
+         AllocationSummary(
+             max_histogram={4: 1, 5: 8, 6: 33, 7: 28, 8: 31, 9: 18, 10: 14, 11: 7, 12: 4,
+                            13: 2, 14: 2, 17: 1, 19: 1},
+             tie_histogram={0: 125, 1: 18, 2: 5, 3: 1, 4: 1},
+             cluster_freq=1 / 150, mean_top_two_occupancy=4.12,
+             ge_anchor_histogram={4: 4, 5: 23, 6: 37, 7: 48, 8: 27, 9: 8, 10: 3},
+             trials=150)),
+        (AllocationSpec(n_boxes=10, n_balls=0, kind="multinomial", trials=20, seed=0),
+         (10, 5),
+         AllocationSummary(
+             max_histogram={0: 20}, tie_histogram={9: 20}, cluster_freq=0.0,
+             mean_top_two_occupancy=0.0, ge_anchor_histogram={0: 20}, trials=20)),
+        (AllocationSpec(n_boxes=20, n_balls=3, kind="multinomial", trials=100, seed=5),
+         (20, 1),  # anchor m_n = 0: every box counts as holding at least m_n
+         AllocationSummary(
+             max_histogram={1: 90, 2: 10}, tie_histogram={0: 10, 2: 90}, cluster_freq=0.9,
+             mean_top_two_occupancy=19.9, ge_anchor_histogram={20: 100}, trials=100)),
+    ], ids=["multinomial_sparse", "multinomial_dense", "dirichlet", "zero_balls",
+            "anchor_zero"])
+    def test_pinned_summary(self, spec, anchor_spec, want):
+        assert simulate(spec, asym_profile(*anchor_spec)) == want
 
     def test_memory_budget(self):
         spec = AllocationSpec(n_boxes=10 ** 6, n_balls=1, kind="multinomial",
@@ -124,6 +245,30 @@ class TestEnumerateConditional:
         law = enumerate_conditional(4, 6, "dirichlet", r=0.5)
         assert math.fsum(a for a, _ in law.values()) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(c for _, c in law.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("group", sorted(ORACLE_CASES))
+    def test_matches_composition_walk(self, group):
+        for boxes, balls, kind, kw in ORACLE_CASES[group]:
+            law = enumerate_conditional(boxes, balls, kind, **kw)
+            ref = composition_walk(boxes, balls, kind, **kw)
+            case = (boxes, balls, kind, kw)
+            assert list(law) == list(ref), case
+            assert [a for a, _ in law.values()] == [a for a, _ in ref.values()], case
+            for key in ref:
+                assert law[key][1] == pytest.approx(ref[key][1], abs=1e-12), (case, key)
+
+    @settings(deadline=None)
+    @given(boxes=st.integers(1, 6), balls=st.integers(0, 12), kind=st.sampled_from(KINDS),
+           lam=st.floats(0.05, 5.0), r=st.floats(0.1, 5.0), p=st.floats(0.05, 0.95))
+    def test_law_properties(self, boxes, balls, kind, lam, r, p):
+        law = enumerate_conditional(boxes, balls, kind, lam=lam, r=r, p=p)
+        for key in law:
+            assert len(key) == boxes and sum(key) == balls
+            assert list(key) == sorted(key, reverse=True)
+        assert math.fsum(a for a, _ in law.values()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(c for _, c in law.values()) == pytest.approx(1.0, abs=1e-12)
+        for key, (alloc, cond) in law.items():
+            assert cond == pytest.approx(alloc, abs=1e-12), key
 
     def test_size_caps(self):
         with pytest.raises(ValueError):

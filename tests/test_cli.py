@@ -184,6 +184,12 @@ class TestExitCodes:
                            "--params", "probabilities=0.5:0.5", "--n", "1e9"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("n", ["nan", "inf"])
+    def test_non_finite_n_usage_error(self, capsys, n):
+        code, _ = run_cli(["profile", "--model", "poisson", "--params", "lam=1",
+                           "--n", n], capsys)
+        assert code == 2
+
     def test_bad_params_usage_error(self, capsys):
         code, _ = run_cli(["profile", "--model", "poisson", "--params", "lam",
                            "--n", "100"], capsys)

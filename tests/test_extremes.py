@@ -109,6 +109,12 @@ class TestProfile:
         with pytest.raises(ValueError):
             profile(PoissonModel(1.0), 1)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_non_finite_n(self, n):
+        # must fail as bad input, not late as a root-bracketing failure
+        with pytest.raises(ValueError):
+            profile(PoissonModel(1.0), n)
+
     def test_dcauchy_profile_linear_growth(self):
         # gamma = 1: the crossing point grows like n / (normalizer sum)
         prof = profile(DiscreteCauchyModel(), 10 ** 4)
