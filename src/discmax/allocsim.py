@@ -244,49 +244,49 @@ def merging_report(spec: AllocationSpec, prof: ExtremalProfile,
     def freq(hist: dict, value: int) -> float:
         return hist.get(value, 0) / trials
 
-    def row(quantity: str, value, empirical: float, theory: float | None) -> dict:
-        se = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials)
-        out = {"quantity": quantity, "value": value, "empirical": empirical,
-               "theory": theory, "abs_error": None, "stderr": se}
-        if theory is not None:
-            out["abs_error"] = abs(empirical - theory)
-        return out
-
     rows = [
-        row("max_eq_anchor", m, freq(summary.max_histogram, m), prof.p_n),
-        row("max_eq_anchor_plus_1", m + 1, freq(summary.max_histogram, m + 1), 1.0 - prof.p_n),
-        row("max_in_cluster", (m, m + 1), summary.cluster_freq, None),
+        comparison_row("max_eq_anchor", m, freq(summary.max_histogram, m), prof.p_n, trials),
+        comparison_row("max_eq_anchor_plus_1", m + 1, freq(summary.max_histogram, m + 1),
+                       1.0 - prof.p_n, trials),
+        comparison_row("max_in_cluster", (m, m + 1), summary.cluster_freq, None, trials),
     ]
 
     ties = tie_distribution(prof, t_max) if prof.gamma == 0.0 else None
     for t in range(t_max + 1):
         theory = ties.exactly[t] if ties is not None else None
-        rows.append(row(f"ties_eq_{t}", t, freq(summary.tie_histogram, t), theory))
+        rows.append(comparison_row(f"ties_eq_{t}", t, freq(summary.tie_histogram, t), theory,
+                                   trials))
 
     # expected number of boxes holding m or m+1 balls, from the matched model
-    matched = _matched_model(spec)
+    matched = matched_model(spec)
     occ_theory = spec.n_boxes * (
         math.exp(matched.log_pmf(m)) + math.exp(matched.log_pmf(m + 1))) if m >= 0 else None
-    occ = {"quantity": "top_two_occupancy", "value": (m, m + 1),
-           "empirical": summary.mean_top_two_occupancy, "theory": occ_theory,
-           "abs_error": abs(summary.mean_top_two_occupancy - occ_theory)
-           if occ_theory is not None else None,
-           "stderr": None}
-    rows.append(occ)
+    # a mean count, not a frequency: no binomial standard error
+    rows.append(comparison_row("top_two_occupancy", (m, m + 1), summary.mean_top_two_occupancy,
+                               occ_theory, trials) | {"stderr": None})
 
     if prof.gamma == 0.0:
         for c in phase_cs:
             k = tie_phase_threshold(prof, c)
             hit = sum(cnt for j, cnt in summary.ge_anchor_histogram.items() if j >= k + 1)
-            rows.append(row(f"depth_{k}_above_anchor_minus_1", k, hit / trials,
-                            1.0 if c < 1.0 else 0.0))
+            rows.append(comparison_row(f"depth_{k}_above_anchor_minus_1", k, hit / trials,
+                                       1.0 if c < 1.0 else 0.0, trials))
     return rows
 
 
-def _matched_model(spec: AllocationSpec):
-    """The i.i.d. model whose conditional law is the allocation law."""
+def comparison_row(quantity: str, value, empirical: float, theory: float | None,
+                   trials: int) -> dict:
+    """One empirical-vs-theory row: the frequency, the theory value, their
+    absolute difference, and the binomial standard error of the frequency."""
+    return {"quantity": quantity, "value": value, "empirical": empirical, "theory": theory,
+            "abs_error": abs(empirical - theory) if theory is not None else None,
+            "stderr": math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials)}
+
+
+def matched_model(spec: AllocationSpec, extension: str = "natural"):
+    """The i.i.d. model whose conditional law is the allocation law: Poisson
+    with the mean occupancy, or the negative binomial with that mean."""
     lam = spec.n_balls / spec.n_boxes
     if spec.kind == "multinomial":
-        return PoissonModel(lam)
-    p = lam / (spec.r + lam)
-    return NegativeBinomialModel(spec.r, p)
+        return PoissonModel(lam, extension)
+    return NegativeBinomialModel(spec.r, lam / (spec.r + lam), extension)

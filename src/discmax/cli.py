@@ -151,12 +151,9 @@ def cmd_simulate(args) -> str:
     spec = allocsim.AllocationSpec(
         n_boxes=args.boxes, n_balls=args.balls, kind=args.kind,
         trials=args.trials, seed=args.seed, r=args.r)
-    lam = args.balls / args.boxes
-    if args.kind == "multinomial":
-        model = tailmodel.PoissonModel(lam, extension=args.extension)
-    else:
-        model = tailmodel.NegativeBinomialModel(args.r, lam / (args.r + lam))
-    prof = extremes.profile(model, args.boxes, x_sigfigs=args.x_sigfigs)
+    extension = args.extension or ("asymptotic" if spec.kind == "multinomial" else "natural")
+    model = allocsim.matched_model(spec, extension)
+    prof = extremes.profile(model, spec.n_boxes, x_sigfigs=args.x_sigfigs)
     summary = allocsim.simulate(spec, prof)
     merging = allocsim.merging_report(spec, prof, t_max=args.t_max, summary=summary)
 
@@ -176,29 +173,23 @@ def cmd_simulate(args) -> str:
         }
         return json.dumps(payload, indent=2, default=str) + "\n"
 
-    ties = (extremes.tie_distribution(prof, args.t_max)
-            if prof.regime is extremes.Regime.GAMMA_ZERO else None)
-    rows = []
+    max_theory = {prof.m_n: prof.p_n, prof.m_n + 1: 1.0 - prof.p_n}
+    tie_theory = (extremes.tie_distribution(prof, args.t_max).exactly
+                  if prof.regime is extremes.Regime.GAMMA_ZERO else {})
 
-    def bin_row(table, value, count, theory):
-        freq = count / spec.trials
-        return {"kind": spec.kind, "n": spec.n_boxes, "k": spec.n_balls,
-                "table": table, "value": value, "count": count, "frequency": freq,
-                "theory": theory,
-                "abs_error": abs(freq - theory) if theory is not None else None,
-                "stderr": (freq * (1 - freq) / spec.trials) ** 0.5}
+    def compare(value, count, theory):
+        return allocsim.comparison_row(value, value, count / spec.trials, theory, spec.trials)
 
-    for v, cnt in summary.max_histogram.items():
-        theory = {prof.m_n: prof.p_n, prof.m_n + 1: 1.0 - prof.p_n}.get(v)
-        rows.append(bin_row("max", v, cnt, theory))
-    for t, cnt in summary.tie_histogram.items():
-        theory = ties.exactly.get(t) if ties is not None else None
-        rows.append(bin_row("ties", t, cnt, theory))
-    for row in merging:
-        rows.append({"kind": spec.kind, "n": spec.n_boxes, "k": spec.n_balls,
-                     "table": "merging", "value": row["quantity"], "count": None,
-                     "frequency": row["empirical"], "theory": row["theory"],
-                     "abs_error": row["abs_error"], "stderr": row["stderr"]})
+    # (table, count, comparison row); a row's quantity is its CSV value
+    tables = [("max", cnt, compare(v, cnt, max_theory.get(v)))
+              for v, cnt in summary.max_histogram.items()]
+    tables += [("ties", cnt, compare(t, cnt, tie_theory.get(t)))
+               for t, cnt in summary.tie_histogram.items()]
+    tables += [("merging", None, row) for row in merging]
+    rows = [{"kind": spec.kind, "n": spec.n_boxes, "k": spec.n_balls, "table": table,
+             "value": row["quantity"], "count": count, "frequency": row["empirical"],
+             "theory": row["theory"], "abs_error": row["abs_error"], "stderr": row["stderr"]}
+            for table, count, row in tables]
     return _render_rows(rows, ["kind", "n", "k", "table", "value", "count",
                                "frequency", "theory", "abs_error", "stderr"], "csv")
 
@@ -235,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--model", default="poisson",
-                       choices=sorted(tailmodel._BUILDERS))
+        p.add_argument("--model", default="poisson", choices=tailmodel.MODEL_NAMES)
         p.add_argument("--params", default="", help="comma list key=value; lists use ':'")
         p.add_argument("--extension", default=None,
                        choices=tailmodel.EXTENSIONS)
@@ -275,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r", type=float, default=None, help="Dirichlet hyperparameter")
     p.add_argument("--t-max", type=int, default=3)
-    p.add_argument("--extension", default="asymptotic", choices=tailmodel.EXTENSIONS,
-                   help="tail extension for the matched-model theory column")
+    p.add_argument("--extension", default=None, choices=tailmodel.EXTENSIONS,
+                   help="tail extension for the matched-model theory column (default "
+                        "asymptotic for multinomial, natural for dirichlet)")
     p.add_argument("--x-sigfigs", type=int, default=None)
     add_output_flags(p)
     p.set_defaults(func=cmd_simulate)

@@ -180,14 +180,7 @@ def simulate_daily_max(fit, block_size: int, trials: int, seed: int,
     remaining = trials
     while remaining > 0:
         size = min(chunk, remaining)
-        if isinstance(model, NegativeBinomialModel):
-            # numpy's p is the success probability of the (1-p)^r factor
-            draws = rng.negative_binomial(model.r, 1.0 - model.p, size=(size, block_size))
-        elif isinstance(model, PoissonModel):
-            draws = rng.poisson(model.lam, size=(size, block_size))
-        else:
-            raise ValueError(f"cannot simulate from model {model!r}")
-        maxima = draws.max(axis=1)
+        maxima = model.sample(rng, (size, block_size)).max(axis=1)
         for v, c in zip(*np.unique(maxima, return_counts=True)):
             out[int(v)] = out.get(int(v), 0) + int(c)
         remaining -= size

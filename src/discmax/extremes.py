@@ -145,8 +145,8 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None) -> Extrem
         regime = Regime.GAMMA_MID
 
     if model.extension == "asymptotic":
-        lam = model.lam  # asymptotic extension exists only on the Poisson model
-        theta = math.exp((m - x) * (math.log(lam) - math.log(x + 1.0)))
+        # the asymptotic extension exists only on the Poisson model
+        theta = _cluster_escape(model.lam, x, m)
     else:
         theta = math.exp(math.log(n) + _ext_log_tail(model, float(m)))
     z = math.exp(math.log(n) + _ext_log_tail(model, float(m - 1)))
@@ -239,11 +239,16 @@ def tie_phase_threshold(prof: ExtremalProfile, c: float) -> int:
     return int(math.ceil(c * prof.z_n))
 
 
+def _cluster_escape(lam: float, x: float, m: int) -> float:
+    # (lam/(x+1))^(m - x), in the exp/log form the reference tables use
+    return math.exp((m - x) * (math.log(lam) - math.log(x + 1.0)))
+
+
 def anderson_cluster_bound(model: DiscreteTailModel, prof: ExtremalProfile) -> float:
     """(lam/(x_n+1))^(m_n - x_n): bound on the maximum escaping the cluster."""
     if not isinstance(model, PoissonModel):
         raise ValueError("the cluster-escape bound is defined for Poisson models only")
-    return (model.lam / (prof.x_n + 1.0)) ** (prof.m_n - prof.x_n)
+    return _cluster_escape(model.lam, prof.x_n, prof.m_n)
 
 
 def briggs_approximation(lam: float, n) -> float:

@@ -75,11 +75,31 @@ def log_sum_exp(terms) -> float:
     return m + math.log(math.fsum(math.exp(t - m) for t in ts if t > -math.inf))
 
 
+def _stirling_series(x: float) -> float:
+    # ln Gamma(x) - [(x - 1/2) ln x - x + ln(2 pi)/2], to 1e-17 for x >= 30
+    r = 1.0 / (x * x)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x
+
+
 def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k)."""
+    """ln C(n, k), to ~1e-14 relative error at any size of n.
+
+    With m = min(k, n - k), ln C(n, k) = D - ln m! where
+    D = ln Gamma(a) - ln Gamma(b), a = n + 1, b = n - m + 1.  Once b is
+    large, D is taken from the difference of Stirling series, with
+    ln(a/b) = -log1p(-m/a), so nothing of size n ln n cancels; the plain
+    lgamma difference loses every digit for n beyond 2^53.  n may be a
+    float (profiles carry it as one), in which case n - k is rounded.
+    """
     if k < 0 or k > n:
         raise ValueError(f"log_binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    m = k if k + k <= n else n - k  # min(k, n - k) without a builtin call
+    b = n - m + 1.0
+    if b < 30.0:  # so n < 58: lgamma values this small leave little to cancel
+        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    a = n + 1.0
+    return ((a - 0.5) * -math.log1p(-m / a) + m * (math.log(b) - 1.0)
+            + _stirling_series(a) - _stirling_series(b) - math.lgamma(m + 1))
 
 
 def _log_gamma_pq(a: float, x: float, acc: Accuracy) -> tuple[float, float]:

@@ -5,6 +5,17 @@ integer-valued distribution, its tail F(k) = P(X > k), and a continuous
 decreasing extension G of the tail used to place the cluster location of
 the sample maximum.  All values are handled as logarithms.
 
+Protocol
+--------
+A subclass implements ``log_pmf(k)``, ``_log_tail(k)`` for the interior
+of the support (k >= support_min), ``tail_ratio_gamma()`` and, where
+they exist, ``_log_tail_natural(x)`` / ``_log_tail_asymptotic(x)`` and
+``sample(rng, size)``.  The base class owns the support edge: ``log_tail``
+and ``log_tail_ext`` raise ValueError below support_min - 1 and give 0.0
+at it (the asymptotic form excepted, see below), and ``sample`` raises
+ValueError for models without a sampler.  A closed-form ``_log_tail``
+that also holds at real x serves as the natural extension as it is.
+
 Extensions
 ----------
 ``loglinear``
@@ -32,6 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .specfun import reg_beta_log, reg_gamma_p_log
 
@@ -71,11 +83,22 @@ class DiscreteTailModel:
 
     def log_tail(self, k: int) -> float:
         """ln P(X > k) for integer k >= support_min - 1."""
+        if k > self.support_min - 1:
+            return self._log_tail(k)
+        if k < self.support_min - 1:
+            raise ValueError(f"log_tail requires k >= {self.support_min - 1}, got k={k}")
+        return 0.0
+
+    def _log_tail(self, k: int) -> float:
         raise NotImplementedError
 
     def tail_ratio_gamma(self) -> float:
         """Limit of F(k+1)/F(k); classifies the clustering regime."""
         raise NotImplementedError
+
+    def sample(self, rng, size):
+        """Draws from the model with the numpy Generator rng."""
+        raise ValueError(f"cannot simulate from model {self!r}")
 
     # -- extension -------------------------------------------------------------
 
@@ -87,31 +110,23 @@ class DiscreteTailModel:
             return self._log_tail_loglinear(x)
         if self.extension == "asymptotic":
             return self._log_tail_asymptotic(x)
+        if x == self.support_min - 1:
+            return 0.0
         return self._log_tail_natural(x)
 
     def _log_tail_natural(self, x: float) -> float:
         return self._log_tail_loglinear(x)
 
-    def _log_tail_asymptotic(self, x: float) -> float:
-        raise NotImplementedError
-
     def _log_tail_loglinear(self, x: float) -> float:
         k = math.floor(x)
         t = x - k
-        lo = self._checked_log_tail(int(k))
+        lo = self.log_tail(int(k))
         if t == 0.0:
             return lo
-        hi = self._checked_log_tail(int(k) + 1)
+        hi = self.log_tail(int(k) + 1)
         if hi == -math.inf:
             return -math.inf
         return (1.0 - t) * lo + t * hi
-
-    def _checked_log_tail(self, k: int) -> float:
-        if k < self.support_min - 1:
-            raise ValueError(f"log_tail requires k >= {self.support_min - 1}, got {k}")
-        if k == self.support_min - 1:
-            return 0.0
-        return self.log_tail(k)
 
     def __repr__(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -138,24 +153,21 @@ class PoissonModel(DiscreteTailModel):
             raise ValueError(f"poisson support starts at 0, got k={k}")
         return k * math.log(self.lam) - self.lam - math.lgamma(k + 1)
 
-    def log_tail(self, k: int) -> float:
-        if k < -1:
-            raise ValueError(f"log_tail requires k >= -1, got k={k}")
-        if k == -1:
-            return 0.0
-        # P(X > k) = P(lower gamma)(k+1, lam)
-        return reg_gamma_p_log(k + 1.0, self.lam)
-
-    def _log_tail_natural(self, x: float) -> float:
-        if x == self.support_min - 1:
-            return 0.0
+    def _log_tail(self, x: float) -> float:
+        # P(X > k) = P(lower gamma)(k+1, lam), which is also the natural
+        # extension at real x
         return reg_gamma_p_log(x + 1.0, self.lam)
+
+    _log_tail_natural = _log_tail
 
     def _log_tail_asymptotic(self, x: float) -> float:
         return -self.lam + (x + 1.0) * math.log(self.lam) - math.lgamma(x + 2.0)
 
     def tail_ratio_gamma(self) -> float:
         return 0.0
+
+    def sample(self, rng, size):
+        return rng.poisson(self.lam, size)
 
 
 class NegativeBinomialModel(DiscreteTailModel):
@@ -182,21 +194,18 @@ class NegativeBinomialModel(DiscreteTailModel):
         return (math.lgamma(k + self.r) - math.lgamma(k + 1) - math.lgamma(self.r)
                 + self.r * math.log1p(-self.p) + k * math.log(self.p))
 
-    def log_tail(self, k: int) -> float:
-        if k < -1:
-            raise ValueError(f"log_tail requires k >= -1, got k={k}")
-        if k == -1:
-            return 0.0
-        # P(X > k) = I_p(k+1, r)
-        return reg_beta_log(k + 1.0, self.r, self.p)
-
-    def _log_tail_natural(self, x: float) -> float:
-        if x == self.support_min - 1:
-            return 0.0
+    def _log_tail(self, x: float) -> float:
+        # P(X > k) = I_p(k+1, r), also the natural extension at real x
         return reg_beta_log(x + 1.0, self.r, self.p)
+
+    _log_tail_natural = _log_tail
 
     def tail_ratio_gamma(self) -> float:
         return self.p
+
+    def sample(self, rng, size):
+        # numpy's p is the success probability of the (1-p)^r factor
+        return rng.negative_binomial(self.r, 1.0 - self.p, size)
 
 
 class GeometricModel(DiscreteTailModel):
@@ -219,16 +228,17 @@ class GeometricModel(DiscreteTailModel):
             raise ValueError(f"geometric support starts at 0, got k={k}")
         return math.log1p(-self.q) + k * math.log(self.q)
 
-    def log_tail(self, k: int) -> float:
-        if k < -1:
-            raise ValueError(f"log_tail requires k >= -1, got k={k}")
-        return (k + 1) * math.log(self.q)
-
-    def _log_tail_natural(self, x: float) -> float:
+    def _log_tail(self, x: float) -> float:
         return (x + 1.0) * math.log(self.q)
+
+    _log_tail_natural = _log_tail
 
     def tail_ratio_gamma(self) -> float:
         return self.q
+
+    def sample(self, rng, size):
+        # numpy counts trials up to the first success, from 1
+        return rng.geometric(1.0 - self.q, size) - 1
 
 
 class DiscreteCauchyModel(DiscreteTailModel):
@@ -269,11 +279,7 @@ class DiscreteCauchyModel(DiscreteTailModel):
             raise ValueError(f"discrete Cauchy support starts at 0, got k={k}")
         return self._log_norm - math.log1p(float(k) * k)
 
-    def log_tail(self, k: int) -> float:
-        if k < -1:
-            raise ValueError(f"log_tail requires k >= -1, got k={k}")
-        if k == -1:
-            return 0.0
+    def _log_tail(self, k: int) -> float:
         return self._log_norm + math.log(self._tail_sum(k + 1))
 
     def tail_ratio_gamma(self) -> float:
@@ -300,35 +306,32 @@ class EmpiricalModel(DiscreteTailModel):
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"empirical pmf must sum to 1 within 1e-9, got {total}")
         self.probabilities = probs
-        self._support_min = int(support_min)
-        # suffix sums: tails[i] = P(X > support_min + i - 1) = sum_{j>=i} p_j
+        self.support_min = int(support_min)
+        # suffix sums: tails[i] = P(X > support_min + i - 1) = sum_{j>=i} p_j,
+        # each the exact sum rounded once, as math.fsum(probs[i:]) gives it
         tails = [0.0] * (len(probs) + 1)
+        exact = Fraction(0)
         for i in range(len(probs) - 1, -1, -1):
-            tails[i] = math.fsum(probs[i:])
+            exact += Fraction(probs[i])
+            tails[i] = float(exact)
         self._tails = tails
         super().__init__(extension)
         self._diagnostic = self._estimate_gamma()
 
     @property
-    def support_min(self) -> int:  # type: ignore[override]
-        return self._support_min
-
-    @property
     def params(self) -> dict:
-        return {"support_min": self._support_min, "n_atoms": len(self.probabilities)}
+        return {"support_min": self.support_min, "n_atoms": len(self.probabilities)}
 
     def log_pmf(self, k: int) -> float:
-        if k < self._support_min:
-            raise ValueError(f"support starts at {self._support_min}, got k={k}")
-        i = k - self._support_min
+        if k < self.support_min:
+            raise ValueError(f"support starts at {self.support_min}, got k={k}")
+        i = k - self.support_min
         if i >= len(self.probabilities) or self.probabilities[i] == 0.0:
             return -math.inf
         return math.log(self.probabilities[i])
 
-    def log_tail(self, k: int) -> float:
-        if k < self._support_min - 1:
-            raise ValueError(f"log_tail requires k >= {self._support_min - 1}, got k={k}")
-        i = k - self._support_min + 1
+    def _log_tail(self, k: int) -> float:
+        i = k - self.support_min + 1
         if i >= len(self._tails) or self._tails[i] <= 0.0:
             return -math.inf
         return math.log(self._tails[i])
@@ -368,6 +371,8 @@ _BUILDERS = {
     "empirical": lambda params, ext: EmpiricalModel(
         params["probabilities"], int(params.get("support_min", 0)), ext),
 }
+
+MODEL_NAMES = tuple(sorted(_BUILDERS))
 
 
 def make_model(name: str, params: dict | None = None, extension: str | None = None) -> DiscreteTailModel:

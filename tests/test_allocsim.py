@@ -12,6 +12,7 @@ from discmax.allocsim import (
     AllocationSummary,
     MemoryBudgetError,
     enumerate_conditional,
+    matched_model,
     merging_report,
     simulate,
     trial_counts,
@@ -324,3 +325,19 @@ class TestMergingReport:
         rows1 = merging_report(spec, prof, summary=s)
         rows2 = merging_report(spec, prof)
         assert rows1 == rows2
+
+
+class TestMatchedModel:
+    def test_multinomial_is_poisson_of_mean_occupancy(self):
+        spec = AllocationSpec(n_boxes=400, n_balls=100, kind="multinomial", trials=1, seed=0)
+        m = matched_model(spec)
+        assert isinstance(m, PoissonModel) and m.lam == 0.25 and m.extension == "natural"
+        assert matched_model(spec, "asymptotic").extension == "asymptotic"
+
+    def test_dirichlet_is_negative_binomial_with_that_mean(self):
+        spec = AllocationSpec(n_boxes=50, n_balls=25, kind="dirichlet", trials=1, seed=0, r=2.0)
+        m = matched_model(spec, "loglinear")
+        assert isinstance(m, NegativeBinomialModel) and m.extension == "loglinear"
+        assert m.r * m.p / (1.0 - m.p) == pytest.approx(0.5, rel=1e-15)
+        with pytest.raises(ValueError):
+            matched_model(spec, "asymptotic")

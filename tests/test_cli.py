@@ -130,6 +130,32 @@ class TestSimulateCommand:
         _, out2 = run_cli(args, capsys)
         assert out1 == out2
 
+    def test_dirichlet_honours_extension(self, capsys):
+        # r = 1 would be geometric, whose log tail is already linear
+        args = ["simulate", "--kind", "dirichlet", "--r", "2.0", "--boxes", "50",
+                "--balls", "25", "--trials", "30", "--seed", "2", "--format", "json"]
+        _, default = run_cli(args, capsys)
+        _, natural = run_cli(args + ["--extension", "natural"], capsys)
+        code, loglinear = run_cli(args + ["--extension", "loglinear"], capsys)
+        assert code == 0
+        assert default == natural
+        row_natural = json.loads(natural)["profile"]
+        row_loglinear = json.loads(loglinear)["profile"]
+        assert row_loglinear["x_n"] != pytest.approx(row_natural["x_n"], rel=1e-6)
+
+    def test_dirichlet_asymptotic_usage_error(self, capsys):
+        code, _ = run_cli(["simulate", "--kind", "dirichlet", "--r", "1.0", "--boxes", "50",
+                           "--balls", "25", "--trials", "5", "--extension", "asymptotic"],
+                          capsys)
+        assert code == 2
+
+    def test_multinomial_default_is_asymptotic(self, capsys):
+        args = ["simulate", "--boxes", "400", "--balls", "4", "--trials", "20", "--seed", "5"]
+        _, default = run_cli(args, capsys)
+        _, asymptotic = run_cli(args + ["--extension", "asymptotic"], capsys)
+        _, natural = run_cli(args + ["--extension", "natural"], capsys)
+        assert default == asymptotic != natural
+
     def test_missing_r_usage_error(self, capsys):
         code, _ = run_cli(["simulate", "--kind", "dirichlet", "--boxes", "10",
                            "--balls", "5", "--trials", "5", "--seed", "1"], capsys)

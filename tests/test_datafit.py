@@ -14,7 +14,13 @@ from discmax.datafit import (
     simulate_daily_max,
 )
 from discmax.extremes import exact_max_cdf_log
-from discmax.tailmodel import EmpiricalModel, NegativeBinomialModel, PoissonModel
+from discmax.tailmodel import (
+    DiscreteCauchyModel,
+    EmpiricalModel,
+    GeometricModel,
+    NegativeBinomialModel,
+    PoissonModel,
+)
 
 
 class TestIngest:
@@ -169,7 +175,40 @@ class TestEmpiricalDailyMax:
         assert out == {0: 0.5, 1: 0.5}
 
 
+# block-maximum counts out of 3000 blocks of 24 with seed 2024: numpy's
+# negative_binomial(r, 1 - p) and poisson(mean) streams for these fits, so a
+# change in how the draws are made shows here
+PINNED_NB_COUNTS = {0: 1, 1: 163, 2: 709, 3: 873, 4: 604, 5: 339, 6: 161, 7: 78, 8: 38,
+                    9: 19, 10: 8, 11: 4, 13: 2, 18: 1}
+PINNED_POISSON_COUNTS = {2: 144, 3: 1186, 4: 1140, 5: 434, 6: 81, 7: 13, 8: 2}
+
+
 class TestSimulateDailyMax:
+    @pytest.mark.parametrize("fit, counts", [
+        (NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True), PINNED_NB_COUNTS),
+        (NBFit(mean=1.2, variance=1.0, r=None, p=None, overdispersed=False),
+         PINNED_POISSON_COUNTS),
+    ], ids=["negbinom", "poisson"])
+    def test_pinned_draws(self, fit, counts):
+        got = simulate_daily_max(fit, 24, trials=3000, seed=2024)
+        assert got == {v: c / 3000 for v, c in counts.items()}
+
+    def test_geometric_simulates(self):
+        model = GeometricModel(0.3)
+        law = daily_max_law(model, 24)
+        sim = simulate_daily_max(model, 24, trials=20000, seed=3)
+        assert math.fsum(sim.values()) == pytest.approx(1.0, abs=1e-12)
+        for v, pr in law.items():
+            if pr > 0.01:
+                sigma = math.sqrt(pr * (1 - pr) / 20000)
+                assert abs(sim.get(v, 0.0) - pr) <= 5 * sigma, v
+
+    @pytest.mark.parametrize("model", [DiscreteCauchyModel(), EmpiricalModel([0.5, 0.5])],
+                             ids=["dcauchy", "empirical"])
+    def test_models_without_sampler(self, model):
+        with pytest.raises(ValueError, match="cannot simulate from model"):
+            simulate_daily_max(model, 24, trials=10, seed=0)
+
     def test_reproducible(self):
         fit = NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True)
         a = simulate_daily_max(fit, 24, trials=5000, seed=42)

@@ -307,6 +307,13 @@ class TestAndersonClusterBound:
         assert anderson_cluster_bound(model, prof) == pytest.approx(want, rel=1e-9)
         assert want == pytest.approx(0.533, abs=1e-3)
 
+    def test_equals_asymptotic_theta(self):
+        # one expression: under the asymptotic extension the bound is theta_n
+        for lam, n in ((1.0, 1e3), (1.0, 1e50), (0.01, 16000), (10.0, 1e5)):
+            model = PoissonModel(lam, "asymptotic")
+            prof = profile(model, n, x_sigfigs=6)
+            assert anderson_cluster_bound(model, prof) == prof.theta_n
+
     def test_zero_exponent(self):
         model = PoissonModel(1.0)
         prof = synthetic_profile(0.5, x_n=5.0, m_n=5)

@@ -197,6 +197,21 @@ class TestLogBinomial:
         for n, k in [(10, 3), (77, 20), (400, 111)]:
             assert log_binomial(n, k) == pytest.approx(log_binomial(n, n - k), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [10, 1000, 10 ** 10, 2 ** 53, 10 ** 17, 1e50])
+    def test_large_n_vs_mpmath(self, n):
+        # ln Gamma(n + 1) alone is ~n ln n: a plain lgamma difference loses
+        # every digit of ln C(n, k) for n beyond 2^53
+        mp = pytest.importorskip("mpmath")
+        ks = {0, 1, 2, 3, 5, 29, 30, 31, 100, 10 ** 4, 10 ** 6, int(n // 3), int(n // 2)}
+        if isinstance(n, int):
+            ks |= {n - 1, n - 30, n}
+        for k in sorted(k for k in ks if 0 <= k <= n):
+            with mp.workdps(120):
+                big = mp.mpf(n)
+                ref = float(mp.loggamma(big + 1) - mp.loggamma(k + 1) - mp.loggamma(big - k + 1))
+            got = log_binomial(n, k)
+            assert abs(got - ref) <= 1e-12 * abs(ref) + (1e-15 if ref == 0 else 0.0), (n, k)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             log_binomial(5, 6)

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from discmax.tailmodel import (
@@ -20,7 +22,16 @@ def builtin_models():
         NegativeBinomialModel(0.5, 0.6),
         GeometricModel(0.5),
         DiscreteCauchyModel(),
+        # support off zero, and a pmf short of 1 by less than the 1e-9 the
+        # constructor accepts: the tail at support_min - 1 is still exactly 1
+        EmpiricalModel([0.5, 0.5 - 5e-10], support_min=3),
     ]
+
+
+def infinite_support_models():
+    """The built-in models whose tails stay positive and whose parameters
+    rebuild them through make_model."""
+    return [m for m in builtin_models() if m.name != "empirical"]
 
 
 class TestLogPmf:
@@ -51,15 +62,19 @@ class TestLogPmf:
 
     def test_pmfs_sum_to_one(self):
         for m in builtin_models():
-            total = math.fsum(math.exp(m.log_pmf(k)) for k in range(4000))
-            tol = 1e-3 if m.name == "dcauchy" else 1e-10  # 1/k^2 tail truncation
+            total = math.fsum(math.exp(m.log_pmf(k))
+                              for k in range(m.support_min, m.support_min + 4000))
+            tol = {"dcauchy": 1e-3,  # 1/k^2 tail truncation
+                   "empirical": 1e-9}.get(m.name, 1e-10)  # the accepted normalization error
             assert total == pytest.approx(1.0, abs=tol), m.name
 
 
 class TestLogTail:
     def test_below_support_is_one(self):
         for m in builtin_models():
-            assert m.log_tail(m.support_min - 1) == 0.0
+            assert m.log_tail(m.support_min - 1) == 0.0, m
+            with pytest.raises(ValueError):
+                m.log_tail(m.support_min - 2)
 
     def test_poisson_partial_sum(self):
         # P(X > 4), lam = 1: 1 - e^-1 (1 + 1 + 1/2 + 1/6 + 1/24)
@@ -73,13 +88,13 @@ class TestLogTail:
 
     def test_pmf_tail_consistency(self):
         # F(k-1) - F(k) = pmf(k) over the first 50 support points
-        for m in builtin_models():
+        for m in infinite_support_models():
             for k in range(50):
                 diff = math.exp(m.log_tail(k - 1)) - math.exp(m.log_tail(k))
                 assert diff == pytest.approx(math.exp(m.log_pmf(k)), abs=1e-10), m.name
 
     def test_strictly_decreasing(self):
-        for m in builtin_models():
+        for m in infinite_support_models():
             vals = [m.log_tail(k) for k in range(60)]
             assert all(b < a for a, b in zip(vals, vals[1:])), m.name
 
@@ -104,7 +119,7 @@ class TestDiscreteCauchy:
 class TestExtensions:
     def test_integer_agreement_calibrated(self):
         # natural and loglinear extensions reproduce the true tail at integers
-        for base in builtin_models():
+        for base in infinite_support_models():
             for ext in ("natural", "loglinear"):
                 m = make_model(base.name, base.params, ext) if base.name != "dcauchy" \
                     else DiscreteCauchyModel(ext)
@@ -126,7 +141,7 @@ class TestExtensions:
             assert m.log_tail_ext(k + 0.5) == pytest.approx(want, abs=1e-12)
 
     def test_non_increasing(self):
-        for base in builtin_models():
+        for base in infinite_support_models():
             for ext in ("natural", "loglinear"):
                 m = make_model(base.name, base.params, ext) if base.name != "dcauchy" \
                     else DiscreteCauchyModel(ext)
@@ -222,6 +237,15 @@ class TestEmpirical:
         with pytest.warns(RuntimeWarning):
             m.tail_ratio_gamma()
 
+    def test_suffix_sums_match_fsum(self):
+        # the one-pass exact suffix sums round like fsum over each suffix
+        rng = random.Random(2000)
+        weights = [rng.uniform(0.5, 1.5) * 0.995 ** i for i in range(2000)]
+        total = math.fsum(weights)
+        probs = [w / total for w in weights]
+        m = EmpiricalModel(probs)
+        assert m._tails == [math.fsum(probs[i:]) for i in range(len(probs))] + [0.0]
+
     def test_support_min_offset(self):
         m = EmpiricalModel([0.5, 0.5], support_min=3)
         assert m.log_pmf(3) == pytest.approx(math.log(0.5))
@@ -242,3 +266,34 @@ class TestMakeModel:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             make_model("zeta", {})
+
+
+def chi_square_critical(df: int, z: float = 4.75) -> float:
+    """Wilson-Hilferty chi-square quantile at the normal quantile z
+    (4.75: a correct sampler exceeds it about once in a million runs)."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+class TestSample:
+    @pytest.mark.parametrize("model", [
+        PoissonModel(2.5), NegativeBinomialModel(1.5, 0.4), GeometricModel(0.6)],
+        ids=lambda m: m.name)
+    def test_chi_square_against_pmf(self, model):
+        n = 50_000
+        draws = model.sample(np.random.default_rng(31), n)
+        assert draws.shape == (n,) and draws.min() >= 0
+        # bins 0..K-1 where n pmf(k) >= 5, plus one bin for the rest
+        probs = []
+        while n * math.exp(model.log_pmf(len(probs))) >= 5.0:
+            probs.append(math.exp(model.log_pmf(len(probs))))
+        probs.append(math.exp(model.log_tail(len(probs) - 1)))
+        observed = np.bincount(np.minimum(draws, len(probs) - 1), minlength=len(probs))
+        stat = sum((o - n * p) ** 2 / (n * p) for o, p in zip(observed, probs))
+        assert stat <= chi_square_critical(len(probs) - 1), (stat, len(probs))
+
+    @pytest.mark.parametrize("model", [DiscreteCauchyModel(), EmpiricalModel([0.5, 0.5])],
+                             ids=lambda m: m.name)
+    def test_no_sampler(self, model):
+        with pytest.raises(ValueError, match="cannot simulate from model"):
+            model.sample(np.random.default_rng(0), 10)
