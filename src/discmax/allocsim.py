@@ -12,6 +12,9 @@ Reproducibility: each trial draws from its own stream derived from
 (seed, trial_index) via a spawn key, and all aggregation is commutative,
 so results are bit-identical for a given spec regardless of execution
 order.
+
+numpy is imported inside the functions that draw or tally samples, so
+importing this module (and the package) does not load it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .extremes import ExtremalProfile, tie_distribution, tie_phase_threshold
 from .tailmodel import NegativeBinomialModel, PoissonModel
@@ -78,6 +79,7 @@ class AllocationSummary:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+    import numpy as np
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
@@ -89,6 +91,7 @@ def trial_counts(spec: AllocationSpec, trial: int) -> np.ndarray:
     n_balls and has no zero entry); Dirichlet trials return all n_boxes
     entries since every box carries its own weight.
     """
+    import numpy as np
     rng = _trial_rng(spec.seed, trial)
     if spec.kind == "multinomial":
         if spec.n_balls >= spec.n_boxes:
@@ -116,6 +119,7 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile,
     Each trial is read from its occupancy histogram: occ[v] is the number
     of boxes holding exactly v balls, empty boxes included.
     """
+    import numpy as np
     if spec.n_boxes * spec.trials > memory_budget:
         raise MemoryBudgetError(
             f"n_boxes * trials = {spec.n_boxes * spec.trials} exceeds budget {memory_budget}")

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import allocsim, datafit, extremes, tailmodel
@@ -123,6 +124,11 @@ _PROFILE_COLUMNS = ["n", "gamma", "x_n", "m_n", "theta_n", "p_n", "z_n",
 def cmd_profile(args) -> str:
     model = _build_model(args)
     prof = extremes.profile(model, float(args.n), x_sigfigs=args.x_sigfigs)
+    if math.isnan(prof.gamma):
+        # x_n is solved, but the row has no gamma and no regime to report
+        raise ValueError(
+            f"the empirical tail ratio could not be estimated for {model!r}: "
+            "fewer than two usable ratios F(k+1)/F(k)")
     return _render_rows([_profile_row(model, prof)], _PROFILE_COLUMNS, args.format)
 
 

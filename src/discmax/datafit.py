@@ -4,6 +4,9 @@ Intended for event-count series such as hourly earthquake counts: fit a
 negative binomial by method of moments, compute the exact distribution of
 the per-block (e.g. per-day) maximum, and compare it against the block
 maxima observed in the data and against simulation.
+
+numpy is imported inside the two functions that use it, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-
-import numpy as np
 
 from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
 
@@ -118,6 +119,7 @@ def ingest(lines, block_size: int, label: str = "series", bin_by: str | None = N
 
 def fit_nb_moments(series: CountSeries) -> NBFit:
     """Sample-moment negative binomial fit with a Poisson fallback."""
+    import numpy as np
     xs = np.asarray(series.counts, dtype=float)
     mean = float(xs.mean())
     variance = float(xs.var())
@@ -172,6 +174,7 @@ def simulate_daily_max(fit, block_size: int, trials: int, seed: int,
                        chunk: int = 100_000) -> dict:
     """Monte Carlo block maxima from a fitted model; fixed chunking keeps
     results reproducible for a given (trials, seed)."""
+    import numpy as np
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     model = fit.to_model() if isinstance(fit, NBFit) else fit

@@ -20,7 +20,16 @@ from dataclasses import dataclass
 
 
 class AccuracyError(RuntimeError):
-    """An iterative kernel failed to reach its tolerance within max_iter."""
+    """An iterative kernel failed to reach its tolerance within max_iter.
+
+    ``inputs`` holds the arguments of the kernel that gave up, as named in
+    the message, and ``iterations`` the max_iter it reached.
+    """
+
+    def __init__(self, message: str, *, inputs: dict, iterations: int):
+        super().__init__(message)
+        self.inputs = inputs
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,8 @@ def _log_gamma_p_via_series(a: float, x: float, acc: Accuracy) -> float:
         total += term
         if term < total * acc.rel_tol:
             return a * math.log(x) - x - math.lgamma(a + 1.0) + math.log(total)
-    raise AccuracyError(f"lower gamma series did not converge (a={a}, x={x})")
+    raise AccuracyError(f"lower gamma series did not converge (a={a}, x={x})",
+                        inputs={"a": a, "x": x}, iterations=acc.max_iter)
 
 
 def _log_gamma_q_small_x(a: float, x: float, acc: Accuracy) -> float:
@@ -155,7 +165,8 @@ def _log_gamma_q_small_x(a: float, x: float, acc: Accuracy) -> float:
         if abs(term) <= abs(d) * acc.rel_tol + 1e-300:
             break
     else:
-        raise AccuracyError(f"upper gamma series did not converge (a={a}, x={x})")
+        raise AccuracyError(f"upper gamma series did not converge (a={a}, x={x})",
+                            inputs={"a": a, "x": x}, iterations=acc.max_iter)
     lead = -math.expm1(a * math.log(x) - math.lgamma(a + 1.0))
     q = lead - math.exp(a * math.log(x) - math.lgamma(a)) * d
     if q <= 0.0:
@@ -184,7 +195,8 @@ def _log_gamma_q_contfrac(a: float, x: float, acc: Accuracy) -> float:
         h *= delta
         if abs(delta - 1.0) < acc.rel_tol:
             return a * math.log(x) - x - math.lgamma(a) + math.log(h)
-    raise AccuracyError(f"upper gamma continued fraction did not converge (a={a}, x={x})")
+    raise AccuracyError(f"upper gamma continued fraction did not converge (a={a}, x={x})",
+                        inputs={"a": a, "x": x}, iterations=acc.max_iter)
 
 
 def reg_gamma_q_log(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -232,7 +244,9 @@ def _beta_contfrac(a: float, b: float, x: float, acc: Accuracy) -> float:
         h *= delta
         if abs(delta - 1.0) < acc.rel_tol:
             return h
-    raise AccuracyError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
+    raise AccuracyError(
+        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})",
+        inputs={"a": a, "b": b, "x": x}, iterations=acc.max_iter)
 
 
 def reg_beta_log(a: float, b: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -286,4 +300,5 @@ def lambert_w0(z: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     ew = math.exp(w)
     if abs(w * ew - z) <= target:
         return w
-    raise AccuracyError(f"lambert_w0 did not converge for z={z}")
+    raise AccuracyError(f"lambert_w0 did not converge for z={z}",
+                        inputs={"z": z}, iterations=acc.max_iter)

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from discmax.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(args, capsys):
@@ -221,6 +226,17 @@ class TestExitCodes:
                            "--n", "100"], capsys)
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empirical_gamma_not_estimable_usage_error(self, capsys, fmt):
+        # three atoms give one usable tail ratio: no gamma, so no regime
+        code = main(["profile", "--model", "empirical", "--params",
+                     "probabilities=0.5:0.3:0.2", "--n", "3", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "usage error: the empirical tail ratio could not be estimated" in captured.err
+
 
 class TestRoundTrip:
     def test_csv_reparses_to_producing_values(self, capsys):
@@ -234,3 +250,53 @@ class TestRoundTrip:
         assert float(row["x_n"]) == pytest.approx(prof.x_n, rel=1e-7)
         assert float(row["p_n"]) == pytest.approx(prof.p_n, rel=1e-7)
         assert int(row["m_n"]) == prof.m_n
+
+
+def run_fresh(body: str) -> subprocess.CompletedProcess:
+    """Run body in a fresh interpreter with src on the path."""
+    code = f"import sys\nsys.path.insert(0, {SRC!r})\n{body}"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestNumpyImport:
+    """profile, scan and ties are pure math and must not load numpy; the
+    test process has numpy loaded already, so each check runs in a fresh
+    interpreter.  Module presence is asserted, not start-up time."""
+
+    PURE = [
+        ["profile", "--model", "poisson", "--params", "lam=1", "--n", "1e6"],
+        ["profile", "--model", "negbinom", "--params", "r=2,p=0.3", "--n", "1e4",
+         "--format", "json"],
+        ["scan", "--model", "poisson", "--params", "lam=0.01", "--extension", "asymptotic",
+         "--n-range", "2000:512000:x2"],
+        ["ties", "--model", "poisson", "--params", "lam=0.01", "--extension", "asymptotic",
+         "--n", "16000", "--t-max", "3"],
+    ]
+
+    def test_pure_commands_leave_numpy_unloaded(self):
+        proc = run_fresh(f"""
+import discmax
+assert "numpy" not in sys.modules, "import discmax"
+from discmax import cli
+for argv in {self.PURE!r}:
+    assert cli.main(argv) == 0
+    assert "numpy" not in sys.modules, argv[0]
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("\n") > len(self.PURE)
+
+    def test_simulate_loads_numpy_with_the_same_output(self, capsys):
+        argv = ["simulate", "--kind", "multinomial", "--boxes", "400", "--balls", "4",
+                "--trials", "60", "--seed", "5"]
+        proc = run_fresh(f"""
+from discmax import cli
+assert "numpy" not in sys.modules
+code = cli.main({argv!r})
+assert "numpy" in sys.modules
+sys.exit(code)
+""")
+        assert proc.returncode == 0, proc.stderr
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert proc.stdout == out

@@ -105,6 +105,16 @@ class TestProfile:
         prof = profile(model, 4)
         assert model.log_tail_ext(prof.x_n) == pytest.approx(-math.log(4), abs=1e-8)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_empirical_gamma_not_estimable(self):
+        # three atoms leave one usable tail ratio: the root solve still
+        # succeeds, and gamma comes back NaN rather than a made-up value
+        # (`discmax profile` refuses such a row, see test_cli)
+        model = EmpiricalModel([0.5, 0.3, 0.2])
+        prof = profile(model, 3)
+        assert model.log_tail_ext(prof.x_n) == pytest.approx(-math.log(3), abs=1e-8)
+        assert math.isnan(prof.gamma)
+
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             profile(PoissonModel(1.0), 1)

@@ -230,6 +230,56 @@ class TestAccuracy:
         Accuracy(rel_tol=1e-9, max_iter=64)
 
 
+CAPPED = Accuracy(max_iter=32)
+
+
+class TestAccuracyError:
+    # one case per raise site: (call, message, inputs), messages pinned exactly
+    @pytest.mark.parametrize("call,message,inputs", [
+        (lambda: reg_gamma_q_log(5000.0, 4999.0, CAPPED),
+         "lower gamma series did not converge (a=5000.0, x=4999.0)",
+         {"a": 5000.0, "x": 4999.0}),
+        # the small-x series converges in ~20 terms unless the tolerance
+        # asks for terms below 1e-300
+        (lambda: reg_gamma_q_log(0.5, 0.5, Accuracy(rel_tol=1e-300, max_iter=32)),
+         "upper gamma series did not converge (a=0.5, x=0.5)",
+         {"a": 0.5, "x": 0.5}),
+        (lambda: reg_gamma_p_log(5000.0, 5002.0, CAPPED),
+         "upper gamma continued fraction did not converge (a=5000.0, x=5002.0)",
+         {"a": 5000.0, "x": 5002.0}),
+        (lambda: reg_beta_log(1e4, 3e4, 0.25, CAPPED),
+         "incomplete beta continued fraction did not converge (a=10000.0, b=30000.0, x=0.25)",
+         {"a": 1e4, "b": 3e4, "x": 0.25}),
+        # above (a + 1)/(a + b + 2) the fraction runs on I_{1-x}(b, a), and
+        # the error names those arguments
+        (lambda: reg_beta_log(1e4, 3e4, 0.25 + 2.0 ** -12, CAPPED),
+         "incomplete beta continued fraction did not converge "
+         "(a=30000.0, b=10000.0, x=0.749755859375)",
+         {"a": 3e4, "b": 1e4, "x": 0.749755859375}),
+        # Halley steps from the seeds converge well inside 32 for every
+        # finite z tried up to 1e307, so a NaN is what reaches the cap
+        (lambda: lambert_w0(math.nan, CAPPED),
+         "lambert_w0 did not converge for z=nan",
+         {"z": math.nan}),
+    ], ids=["gamma_p_series", "gamma_q_series", "gamma_q_contfrac", "beta_contfrac",
+            "beta_contfrac_swapped", "lambert_w0"])
+    def test_carries_inputs_and_iterations(self, call, message, inputs):
+        with pytest.raises(AccuracyError) as info:
+            call()
+        exc = info.value
+        assert str(exc) == message
+        assert exc.iterations == 32
+        assert exc.inputs.keys() == inputs.keys()
+        for key, want in inputs.items():
+            got = exc.inputs[key]
+            assert got == want or (math.isnan(got) and math.isnan(want)), key
+
+    def test_iterations_is_the_cap_reached(self):
+        with pytest.raises(AccuracyError) as info:
+            reg_gamma_q_log(5000.0, 4999.0, Accuracy(max_iter=100))
+        assert info.value.iterations == 100
+
+
 def test_log1mexp_edges():
     assert log1mexp(-math.inf) == 0.0
     assert log1mexp(0.0) == -math.inf
