@@ -39,6 +39,7 @@ from .extremes import (
     exact_max_cdf_log,
     exact_order_stat_cdf_log,
     limiting_max_cdf,
+    limiting_max_pmf,
     profile,
     scan_oscillation,
     tie_distribution,
@@ -72,7 +73,8 @@ __all__ = [
     "ExtremalProfile", "OscillationScan", "Regime", "RootBracketError",
     "TieDistribution", "anderson_cluster_bound", "briggs_approximation",
     "exact_max_cdf_log", "exact_order_stat_cdf_log", "limiting_max_cdf",
-    "profile", "scan_oscillation", "tie_distribution", "tie_phase_threshold",
+    "limiting_max_pmf", "profile", "scan_oscillation", "tie_distribution",
+    "tie_phase_threshold",
     "AllocationSpec", "AllocationSummary", "enumerate_conditional",
     "merging_report", "simulate",
     "CountSeries", "DataError", "NBFit", "daily_max_law",

@@ -6,7 +6,9 @@ symmetric Dirichlet mixture of multinomials.  Both admit a conditional
 representation by i.i.d. counts given their sum (Poisson for the
 multinomial, negative binomial for the Dirichlet mixture), which is what
 ``enumerate_conditional`` verifies exactly on small instances and what
-``simulate``/``merging_report`` check statistically at scale.
+``simulate``/``merging_report`` check statistically at scale against the
+limiting law of the matched model: gamma = 0 (Poisson) for the
+multinomial, 0 < gamma < 1 (negative binomial) for the Dirichlet mixture.
 
 Reproducibility: each trial draws from its own stream derived from
 (seed, trial_index) via a spawn key, and all aggregation is commutative,
@@ -23,7 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extremes import ExtremalProfile, tie_distribution, tie_phase_threshold
+from .extremes import (ExtremalProfile, Regime, limiting_max_pmf, tie_distribution,
+                       tie_phase_threshold)
 from .tailmodel import NegativeBinomialModel, PoissonModel
 
 KINDS = ("multinomial", "dirichlet")
@@ -31,11 +34,15 @@ KINDS = ("multinomial", "dirichlet")
 ENUMERATION_MAX_BOXES = 6
 ENUMERATION_MAX_BALLS = 12
 
-DEFAULT_MEMORY_BUDGET = 2_000_000_000
+# simulate refuses specs whose n_boxes x trials box tallies exceed this
+MAX_BOX_TALLIES = 2_000_000_000
+
+# tie phase-transition depths ceil(c z_n) checked by merging_report
+PHASE_CS = (0.5, 2.0)
 
 
 class MemoryBudgetError(RuntimeError):
-    """n_boxes * trials exceeds the configured element budget."""
+    """n_boxes * trials box tallies exceed MAX_BOX_TALLIES (a bound on work, not memory)."""
 
 
 @dataclass(frozen=True)
@@ -112,17 +119,17 @@ def trial_counts(spec: AllocationSpec, trial: int) -> np.ndarray:
     return rng.multinomial(spec.n_balls, weights)
 
 
-def simulate(spec: AllocationSpec, prof: ExtremalProfile,
-             memory_budget: int = DEFAULT_MEMORY_BUDGET) -> AllocationSummary:
+def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
     """Run spec.trials allocations and tally maxima, ties and occupancy.
 
     Each trial is read from its occupancy histogram: occ[v] is the number
     of boxes holding exactly v balls, empty boxes included.
     """
     import numpy as np
-    if spec.n_boxes * spec.trials > memory_budget:
+    if spec.n_boxes * spec.trials > MAX_BOX_TALLIES:
         raise MemoryBudgetError(
-            f"n_boxes * trials = {spec.n_boxes * spec.trials} exceeds budget {memory_budget}")
+            f"n_boxes * trials = {spec.n_boxes * spec.trials} box tallies, "
+            f"more than the limit {MAX_BOX_TALLIES}")
     m = prof.m_n
     max_hist: dict = {}
     tie_hist: dict = {}
@@ -231,14 +238,14 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
     return {key: (float(alloc[key]), weight[key] / total_weight) for key in sorted(alloc)}
 
 
-def merging_report(spec: AllocationSpec, prof: ExtremalProfile,
-                   t_max: int = 3, phase_cs: tuple = (0.5, 2.0),
+def merging_report(spec: AllocationSpec, prof: ExtremalProfile, t_max: int = 3,
                    summary: AllocationSummary | None = None) -> list:
     """Empirical-vs-theory comparison rows for a simulated allocation.
 
     Each row carries the empirical frequency, the limiting theoretical
     value, their absolute difference, and the binomial standard error
-    sqrt(f(1-f)/trials) where a frequency is being estimated.
+    sqrt(f(1-f)/trials) where a frequency is being estimated.  The max
+    rows read the regime's limiting law; tie and phase rows need gamma = 0.
     """
     if summary is None:
         summary = simulate(spec, prof)
@@ -248,14 +255,13 @@ def merging_report(spec: AllocationSpec, prof: ExtremalProfile,
     def freq(hist: dict, value: int) -> float:
         return hist.get(value, 0) / trials
 
-    rows = [
-        comparison_row("max_eq_anchor", m, freq(summary.max_histogram, m), prof.p_n, trials),
-        comparison_row("max_eq_anchor_plus_1", m + 1, freq(summary.max_histogram, m + 1),
-                       1.0 - prof.p_n, trials),
-        comparison_row("max_in_cluster", (m, m + 1), summary.cluster_freq, None, trials),
-    ]
+    gamma_zero = prof.regime is Regime.GAMMA_ZERO
+    rows = [comparison_row(quantity, m + x, freq(summary.max_histogram, m + x),
+                           limiting_max_pmf(prof, x), trials)
+            for x, quantity in enumerate(("max_eq_anchor", "max_eq_anchor_plus_1"))]
+    rows.append(comparison_row("max_in_cluster", (m, m + 1), summary.cluster_freq, None, trials))
 
-    ties = tie_distribution(prof, t_max) if prof.gamma == 0.0 else None
+    ties = tie_distribution(prof, t_max) if gamma_zero else None
     for t in range(t_max + 1):
         theory = ties.exactly[t] if ties is not None else None
         rows.append(comparison_row(f"ties_eq_{t}", t, freq(summary.tie_histogram, t), theory,
@@ -269,8 +275,8 @@ def merging_report(spec: AllocationSpec, prof: ExtremalProfile,
     rows.append(comparison_row("top_two_occupancy", (m, m + 1), summary.mean_top_two_occupancy,
                                occ_theory, trials) | {"stderr": None})
 
-    if prof.gamma == 0.0:
-        for c in phase_cs:
+    if gamma_zero:
+        for c in PHASE_CS:
             k = tie_phase_threshold(prof, c)
             hit = sum(cnt for j, cnt in summary.ge_anchor_histogram.items() if j >= k + 1)
             rows.append(comparison_row(f"depth_{k}_above_anchor_minus_1", k, hit / trials,

@@ -179,7 +179,6 @@ def cmd_simulate(args) -> str:
         }
         return json.dumps(payload, indent=2, default=str) + "\n"
 
-    max_theory = {prof.m_n: prof.p_n, prof.m_n + 1: 1.0 - prof.p_n}
     tie_theory = (extremes.tie_distribution(prof, args.t_max).exactly
                   if prof.regime is extremes.Regime.GAMMA_ZERO else {})
 
@@ -187,7 +186,7 @@ def cmd_simulate(args) -> str:
         return allocsim.comparison_row(value, value, count / spec.trials, theory, spec.trials)
 
     # (table, count, comparison row); a row's quantity is its CSV value
-    tables = [("max", cnt, compare(v, cnt, max_theory.get(v)))
+    tables = [("max", cnt, compare(v, cnt, extremes.limiting_max_pmf(prof, v - prof.m_n)))
               for v, cnt in summary.max_histogram.items()]
     tables += [("ties", cnt, compare(t, cnt, tie_theory.get(t)))
                for t, cnt in summary.tie_histogram.items()]

@@ -18,6 +18,11 @@ from datetime import datetime, timezone
 from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
 
 
+# blocks drawn per sampler call in simulate_daily_max; it fixes the random
+# stream, so changing it changes every seeded result
+SIMULATION_CHUNK = 100_000
+
+
 class DataError(ValueError):
     """Malformed or unusable input data."""
 
@@ -170,10 +175,9 @@ def empirical_daily_max(series: CountSeries) -> dict:
     return {v: c / nb for v, c in sorted(out.items())}
 
 
-def simulate_daily_max(fit, block_size: int, trials: int, seed: int,
-                       chunk: int = 100_000) -> dict:
-    """Monte Carlo block maxima from a fitted model; fixed chunking keeps
-    results reproducible for a given (trials, seed)."""
+def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:
+    """Monte Carlo block maxima from a fitted model, SIMULATION_CHUNK blocks
+    per draw, so results are reproducible for a given (trials, seed)."""
     import numpy as np
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -182,7 +186,7 @@ def simulate_daily_max(fit, block_size: int, trials: int, seed: int,
     out: dict = {}
     remaining = trials
     while remaining > 0:
-        size = min(chunk, remaining)
+        size = min(SIMULATION_CHUNK, remaining)
         maxima = model.sample(rng, (size, block_size)).max(axis=1)
         for v, c in zip(*np.unique(maxima, return_counts=True)):
             out[int(v)] = out.get(int(v), 0) + int(c)

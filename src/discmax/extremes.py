@@ -75,13 +75,6 @@ def _round_sigfigs(x: float, sigfigs: int) -> float:
     return round(x, sigfigs - 1 - math.floor(math.log10(abs(x))))
 
 
-def _ext_log_tail(model: DiscreteTailModel, t: float) -> float:
-    # extended tail with the convention G(x) = 1 left of the support
-    if t <= model.support_min - 1:
-        return 0.0
-    return model.log_tail_ext(t)
-
-
 def _cluster_anchor(x: float) -> int:
     # floor(x + 1/2), snapping first when x + 1/2 sits within 1e-9 of an
     # integer so solver noise cannot flip the anchor
@@ -96,30 +89,24 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None) -> Extrem
     """Solve G(x_n) = 1/n and assemble the derived extremal quantities."""
     if not 2 <= n < math.inf:  # also rejects nan
         raise ValueError(f"profile requires a finite n >= 2, got {n}")
+    # G is 1 at the support edge lo, above the target 1/n <= 1/2: double
+    # the bracket until G drops below it, keeping the last point above
     target = -math.log(n)
     lo = float(model.support_min - 1)
-    f_lo = _ext_log_tail(model, lo)
-    if f_lo < target:
-        raise RootBracketError(
-            f"extended tail starts below 1/n at the support edge (n={n}); "
-            "no crossing to solve")
-
-    width = 1.0
-    hi = lo + width
-    for _ in range(200):
-        if _ext_log_tail(model, hi) < target:
+    a = lo
+    for i in range(200):
+        b = lo + 2.0 ** i
+        if model.log_tail_ext(b) < target:
             break
-        width *= 2.0
-        hi = lo + width
+        a = b
     else:
         raise RootBracketError(f"extended tail never drops below 1/n (n={n}); tail bounded?")
 
-    a, b = lo, hi
     for _ in range(200):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
-        if _ext_log_tail(model, mid) >= target:
+        if model.log_tail_ext(mid) >= target:
             a = mid
         else:
             b = mid
@@ -127,7 +114,8 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None) -> Extrem
             break
     x = 0.5 * (a + b)
 
-    if not math.isfinite(_ext_log_tail(model, x)) or abs(_ext_log_tail(model, x) - target) > 1e-6:
+    residual = model.log_tail_ext(x) - target
+    if not math.isfinite(residual) or abs(residual) > 1e-6:
         raise RootBracketError(
             f"no genuine crossing of 1/n at x={x} (discontinuous tail extension); "
             "the tail is bounded or n is too small")
@@ -148,8 +136,8 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None) -> Extrem
         # the asymptotic extension exists only on the Poisson model
         theta = _cluster_escape(model.lam, x, m)
     else:
-        theta = math.exp(math.log(n) + _ext_log_tail(model, float(m)))
-    z = math.exp(math.log(n) + _ext_log_tail(model, float(m - 1)))
+        theta = math.exp(math.log(n) + model.log_tail_ext(float(m)))
+    z = math.exp(math.log(n) + model.log_tail_ext(max(m - 1.0, lo)))
     return ExtremalProfile(
         n=float(n), gamma=gamma, x_n=x, m_n=m, theta_n=theta,
         p_n=math.exp(-theta), z_n=z, regime=regime)
@@ -165,7 +153,14 @@ def limiting_max_cdf(prof: ExtremalProfile, x: int) -> float:
         return 1.0
     if prof.regime is Regime.GAMMA_ONE:
         return prof.p_n
+    if math.isnan(prof.gamma):
+        raise ValueError("the limiting law needs a tail ratio gamma; it is nan (not estimable)")
     return prof.p_n ** (prof.gamma ** x)
+
+
+def limiting_max_pmf(prof: ExtremalProfile, x: int) -> float:
+    """Limiting P(max = m_n + x): the step of limiting_max_cdf at x."""
+    return limiting_max_cdf(prof, x) - limiting_max_cdf(prof, x - 1)
 
 
 def exact_max_cdf_log(model: DiscreteTailModel, n, x: int) -> float:

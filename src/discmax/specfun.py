@@ -272,9 +272,9 @@ _INV_E = math.exp(-1.0)
 
 
 def lambert_w0(z: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Principal branch of w e^w = z for z >= -1/e."""
-    if z < -_INV_E:
-        raise ValueError(f"lambert_w0 requires z >= -1/e, got {z}")
+    """Principal branch of w e^w = z for finite z >= -1/e."""
+    if not -_INV_E <= z < math.inf:  # also rejects nan
+        raise ValueError(f"lambert_w0 requires a finite z >= -1/e, got {z}")
     if z == 0.0:
         return 0.0
     # seed: asymptotic log for large z, branch-point expansion near -1/e,
@@ -288,17 +288,18 @@ def lambert_w0(z: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     else:
         w = z * (1.0 - z + 1.5 * z * z)
     target = 1e-12 * max(1.0, abs(z))
+    # Halley steps on f(w) = w e^w - z, carried as g = f / e^w = w - z e^-w,
+    # which stays finite where w e^w, e^w (w + 1) or (w + 2) f overflow
+    # (z near the float maximum)
     for _ in range(acc.max_iter):
         ew = math.exp(w)
-        f = w * ew - z
-        if abs(f) <= target * 0.01 or f == 0.0:
+        g = w - z / ew
+        if abs(g) * ew <= target * 0.01 or g == 0.0:
             return w
         wp1 = w + 1.0
-        # Halley step
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        w -= f / denom
+        w -= g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
     ew = math.exp(w)
-    if abs(w * ew - z) <= target:
+    if abs(w - z / ew) * ew <= target:
         return w
     raise AccuracyError(f"lambert_w0 did not converge for z={z}",
                         inputs={"z": z}, iterations=acc.max_iter)

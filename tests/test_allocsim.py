@@ -17,7 +17,7 @@ from discmax.allocsim import (
     simulate,
     trial_counts,
 )
-from discmax.extremes import profile
+from discmax.extremes import limiting_max_pmf, profile
 from discmax.tailmodel import NegativeBinomialModel, PoissonModel
 
 
@@ -310,12 +310,29 @@ class TestMergingReport:
         spec = AllocationSpec(n_boxes=2000, n_balls=20, kind="multinomial",
                               trials=150, seed=77)
         prof = asym_profile(2000, 20)
-        rows = merging_report(spec, prof, phase_cs=(0.5, 2.0))
+        rows = merging_report(spec, prof)
         phase = [r for r in rows if r["quantity"].startswith("depth_")]
         assert len(phase) == 2
         # shallow depth nearly always exceeded, deep depth nearly never
         assert phase[0]["theory"] == 1.0 and phase[0]["empirical"] >= 0.8
         assert phase[1]["theory"] == 0.0 and phase[1]["empirical"] <= 0.2
+
+    def test_dirichlet_max_theory_is_limiting_law(self):
+        # gamma = 0.5: the max spreads over the p^(gamma^x) law, not over
+        # the gamma = 0 pair {p_n, 1 - p_n}
+        spec = AllocationSpec(n_boxes=2000, n_balls=2000, kind="dirichlet", trials=1000,
+                              seed=1, r=1.0)
+        prof = profile(matched_model(spec), spec.n_boxes)
+        assert prof.gamma == 0.5 and prof.m_n == 10
+        rows = {r["quantity"]: r for r in merging_report(spec, prof)}
+        for quantity, x in (("max_eq_anchor", 0), ("max_eq_anchor_plus_1", 1)):
+            theory = limiting_max_pmf(prof, x)
+            assert rows[quantity]["theory"] == theory
+            sigma = math.sqrt(theory * (1.0 - theory) / spec.trials)
+            assert abs(rows[quantity]["empirical"] - theory) <= 4.0 * sigma, rows[quantity]
+        # no tie law and no phase transition outside gamma = 0
+        assert rows["ties_eq_0"]["theory"] is None
+        assert not any(q.startswith("depth_") for q in rows)
 
     def test_accepts_precomputed_summary(self):
         spec = AllocationSpec(n_boxes=100, n_balls=10, kind="multinomial",

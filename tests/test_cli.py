@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from discmax import allocsim, extremes
 from discmax.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -160,6 +161,31 @@ class TestSimulateCommand:
         _, asymptotic = run_cli(args + ["--extension", "asymptotic"], capsys)
         _, natural = run_cli(args + ["--extension", "natural"], capsys)
         assert default == asymptotic != natural
+
+    @pytest.mark.parametrize("kind,r,extension", [
+        ("multinomial", None, "asymptotic"),
+        ("dirichlet", 1.0, "natural"),
+    ])
+    def test_max_theory_is_the_limiting_law(self, capsys, kind, r, extension):
+        # every max row, the cluster's two values and the rest, reads the
+        # regime's limiting law; for gamma = 0 that is 0 off the cluster
+        args = ["simulate", "--kind", kind, "--boxes", "50", "--balls", "200",
+                "--trials", "100", "--seed", "3"] + (["--r", str(r)] if r else [])
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        spec = allocsim.AllocationSpec(n_boxes=50, n_balls=200, kind=kind, trials=100, seed=3,
+                                       r=r)
+        prof = extremes.profile(allocsim.matched_model(spec, extension), 50)
+        max_rows = [r for r in parse_csv(out) if r["table"] == "max"]
+        assert len(max_rows) > 2
+        for r in max_rows:
+            want = extremes.limiting_max_pmf(prof, int(r["value"]) - prof.m_n)
+            assert float(r["theory"]) == pytest.approx(want, rel=1e-7, abs=1e-12), r
+            assert float(r["abs_error"]) == pytest.approx(
+                abs(float(r["frequency"]) - want), rel=1e-7, abs=1e-12), r
+        if kind == "multinomial":
+            off_cluster = [r for r in max_rows if int(r["value"]) not in (prof.m_n, prof.m_n + 1)]
+            assert off_cluster and all(r["theory"] == "0" for r in off_cluster)
 
     def test_missing_r_usage_error(self, capsys):
         code, _ = run_cli(["simulate", "--kind", "dirichlet", "--boxes", "10",

@@ -11,6 +11,7 @@ from discmax.extremes import (
     exact_max_cdf_log,
     exact_order_stat_cdf_log,
     limiting_max_cdf,
+    limiting_max_pmf,
     profile,
     scan_oscillation,
     tie_distribution,
@@ -115,6 +116,17 @@ class TestProfile:
         assert model.log_tail_ext(prof.x_n) == pytest.approx(-math.log(3), abs=1e-8)
         assert math.isnan(prof.gamma)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # two ratios, unstable
+    @pytest.mark.parametrize("model,n", [
+        (PoissonModel(0.1), 2),  # x_n ~ -0.7: the anchor is the edge -1
+        (EmpiricalModel([0.9, 0.05, 0.05], support_min=3), 2),  # x_n ~ 2.3, edge 2
+    ], ids=["poisson", "empirical_offset"])
+    def test_z_n_at_support_edge_anchor(self, model, n):
+        # m_n = support_min - 1: z_n is read at the edge itself, where G = 1
+        prof = profile(model, n)
+        assert prof.m_n == model.support_min - 1
+        assert prof.z_n == n
+
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             profile(PoissonModel(1.0), 1)
@@ -130,6 +142,15 @@ class TestProfile:
         prof = profile(DiscreteCauchyModel(), 10 ** 4)
         assert prof.regime is Regime.GAMMA_ONE
         assert 3000 < prof.x_n < 6000
+
+    def test_dcauchy_profile_large_n(self):
+        # G(x) = 1 / (S (x + 1/2)) to relative O(x^-2), S the normalizer sum;
+        # the tail closure lost every digit here when it took pi/2 - atan(m)
+        s = (1.0 + math.pi / math.tanh(math.pi)) / 2.0
+        for e in range(12, 51):
+            n = 10.0 ** e
+            prof = profile(DiscreteCauchyModel(), n)
+            assert (prof.x_n + 0.5) * s / n == pytest.approx(1.0, abs=2e-14), e
 
 
 class TestLimitingMaxCdf:
@@ -147,10 +168,36 @@ class TestLimitingMaxCdf:
         assert limiting_max_cdf(prof, 0) == pytest.approx(0.36, rel=1e-12)
         assert limiting_max_cdf(prof, -1) == pytest.approx(0.36 ** 2.0, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_gamma_raises(self):
+        # three atoms: profile solves x_n with gamma NaN, and the limiting
+        # law, which has no gamma to use, says so instead of returning NaN
+        prof = profile(EmpiricalModel([0.5, 0.3, 0.2]), 3)
+        with pytest.raises(ValueError, match="gamma"):
+            limiting_max_cdf(prof, 0)
+
     def test_gamma_one_flat(self):
         prof = synthetic_profile(0.77, regime=Regime.GAMMA_ONE, gamma=1.0)
         for x in (-3, 0, 5):
             assert limiting_max_cdf(prof, x) == 0.77
+
+
+class TestLimitingMaxPmf:
+    def test_gamma_zero_two_point(self):
+        prof = synthetic_profile(0.42)
+        assert [limiting_max_pmf(prof, x) for x in range(-2, 4)] == [
+            0.0, 0.0, 0.42, 1.0 - 0.42, 0.0, 0.0]
+
+    def test_gamma_mid_steps_of_the_cdf(self):
+        prof = synthetic_profile(0.36, regime=Regime.GAMMA_MID, gamma=0.5)
+        assert limiting_max_pmf(prof, 0) == pytest.approx(0.36 - 0.36 ** 2, rel=1e-12)
+        assert limiting_max_pmf(prof, 1) == pytest.approx(0.6 - 0.36, rel=1e-12)
+        assert math.fsum(limiting_max_pmf(prof, x) for x in range(-10, 60)) == pytest.approx(
+            1.0, abs=1e-12)
+
+    def test_gamma_one_has_no_mass_at_any_point(self):
+        prof = synthetic_profile(0.77, regime=Regime.GAMMA_ONE, gamma=1.0)
+        assert all(limiting_max_pmf(prof, x) == 0.0 for x in (-3, 0, 5))
 
 
 class TestExactMaxCdf:

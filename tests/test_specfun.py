@@ -1,4 +1,6 @@
 import math
+import sys
+from unittest import mock
 
 import pytest
 
@@ -150,6 +152,20 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lambert_w0(-1.0 / math.e - 1e-6)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fails_fast(self, z):
+        # a ValueError before any Halley step, not an AccuracyError after 500
+        with mock.patch.object(math, "exp", side_effect=AssertionError("iterated")):
+            with pytest.raises(ValueError, match="finite z"):
+                lambert_w0(z)
+
+    @pytest.mark.parametrize("z", [1e307, 1e308, sys.float_info.max])
+    def test_near_float_maximum(self, z):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        w = lambert_w0(z)
+        assert w == pytest.approx(float(mp.lambertw(z).real), rel=1e-15)
+
 
 class TestLogSumExp:
     def test_single(self):
@@ -233,6 +249,13 @@ class TestAccuracy:
 CAPPED = Accuracy(max_iter=32)
 
 
+def lambert_w0_with_nan_exp(z: float) -> float:
+    # Halley steps converge well inside 32 for every valid z, so the cap is
+    # reached through an exp that returns nan: every step stays nan
+    with mock.patch.object(math, "exp", lambda x: math.nan):
+        return lambert_w0(z, CAPPED)
+
+
 class TestAccuracyError:
     # one case per raise site: (call, message, inputs), messages pinned exactly
     @pytest.mark.parametrize("call,message,inputs", [
@@ -256,11 +279,9 @@ class TestAccuracyError:
          "incomplete beta continued fraction did not converge "
          "(a=30000.0, b=10000.0, x=0.749755859375)",
          {"a": 3e4, "b": 1e4, "x": 0.749755859375}),
-        # Halley steps from the seeds converge well inside 32 for every
-        # finite z tried up to 1e307, so a NaN is what reaches the cap
-        (lambda: lambert_w0(math.nan, CAPPED),
-         "lambert_w0 did not converge for z=nan",
-         {"z": math.nan}),
+        (lambda: lambert_w0_with_nan_exp(2.0),
+         "lambert_w0 did not converge for z=2.0",
+         {"z": 2.0}),
     ], ids=["gamma_p_series", "gamma_q_series", "gamma_q_contfrac", "beta_contfrac",
             "beta_contfrac_swapped", "lambert_w0"])
     def test_carries_inputs_and_iterations(self, call, message, inputs):

@@ -111,9 +111,20 @@ class TestDiscreteCauchy:
         for k in (0, 5, 31, 32, 100):
             direct = math.fsum(1.0 / (1.0 + j * j) for j in range(k + 1, 200000))
             direct += math.pi / 2 - math.atan(199999.5)  # midpoint closure
-            got = math.exp(m.log_tail(k) + (-m._log_norm) * 0 - m._log_norm * 0)
             assert math.exp(m.log_tail(k)) == pytest.approx(
                 direct * math.exp(m._log_norm), rel=1e-11)
+
+    def test_tail_sum_vs_digamma(self):
+        # sum_{j>=m} 1/(1+j^2) = Im psi(m + i); pi/2 - atan(m) in the
+        # closure lost 1.3e-4 relative at m = 1e12 and 11 % at 1e15
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        for m in [0, 1, 5, 31, 32, 33, 100] + [10 ** e for e in range(3, 16)] + [3 * 10 ** 15]:
+            ref = mp.im(mp.digamma(m + 1j))
+            rel = float(abs(DiscreteCauchyModel._tail_sum(m) / ref - 1))
+            # the closure is truncated at the 5th derivative: ~3e-14 at the
+            # cutoff 32, rounding only from m = 1000 on
+            assert rel <= (1e-15 if m >= 1000 else 5e-14), (m, rel)
 
 
 class TestExtensions:
@@ -121,8 +132,7 @@ class TestExtensions:
         # natural and loglinear extensions reproduce the true tail at integers
         for base in infinite_support_models():
             for ext in ("natural", "loglinear"):
-                m = make_model(base.name, base.params, ext) if base.name != "dcauchy" \
-                    else DiscreteCauchyModel(ext)
+                m = make_model(base.name, base.params, ext)
                 for k in range(0, 30):
                     assert abs(m.log_tail_ext(float(k)) - m.log_tail(k)) <= 1e-10, (
                         base.name, ext, k)
@@ -143,8 +153,7 @@ class TestExtensions:
     def test_non_increasing(self):
         for base in infinite_support_models():
             for ext in ("natural", "loglinear"):
-                m = make_model(base.name, base.params, ext) if base.name != "dcauchy" \
-                    else DiscreteCauchyModel(ext)
+                m = make_model(base.name, base.params, ext)
                 xs = [base.support_min - 1 + 0.25 * i for i in range(120)]
                 vals = [m.log_tail_ext(x) for x in xs]
                 assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])), (base.name, ext)
@@ -183,6 +192,18 @@ class TestExtensions:
             increasing = all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
             decreasing = all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
             assert increasing or decreasing, m.name
+
+    def test_support_edge_for_every_extension(self):
+        # G = 1 at support_min - 1 and undefined below it, whatever the
+        # extension; the asymptotic form alone would give e^-lam there
+        models = [PoissonModel(2.0, "asymptotic")]
+        for ext in ("natural", "loglinear"):
+            models += [make_model(m.name, m.params, ext) for m in infinite_support_models()]
+            models.append(EmpiricalModel([0.5, 0.5], support_min=3, extension=ext))
+        for m in models:
+            assert m.log_tail_ext(m.support_min - 1.0) == 0.0, m
+            with pytest.raises(ValueError):
+                m.log_tail_ext(m.support_min - 1.5)
 
     def test_asymptotic_requires_poisson(self):
         with pytest.raises(ValueError):
