@@ -9,7 +9,6 @@ maxima; `cli` exposes everything as a command-line tool.
 """
 
 from .specfun import (
-    Accuracy,
     AccuracyError,
     lambert_w0,
     log_binomial,
@@ -66,7 +65,7 @@ from .datafit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accuracy", "AccuracyError", "lambert_w0", "log_binomial", "log_gamma",
+    "AccuracyError", "lambert_w0", "log_binomial", "log_gamma",
     "log_sum_exp", "reg_beta_log", "reg_gamma_p_log", "reg_gamma_q_log",
     "DiscreteCauchyModel", "DiscreteTailModel", "EmpiricalModel",
     "GeometricModel", "NegativeBinomialModel", "PoissonModel", "make_model",

@@ -2,8 +2,8 @@
 
 Intended for event-count series such as hourly earthquake counts: fit a
 negative binomial by method of moments, compute the exact distribution of
-the per-block (e.g. per-day) maximum, and compare it against the block
-maxima observed in the data and against simulation.
+the per-block (e.g. per-day) maximum from the model's tail, and compare it
+against the block maxima observed in the data and against simulation.
 
 numpy is imported inside the two functions that use it, so importing this
 module does not load it.
@@ -15,8 +15,15 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+from .extremes import exact_max_cdf_log
+from .specfun import log1mexp
 from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
 
+
+# daily_max_law lists values until P(max > v) falls below LAW_TAIL_MASS,
+# and refuses a tail that needs more than MAX_LAW_VALUES of them
+LAW_TAIL_MASS = 1e-9
+MAX_LAW_VALUES = 100_000
 
 # blocks drawn per sampler call in simulate_daily_max; it fixes the random
 # stream, so changing it changes every seeded result
@@ -137,30 +144,31 @@ def fit_nb_moments(series: CountSeries) -> NBFit:
     return NBFit(mean=mean, variance=variance, r=None, p=None, overdispersed=False)
 
 
-def daily_max_law(fit, block_size: int, mass_tol: float = 1e-9) -> dict:
-    """Exact law of the maximum of block_size i.i.d. counts.
+def daily_max_law(fit, block_size: int) -> dict:
+    """Exact law {v: P(max = v)} of the maximum of block_size i.i.d. counts.
 
-    P(max = v) = F(v)^B - F(v-1)^B with F built by direct pmf summation,
-    truncated once the remaining mass falls below mass_tol.  Accepts an
-    NBFit or any discrete tail model.
+    F(v)^B = P(max <= v) comes from exact_max_cdf_log, and each step is
+    F(v)^B (1 - (1 - f(v)/F(v))^B), which does not cancel where F(v) ~ 1.
+    The law runs from support_min to the first v with P(max > v) below
+    LAW_TAIL_MASS; a tail that needs more than MAX_LAW_VALUES values raises
+    ValueError before any is listed.  Accepts an NBFit or any tail model.
     """
     model = fit.to_model() if isinstance(fit, NBFit) else fit
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
+    last = model.support_min + MAX_LAW_VALUES - 1
+    beyond = -math.expm1(exact_max_cdf_log(model, block_size, last))
+    if beyond >= LAW_TAIL_MASS:
+        raise ValueError(f"the maximum of {block_size} draws from {model!r} exceeds {last} with "
+                         f"probability {beyond:.3g}: its law needs more than {MAX_LAW_VALUES} values")
     law = {}
-    cdf_prev_pow = 0.0
-    cdf = 0.0
-    v = model.support_min
-    for _ in range(100000):
-        cdf += math.exp(model.log_pmf(v))
-        cdf_pow = min(cdf, 1.0) ** block_size
-        law[v] = cdf_pow - cdf_prev_pow
-        if 1.0 - cdf_pow < mass_tol:
+    for v in range(model.support_min, last + 1):
+        log_cdf = exact_max_cdf_log(model, block_size, v)  # B ln F(v)
+        # ln f(v)/F(v), at most 0; while F(v) = 0 any value gives the zero step
+        log_ratio = min(model.log_pmf(v) - log_cdf / block_size, 0.0) if log_cdf > -math.inf else 0.0
+        law[v] = math.exp(log_cdf) * -math.expm1(block_size * log1mexp(log_ratio))
+        if -math.expm1(log_cdf) < LAW_TAIL_MASS:
             break
-        cdf_prev_pow = cdf_pow
-        v += 1
-    else:
-        raise RuntimeError("block-maximum law did not accumulate enough mass")
     return law
 
 

@@ -121,7 +121,10 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None) -> Extrem
             "the tail is bounded or n is too small")
 
     if x_sigfigs is not None:
-        x = _round_sigfigs(x, x_sigfigs)
+        raw, x = x, _round_sigfigs(x, x_sigfigs)
+        if _cluster_anchor(x) < lo:  # an anchor outside the support
+            raise ValueError(f"x_sigfigs={x_sigfigs} rounds x_n = {raw!r} to {x!r}, whose anchor "
+                             f"lies below the support edge support_min - 1 = {lo:.0f}")
 
     m = _cluster_anchor(x)
     gamma = model.tail_ratio_gamma()

@@ -11,19 +11,24 @@ upper function otherwise, with an alternating series patch for the small-x
 corner where 1 - P would cancel.  The incomplete beta uses the Numerical
 Recipes continued fraction with the symmetric swap.  Lambert W is solved
 by Halley iteration.
+
+The iterative kernels share one convergence contract, the module
+constants REL_TOL (target relative error of the returned probability, not
+of its log) and MAX_ITER (cap on series, continued-fraction and Halley
+steps).  They are read at call time; a kernel that reaches MAX_ITER raises
+AccuracyError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class AccuracyError(RuntimeError):
-    """An iterative kernel failed to reach its tolerance within max_iter.
+    """An iterative kernel failed to reach REL_TOL within MAX_ITER steps.
 
     ``inputs`` holds the arguments of the kernel that gave up, as named in
-    the message, and ``iterations`` the max_iter it reached.
+    the message, and ``iterations`` the MAX_ITER it reached.
     """
 
     def __init__(self, message: str, *, inputs: dict, iterations: int):
@@ -32,25 +37,8 @@ class AccuracyError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class Accuracy:
-    """Convergence contract for the iterative kernels.
-
-    rel_tol is the target relative error of the *returned probability*
-    (not its log); max_iter caps series/continued-fraction/Halley steps.
-    """
-
-    rel_tol: float = 1e-15
-    max_iter: int = 500
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise ValueError(f"rel_tol must be in (0, 1e-6], got {self.rel_tol}")
-        if self.max_iter < 32:
-            raise ValueError(f"max_iter must be >= 32, got {self.max_iter}")
-
-
-DEFAULT_ACCURACY = Accuracy()
+REL_TOL = 1e-15  # the kernels' convergence contract; see the module docstring
+MAX_ITER = 500
 
 _LOG_HALF = math.log(0.5)
 
@@ -111,7 +99,7 @@ def log_binomial(n: int, k: int) -> float:
             + _stirling_series(a) - _stirling_series(b) - math.lgamma(m + 1))
 
 
-def _log_gamma_pq(a: float, x: float, acc: Accuracy) -> tuple[float, float]:
+def _log_gamma_pq(a: float, x: float) -> tuple[float, float]:
     """(ln P(a,x), ln Q(a,x)) for the regularized incomplete gamma pair."""
     if a <= 0.0:
         raise ValueError(f"incomplete gamma requires a > 0, got a={a}")
@@ -130,43 +118,43 @@ def _log_gamma_pq(a: float, x: float, acc: Accuracy) -> tuple[float, float]:
         else:
             use_q_series = False
         if use_q_series:
-            log_q = _log_gamma_q_small_x(a, x, acc)
+            log_q = _log_gamma_q_small_x(a, x)
             return log1mexp(log_q), log_q
-        log_p = _log_gamma_p_via_series(a, x, acc)
+        log_p = _log_gamma_p_via_series(a, x)
         return log_p, log1mexp(log_p)
 
-    log_q = _log_gamma_q_contfrac(a, x, acc)
+    log_q = _log_gamma_q_contfrac(a, x)
     return log1mexp(log_q), log_q
 
 
-def _log_gamma_p_via_series(a: float, x: float, acc: Accuracy) -> float:
+def _log_gamma_p_via_series(a: float, x: float) -> float:
     term = 1.0
     total = 1.0
     ak = a
-    for _ in range(acc.max_iter):
+    for _ in range(MAX_ITER):
         ak += 1.0
         term *= x / ak
         total += term
-        if term < total * acc.rel_tol:
+        if term < total * REL_TOL:
             return a * math.log(x) - x - math.lgamma(a + 1.0) + math.log(total)
     raise AccuracyError(f"lower gamma series did not converge (a={a}, x={x})",
-                        inputs={"a": a, "x": x}, iterations=acc.max_iter)
+                        inputs={"a": a, "x": x}, iterations=MAX_ITER)
 
 
-def _log_gamma_q_small_x(a: float, x: float, acc: Accuracy) -> float:
+def _log_gamma_q_small_x(a: float, x: float) -> float:
     # Q(a,x) = -expm1(a ln x - lgamma(a+1)) - x^a/Gamma(a) * D,
     # D = sum_{n>=1} (-x)^n / (n! (a+n)); alternating and tiny for x <= 1.1
     fac = 1.0
     d = 0.0
-    for n in range(1, acc.max_iter):
+    for n in range(1, MAX_ITER):
         fac *= -x / n
         term = fac / (a + n)
         d += term
-        if abs(term) <= abs(d) * acc.rel_tol + 1e-300:
+        if abs(term) <= abs(d) * REL_TOL + 1e-300:
             break
     else:
         raise AccuracyError(f"upper gamma series did not converge (a={a}, x={x})",
-                            inputs={"a": a, "x": x}, iterations=acc.max_iter)
+                            inputs={"a": a, "x": x}, iterations=MAX_ITER)
     lead = -math.expm1(a * math.log(x) - math.lgamma(a + 1.0))
     q = lead - math.exp(a * math.log(x) - math.lgamma(a)) * d
     if q <= 0.0:
@@ -174,14 +162,14 @@ def _log_gamma_q_small_x(a: float, x: float, acc: Accuracy) -> float:
     return math.log(q)
 
 
-def _log_gamma_q_contfrac(a: float, x: float, acc: Accuracy) -> float:
+def _log_gamma_q_contfrac(a: float, x: float) -> float:
     # Lentz continued fraction for Q(a,x), x >= a + 1
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, acc.max_iter):
+    for i in range(1, MAX_ITER):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -193,23 +181,23 @@ def _log_gamma_q_contfrac(a: float, x: float, acc: Accuracy) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < acc.rel_tol:
+        if abs(delta - 1.0) < REL_TOL:
             return a * math.log(x) - x - math.lgamma(a) + math.log(h)
     raise AccuracyError(f"upper gamma continued fraction did not converge (a={a}, x={x})",
-                        inputs={"a": a, "x": x}, iterations=acc.max_iter)
+                        inputs={"a": a, "x": x}, iterations=MAX_ITER)
 
 
-def reg_gamma_q_log(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def reg_gamma_q_log(a: float, x: float) -> float:
     """ln Q(a, x), upper regularized incomplete gamma."""
-    return _log_gamma_pq(a, x, acc)[1]
+    return _log_gamma_pq(a, x)[1]
 
 
-def reg_gamma_p_log(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def reg_gamma_p_log(a: float, x: float) -> float:
     """ln P(a, x), lower regularized incomplete gamma."""
-    return _log_gamma_pq(a, x, acc)[0]
+    return _log_gamma_pq(a, x)[0]
 
 
-def _beta_contfrac(a: float, b: float, x: float, acc: Accuracy) -> float:
+def _beta_contfrac(a: float, b: float, x: float) -> float:
     # Lentz evaluation of the continued fraction in I_x(a,b)
     tiny = 1e-300
     qab = a + b
@@ -221,7 +209,7 @@ def _beta_contfrac(a: float, b: float, x: float, acc: Accuracy) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, acc.max_iter):
+    for m in range(1, MAX_ITER):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -242,14 +230,14 @@ def _beta_contfrac(a: float, b: float, x: float, acc: Accuracy) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < acc.rel_tol:
+        if abs(delta - 1.0) < REL_TOL:
             return h
     raise AccuracyError(
         f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})",
-        inputs={"a": a, "b": b, "x": x}, iterations=acc.max_iter)
+        inputs={"a": a, "b": b, "x": x}, iterations=MAX_ITER)
 
 
-def reg_beta_log(a: float, b: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def reg_beta_log(a: float, b: float, x: float) -> float:
     """ln I_x(a, b), lower regularized incomplete beta."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"incomplete beta requires a, b > 0, got a={a}, b={b}")
@@ -262,16 +250,16 @@ def reg_beta_log(a: float, b: float, x: float, acc: Accuracy = DEFAULT_ACCURACY)
     log_pre = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
                + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
-        return log_pre - math.log(a) + math.log(_beta_contfrac(a, b, x, acc))
+        return log_pre - math.log(a) + math.log(_beta_contfrac(a, b, x))
     # I_x(a,b) = 1 - I_{1-x}(b,a)
-    log_upper = log_pre - math.log(b) + math.log(_beta_contfrac(b, a, 1.0 - x, acc))
+    log_upper = log_pre - math.log(b) + math.log(_beta_contfrac(b, a, 1.0 - x))
     return log1mexp(log_upper)
 
 
 _INV_E = math.exp(-1.0)
 
 
-def lambert_w0(z: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def lambert_w0(z: float) -> float:
     """Principal branch of w e^w = z for finite z >= -1/e."""
     if not -_INV_E <= z < math.inf:  # also rejects nan
         raise ValueError(f"lambert_w0 requires a finite z >= -1/e, got {z}")
@@ -291,7 +279,7 @@ def lambert_w0(z: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     # Halley steps on f(w) = w e^w - z, carried as g = f / e^w = w - z e^-w,
     # which stays finite where w e^w, e^w (w + 1) or (w + 2) f overflow
     # (z near the float maximum)
-    for _ in range(acc.max_iter):
+    for _ in range(MAX_ITER):
         ew = math.exp(w)
         g = w - z / ew
         if abs(g) * ew <= target * 0.01 or g == 0.0:
@@ -302,4 +290,4 @@ def lambert_w0(z: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     if abs(w - z / ew) * ew <= target:
         return w
     raise AccuracyError(f"lambert_w0 did not converge for z={z}",
-                        inputs={"z": z}, iterations=acc.max_iter)
+                        inputs={"z": z}, iterations=MAX_ITER)

@@ -128,8 +128,8 @@ class DiscreteTailModel:
         return (1.0 - t) * lo + t * hi
 
     def __repr__(self) -> str:
-        ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
-        return f"{type(self).__name__}({ps}, extension={self.extension!r})"
+        ps = [f"{k}={v}" for k, v in self.params.items()] + [f"extension={self.extension!r}"]
+        return f"{type(self).__name__}({', '.join(ps)})"
 
 
 class PoissonModel(DiscreteTailModel):

@@ -222,6 +222,20 @@ class TestFitCommand:
         rows = parse_csv(out)
         assert rows and set(rows[0]) == {"value", "theory", "empirical", "simulated"}
 
+    def test_unlistable_tail_usage_error(self, tmp_path, capsys):
+        # one count of 100000 in 2400 hours: the fitted tail needs more than
+        # datafit.MAX_LAW_VALUES values before its law reaches 1 - 1e-9
+        path = tmp_path / "spike.csv"
+        path.write_text("\n".join(["0"] * 1000 + ["100000"] + ["0"] * 1399) + "\n",
+                        encoding="utf-8")
+        code = main(["fit", "--input", str(path), "--block", "24"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: the maximum of 24 draws from "
+                                       "NegativeBinomialModel(")
+        assert captured.err.endswith("its law needs more than 100000 values\n")
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1\nfoo\n", encoding="utf-8")
@@ -262,6 +276,18 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert "usage error: the empirical tail ratio could not be estimated" in captured.err
+
+
+    def test_x_sigfigs_below_support_edge_usage_error(self, capsys):
+        code = main(["profile", "--model", "empirical", "--params",
+                     "probabilities=0.9:0.05:0.03:0.02,support_min=1005", "--n", "2",
+                     "--x-sigfigs", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: x_sigfigs=3 rounds x_n = 1004.3")
+        assert captured.err.endswith(
+            "to 1000.0, whose anchor lies below the support edge support_min - 1 = 1004\n")
 
 
 class TestRoundTrip:

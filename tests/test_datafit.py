@@ -134,8 +134,8 @@ class TestDailyMaxLaw:
         assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_consistent_with_exact_max_cdf(self):
-        # same quantity through two code paths: cumulative pmf powers here,
-        # incomplete-beta tails in the extremes module
+        # the steps are built on exact_max_cdf_log; their running sums must
+        # give it back, so no step is lost or counted twice
         model = NegativeBinomialModel(0.7, 0.4)
         law = daily_max_law(model, 24)
         running = 0.0
@@ -158,6 +158,32 @@ class TestDailyMaxLaw:
             assert pr == pytest.approx(want, abs=1e-10), v
         pct = [round(100 * law[v], 2) for v in (0, 1, 2)]
         assert pct == [94.41, 5.45, 0.14]
+
+    def test_zero_first_atom_keeps_its_key(self):
+        law = daily_max_law(EmpiricalModel([0.0, 0.5, 0.5]), 24)
+        assert list(law) == [0, 1, 2]
+        assert law[0] == 0.0
+
+    def test_deep_tail_cell_and_stop_row(self):
+        # 2400 hours holding four counts of 3000, fitted r ~ 0.00167 and
+        # p ~ 0.99967.  By mpmath (60 digits) P(max = 44192) = 3.5543327e-13
+        # and 1 - F(44193)^24 = 9.99986e-10 is the first below 1e-9, so the
+        # listing ends at 44193
+        counts = [0] * 2400
+        for hour in (100, 700, 1300, 1900):
+            counts[hour] = 3000
+        law = daily_max_law(fit_nb_moments(CountSeries(tuple(counts), 24)), 24)
+        assert f"{law[44192]:.8g}" == "3.5543327e-13"
+        assert max(law) == 44193
+
+    @pytest.mark.parametrize("fit", [
+        DiscreteCauchyModel(),
+        # one count of 100000 in 2400 hours
+        fit_nb_moments(CountSeries((0,) * 1000 + (100000,) + (0,) * 1399, 24)),
+    ], ids=["dcauchy", "one_spike"])
+    def test_tail_too_long_to_list(self, fit):
+        with pytest.raises(ValueError, match="its law needs more than 100000 values"):
+            daily_max_law(fit, 24)
 
 
 class TestEmpiricalDailyMax:

@@ -127,6 +127,17 @@ class TestProfile:
         assert prof.m_n == model.support_min - 1
         assert prof.z_n == n
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # unstable tail ratio
+    def test_x_sigfigs_below_support_edge(self):
+        # x_n ~ 1004.3 rounds to 1000 at 3 digits: an anchor outside the
+        # support, refused in the terms of the option that put it there
+        model = EmpiricalModel([0.9, 0.05, 0.03, 0.02], support_min=1005)
+        with pytest.raises(ValueError) as info:
+            profile(model, 2, x_sigfigs=3)
+        assert str(info.value) == (
+            f"x_sigfigs=3 rounds x_n = {profile(model, 2).x_n!r} to 1000.0, whose anchor "
+            "lies below the support edge support_min - 1 = 1004")
+
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             profile(PoissonModel(1.0), 1)

@@ -4,8 +4,8 @@ from unittest import mock
 
 import pytest
 
+from discmax import specfun
 from discmax.specfun import (
-    Accuracy,
     AccuracyError,
     lambert_w0,
     log1mexp,
@@ -80,9 +80,11 @@ class TestRegGammaQ:
         with pytest.raises(ValueError):
             reg_gamma_q_log(1.0, -0.5)
 
-    def test_non_convergence_aborts(self):
+    def test_non_convergence_aborts(self, monkeypatch):
+        monkeypatch.setattr(specfun, "REL_TOL", 1e-16)
+        monkeypatch.setattr(specfun, "MAX_ITER", 32)
         with pytest.raises(AccuracyError):
-            reg_gamma_q_log(5000.0, 4999.0, Accuracy(rel_tol=1e-16, max_iter=32))
+            reg_gamma_q_log(5000.0, 4999.0)
 
 
 class TestRegBeta:
@@ -235,56 +237,45 @@ class TestLogBinomial:
             log_binomial(5, -1)
 
 
-class TestAccuracy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Accuracy(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            Accuracy(rel_tol=1e-3)
-        with pytest.raises(ValueError):
-            Accuracy(max_iter=10)
-        Accuracy(rel_tol=1e-9, max_iter=64)
-
-
-CAPPED = Accuracy(max_iter=32)
-
-
 def lambert_w0_with_nan_exp(z: float) -> float:
     # Halley steps converge well inside 32 for every valid z, so the cap is
     # reached through an exp that returns nan: every step stays nan
     with mock.patch.object(math, "exp", lambda x: math.nan):
-        return lambert_w0(z, CAPPED)
+        return lambert_w0(z)
 
 
 class TestAccuracyError:
-    # one case per raise site: (call, message, inputs), messages pinned exactly
-    @pytest.mark.parametrize("call,message,inputs", [
-        (lambda: reg_gamma_q_log(5000.0, 4999.0, CAPPED),
+    # one case per raise site: (call, REL_TOL, message, inputs), messages
+    # pinned exactly; each call runs with specfun.MAX_ITER patched to 32
+    @pytest.mark.parametrize("call,rel_tol,message,inputs", [
+        (lambda: reg_gamma_q_log(5000.0, 4999.0), specfun.REL_TOL,
          "lower gamma series did not converge (a=5000.0, x=4999.0)",
          {"a": 5000.0, "x": 4999.0}),
         # the small-x series converges in ~20 terms unless the tolerance
         # asks for terms below 1e-300
-        (lambda: reg_gamma_q_log(0.5, 0.5, Accuracy(rel_tol=1e-300, max_iter=32)),
+        (lambda: reg_gamma_q_log(0.5, 0.5), 1e-300,
          "upper gamma series did not converge (a=0.5, x=0.5)",
          {"a": 0.5, "x": 0.5}),
-        (lambda: reg_gamma_p_log(5000.0, 5002.0, CAPPED),
+        (lambda: reg_gamma_p_log(5000.0, 5002.0), specfun.REL_TOL,
          "upper gamma continued fraction did not converge (a=5000.0, x=5002.0)",
          {"a": 5000.0, "x": 5002.0}),
-        (lambda: reg_beta_log(1e4, 3e4, 0.25, CAPPED),
+        (lambda: reg_beta_log(1e4, 3e4, 0.25), specfun.REL_TOL,
          "incomplete beta continued fraction did not converge (a=10000.0, b=30000.0, x=0.25)",
          {"a": 1e4, "b": 3e4, "x": 0.25}),
         # above (a + 1)/(a + b + 2) the fraction runs on I_{1-x}(b, a), and
         # the error names those arguments
-        (lambda: reg_beta_log(1e4, 3e4, 0.25 + 2.0 ** -12, CAPPED),
+        (lambda: reg_beta_log(1e4, 3e4, 0.25 + 2.0 ** -12), specfun.REL_TOL,
          "incomplete beta continued fraction did not converge "
          "(a=30000.0, b=10000.0, x=0.749755859375)",
          {"a": 3e4, "b": 1e4, "x": 0.749755859375}),
-        (lambda: lambert_w0_with_nan_exp(2.0),
+        (lambda: lambert_w0_with_nan_exp(2.0), specfun.REL_TOL,
          "lambert_w0 did not converge for z=2.0",
          {"z": 2.0}),
     ], ids=["gamma_p_series", "gamma_q_series", "gamma_q_contfrac", "beta_contfrac",
             "beta_contfrac_swapped", "lambert_w0"])
-    def test_carries_inputs_and_iterations(self, call, message, inputs):
+    def test_carries_inputs_and_iterations(self, monkeypatch, call, rel_tol, message, inputs):
+        monkeypatch.setattr(specfun, "MAX_ITER", 32)
+        monkeypatch.setattr(specfun, "REL_TOL", rel_tol)
         with pytest.raises(AccuracyError) as info:
             call()
         exc = info.value
@@ -295,9 +286,10 @@ class TestAccuracyError:
             got = exc.inputs[key]
             assert got == want or (math.isnan(got) and math.isnan(want)), key
 
-    def test_iterations_is_the_cap_reached(self):
+    def test_iterations_is_the_cap_reached(self, monkeypatch):
+        monkeypatch.setattr(specfun, "MAX_ITER", 100)
         with pytest.raises(AccuracyError) as info:
-            reg_gamma_q_log(5000.0, 4999.0, Accuracy(max_iter=100))
+            reg_gamma_q_log(5000.0, 4999.0)
         assert info.value.iterations == 100
 
 
