@@ -163,9 +163,10 @@ def daily_max_law(fit, block_size: int) -> dict:
                          f"probability {beyond:.3g}: its law needs more than {MAX_LAW_VALUES} values")
     law = {}
     for v in range(model.support_min, last + 1):
-        log_cdf = exact_max_cdf_log(model, block_size, v)  # B ln F(v)
+        log_f = exact_max_cdf_log(model, 1, v)  # ln F(v), the law of one draw
+        log_cdf = block_size * log_f  # ln F(v)^B, as exact_max_cdf_log(model, block_size, v)
         # ln f(v)/F(v), at most 0; while F(v) = 0 any value gives the zero step
-        log_ratio = min(model.log_pmf(v) - log_cdf / block_size, 0.0) if log_cdf > -math.inf else 0.0
+        log_ratio = min(model.log_pmf(v) - log_f, 0.0) if log_f > -math.inf else 0.0
         law[v] = math.exp(log_cdf) * -math.expm1(block_size * log1mexp(log_ratio))
         if -math.expm1(log_cdf) < LAW_TAIL_MASS:
             break

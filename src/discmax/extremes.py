@@ -122,11 +122,10 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None) -> Extrem
 
     if x_sigfigs is not None:
         raw, x = x, _round_sigfigs(x, x_sigfigs)
-        if _cluster_anchor(x) < lo:  # an anchor outside the support
-            raise ValueError(f"x_sigfigs={x_sigfigs} rounds x_n = {raw!r} to {x!r}, whose anchor "
-                             f"lies below the support edge support_min - 1 = {lo:.0f}")
-
     m = _cluster_anchor(x)
+    if m < lo:  # only rounding can put the anchor outside the support
+        raise ValueError(f"x_sigfigs={x_sigfigs} rounds x_n = {raw!r} to {x!r}, whose anchor "
+                         f"lies below the support edge support_min - 1 = {lo:.0f}")
     gamma = model.tail_ratio_gamma()
     if gamma == 0.0:
         regime = Regime.GAMMA_ZERO

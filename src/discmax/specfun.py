@@ -8,15 +8,20 @@ float stay representable.  The routines here therefore return logarithms:
 Regularized incomplete gamma uses the standard split: a power series for
 the lower function when x < a + 1 and a Lentz continued fraction for the
 upper function otherwise, with an alternating series patch for the small-x
-corner where 1 - P would cancel.  The incomplete beta uses the Numerical
-Recipes continued fraction with the symmetric swap.  Lambert W is solved
-by Halley iteration.
+corner where 1 - P would cancel.  From a = LARGE_A on, with x within 20 %
+of a, where the series needs about 8 sqrt(a) terms, the pair comes from
+Gauss-Legendre quadrature of the density in the Stirling-scaled variable
+u = t/a - 1.  The incomplete beta uses the Numerical Recipes continued
+fraction with the symmetric swap.  Lambert W is solved by Halley
+iteration.  The Poisson and negative binomial pmfs use Loader's
+saddle-point form (Stirling remainders and deviances), which does not
+cancel lgamma terms at large counts.
 
 The iterative kernels share one convergence contract, the module
 constants REL_TOL (target relative error of the returned probability, not
 of its log) and MAX_ITER (cap on series, continued-fraction and Halley
-steps).  They are read at call time; a kernel that reaches MAX_ITER raises
-AccuracyError.
+steps, and on quadrature panels).  They are read at call time; a kernel
+that reaches MAX_ITER raises AccuracyError.
 """
 
 from __future__ import annotations
@@ -40,7 +45,14 @@ class AccuracyError(RuntimeError):
 REL_TOL = 1e-15  # the kernels' convergence contract; see the module docstring
 MAX_ITER = 500
 
+# from this a on, incomplete gamma with |x - a| <= 0.2 a is integrated by
+# quadrature: the lower series there needs about 8 sqrt(a) terms
+LARGE_A = 1000.0
+_PANEL_FALL = 12.0  # fall of ln(integrand) each quadrature panel is sized for
+_LOG_NEGLIGIBLE = -50.0  # ln(integrand / its top) below which the rest is dropped
+
 _LOG_HALF = math.log(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def log_gamma(x: float) -> float:
@@ -99,6 +111,77 @@ def log_binomial(n: int, k: int) -> float:
             + _stirling_series(a) - _stirling_series(b) - math.lgamma(m + 1))
 
 
+# ln n! - [(n + 1/2) ln n - n + ln(2 pi)/2] at n = 1/2, 1, ..., 15, from
+# mpmath at 40 digits
+_STIRLERR_HALVES = (
+    0.15342640972002736, 0.08106146679532726, 0.05481412105191765, 0.0413406959554093,
+    0.03316287351993629, 0.02767792568499834, 0.023746163656297496, 0.020790672103765093,
+    0.018488450532673187, 0.016644691189821193, 0.015134973221917378, 0.013876128823070748,
+    0.012810465242920227, 0.01189670994589177, 0.011104559758206917, 0.010411265261972096,
+    0.009799416126158804, 0.009255462182712733, 0.008768700134139386, 0.00833056343336287,
+    0.00793411456431402, 0.007573675487951841, 0.007244554301320383, 0.00694284010720953,
+    0.006665247032707682, 0.006408994188004207, 0.006171712263039458, 0.0059513701127588475,
+    0.0057462165130101155, 0.005554733551962801)
+
+
+def _stirlerr(n: float) -> float:
+    # ln n! - [(n + 1/2) ln n - n + ln(2 pi)/2], for n > 0: the series from
+    # 15 on, the table at half-integers below, else lgamma, where terms of
+    # size n ln n < 41 cancel
+    if n >= 30.0:
+        return _stirling_series(n)
+    if n > 15.0:
+        r = 1.0 / (n * n)
+        return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0
+                                                                         - r / 1188.0)))) / n
+    if (2.0 * n).is_integer():
+        return _STIRLERR_HALVES[int(n + n) - 1]
+    return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
+
+
+def _bd0(x: float, m: float) -> float:
+    # the deviance x ln(x/m) + m - x, by its series in v = (x - m)/(x + m)
+    # when x ~ m, where the closed form cancels
+    if abs(x - m) < 0.1 * (x + m):
+        v = (x - m) / (x + m)
+        total = (x - m) * v
+        term = 2.0 * x * v
+        v *= v  # below 0.01, so a dozen terms reach the last bit
+        for j in range(3, 64, 2):
+            term *= v
+            nxt = total + term / j
+            if nxt == total:
+                break
+            total = nxt
+        return total
+    return x * math.log(x / m) + m - x
+
+
+def log_poisson_pmf(k: int, lam: float) -> float:
+    """ln(e^-lam lam^k / k!) in Loader's saddle-point form.
+
+    -stirlerr(k) - bd0(k, lam) - ln(2 pi k)/2 keeps every term small near
+    the mode, where k ln lam - lam - ln k! would cancel terms of size k ln k.
+    """
+    if k == 0:
+        return -lam
+    return -_stirlerr(k) - _bd0(k, lam) - 0.5 * (2.0 * _LOG_SQRT_2PI + math.log(k))
+
+
+def log_negbinom_pmf(k: int, r: float, p: float) -> float:
+    """ln[C(k + r - 1, k) (1 - p)^r p^k] in Loader's saddle-point form.
+
+    The pmf is r/(r + k) times the binomial probability of r successes of
+    chance 1 - p in k + r trials, taken from Stirling remainders and
+    deviances, so no lgamma difference of size r ln r cancels.
+    """
+    if k == 0:
+        return r * math.log1p(-p)
+    n = k + r
+    return (_stirlerr(n) - _stirlerr(r) - _stirlerr(k) - _bd0(r, n * (1.0 - p)) - _bd0(k, n * p)
+            - 0.5 * (2.0 * _LOG_SQRT_2PI + math.log(k) + math.log1p(k / r)))
+
+
 def _log_gamma_pq(a: float, x: float) -> tuple[float, float]:
     """(ln P(a,x), ln Q(a,x)) for the regularized incomplete gamma pair."""
     if a <= 0.0:
@@ -107,6 +190,9 @@ def _log_gamma_pq(a: float, x: float) -> tuple[float, float]:
         raise ValueError(f"incomplete gamma requires x >= 0, got x={x}")
     if x == 0.0:
         return -math.inf, 0.0
+
+    if a >= LARGE_A and abs(x - a) <= 0.2 * a:
+        return _log_gamma_pq_large_a(a, x)
 
     if x < a + 1.0:
         # pick the lower P series unless P would be close to 1 there, in
@@ -184,6 +270,76 @@ def _log_gamma_q_contfrac(a: float, x: float) -> float:
         if abs(delta - 1.0) < REL_TOL:
             return a * math.log(x) - x - math.lgamma(a) + math.log(h)
     raise AccuracyError(f"upper gamma continued fraction did not converge (a={a}, x={x})",
+                        inputs={"a": a, "x": x}, iterations=MAX_ITER)
+
+
+# ln(1 + u) - u = 2 atanh(s) - 2s/(1 - s) = -2 s^2 sum_{j>=0} c_j s^j with
+# s = u/(2 + u), c_j = 1 for even j and (j+1)/(j+2) for odd j; for
+# |u| <= 0.2, |s| <= 1/9 and 19 terms reach 1e-18
+_LOG1PMX_COEFFS = tuple(1.0 if j % 2 == 0 else (j + 1.0) / (j + 2.0) for j in range(19))[::-1]
+
+
+def _log1pmx(u: float) -> float:
+    # ln(1 + u) - u without the cancellation of log1p(u) - u, for |u| <= 0.2
+    s = u / (2.0 + u)
+    acc = 0.0
+    for c in _LOG1PMX_COEFFS:
+        acc = acc * s + c
+    return -2.0 * s * s * acc
+
+
+def _gauss_legendre(n: int) -> tuple:
+    # n-point Gauss-Legendre (node, weight) pairs on [0, 1], by Newton
+    # steps on P_n from the Chebyshev-like starting guesses
+    pairs = []
+    for i in range(1, n + 1):
+        t = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, t
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * t * p1 - (k - 1) * p0) / k
+            dp = n * (t * p1 - p0) / (t * t - 1.0)
+            step = p1 / dp
+            t -= step
+            if abs(step) <= 1e-16:
+                break
+        pairs.append((0.5 * (1.0 - t), 1.0 / ((1.0 - t * t) * dp * dp)))
+    return tuple(pairs)
+
+
+_GAUSS_20 = _gauss_legendre(20)
+
+
+def _log_gamma_pq_large_a(a: float, x: float) -> tuple[float, float]:
+    # With t = a (1 + u), the density t^(a-1) e^-t / Gamma(a) dt is
+    # sqrt(a/(2 pi)) e^-S(a) e^phi(u) du, phi(u) = a ln1pmx(u) - ln(1 + u),
+    # S the Stirling remainder: nothing of size a ln a cancels.  phi is
+    # concave with its top at u = -1/a; the side of u0 = x/a - 1 away from
+    # the top is integrated by 20-point Gauss-Legendre panels, each as
+    # wide as a fall of phi by _PANEL_FALL predicts, until phi has fallen
+    # by _LOG_NEGLIGIBLE.  Within |u0| <= 0.2 that happens by |u| ~ 0.5.
+    u0 = (x - a) / a
+    sign = -1.0 if u0 < -1.0 / a else 1.0  # -1: the P side, +1: the Q side
+
+    def phi(u: float) -> float:
+        return a * (_log1pmx(u) if abs(u) <= 0.2 else math.log1p(u) - u) - math.log1p(u)
+
+    top = phi(u0)
+    total = 0.0
+    u = u0
+    for _ in range(MAX_ITER):
+        slope = abs((1.0 + a * u) / (1.0 + u))  # |phi'(u)|
+        curv = (a - 1.0) / ((1.0 + u) * (1.0 + u))  # -phi''(u)
+        # the step where slope * w + curv * w^2 / 2 reaches _PANEL_FALL
+        width = 2.0 * _PANEL_FALL / (slope + math.hypot(slope, math.sqrt(2.0 * curv * _PANEL_FALL)))
+        total += width * math.fsum(w * math.exp(phi(u + sign * width * t) - top)
+                                   for t, w in _GAUSS_20)
+        u += sign * width
+        if phi(u) - top < _LOG_NEGLIGIBLE:
+            log_side = (0.5 * math.log(a) - _LOG_SQRT_2PI - _stirling_series(a)
+                        + top + math.log(total))
+            return (log_side, log1mexp(log_side)) if sign < 0 else (log1mexp(log_side), log_side)
+    raise AccuracyError(f"large-a incomplete gamma quadrature did not converge (a={a}, x={x})",
                         inputs={"a": a, "x": x}, iterations=MAX_ITER)
 
 

@@ -46,7 +46,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .specfun import reg_beta_log, reg_gamma_p_log
+from .specfun import log_negbinom_pmf, log_poisson_pmf, reg_beta_log, reg_gamma_p_log
 
 EXTENSIONS = ("natural", "loglinear", "asymptotic")
 
@@ -150,7 +150,7 @@ class PoissonModel(DiscreteTailModel):
     def log_pmf(self, k: int) -> float:
         if k < 0:
             raise ValueError(f"poisson support starts at 0, got k={k}")
-        return k * math.log(self.lam) - self.lam - math.lgamma(k + 1)
+        return log_poisson_pmf(k, self.lam)
 
     def _log_tail(self, x: float) -> float:
         # P(X > k) = P(lower gamma)(k+1, lam), which is also the natural
@@ -190,8 +190,7 @@ class NegativeBinomialModel(DiscreteTailModel):
     def log_pmf(self, k: int) -> float:
         if k < 0:
             raise ValueError(f"negative binomial support starts at 0, got k={k}")
-        return (math.lgamma(k + self.r) - math.lgamma(k + 1) - math.lgamma(self.r)
-                + self.r * math.log1p(-self.p) + k * math.log(self.p))
+        return log_negbinom_pmf(k, self.r, self.p)
 
     def _log_tail(self, x: float) -> float:
         # P(X > k) = I_p(k+1, r), also the natural extension at real x

@@ -120,6 +120,14 @@ class TestSimulateCommand:
         for r in max_rows:
             assert float(r["frequency"]) == pytest.approx(int(r["count"]) / 60, abs=1e-8)
 
+    def test_natural_extension_large_rate(self, capsys):
+        # mean occupancy 10^4: the natural Poisson tail at a ~ x ~ 10^4
+        code, out = run_cli(["simulate", "--boxes", "100", "--balls", "1000000",
+                             "--trials", "2", "--extension", "natural"], capsys)
+        assert code == 0
+        rows = parse_csv(out)
+        assert sum(int(r["count"]) for r in rows if r["table"] == "max") == 2
+
     def test_json_payload(self, capsys):
         code, out = run_cli(["simulate", "--kind", "dirichlet", "--r", "1.0",
                              "--boxes", "50", "--balls", "25", "--trials", "30",

@@ -176,6 +176,24 @@ class TestDailyMaxLaw:
         assert f"{law[44192]:.8g}" == "3.5543327e-13"
         assert max(law) == 44193
 
+    @pytest.mark.parametrize("fit,stop,cells", [
+        (NBFit(mean=5000.0, variance=4900.0, r=None, p=None, overdispersed=False), 5466,
+         {5129: "0.011460377", 5329: "3.2867417e-06"}),
+        (NBFit(mean=5000.0, variance=5050.0, r=500000.0, p=1.0 - 5000.0 / 5050.0,
+               overdispersed=True), 5468,
+         {5130: "0.011401098", 5330: "3.4160253e-06"}),
+    ], ids=["poisson", "negbinom"])
+    def test_large_mean_fits(self, fit, stop, cells):
+        # counts averaging 5000: a Poisson fallback fit and a near-Poisson
+        # negative binomial (variance 1.01 x mean).  The stop row (the first
+        # v with 1 - F(v)^24 < 1e-9) and the cells are from mpmath sums of
+        # the pmf at 50 digits
+        law = daily_max_law(fit, 24)
+        assert list(law) == list(range(stop + 1))
+        assert abs(math.fsum(law.values()) - 1.0) <= 1e-9
+        for v, want in cells.items():
+            assert f"{law[v]:.8g}" == want, v
+
     @pytest.mark.parametrize("fit", [
         DiscreteCauchyModel(),
         # one count of 100000 in 2400 hours

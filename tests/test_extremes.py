@@ -127,6 +127,19 @@ class TestProfile:
         assert prof.m_n == model.support_min - 1
         assert prof.z_n == n
 
+    @pytest.mark.parametrize("extension", ["natural", "loglinear"])
+    def test_poisson_large_rate(self, extension):
+        # x_n ~ lam puts the tail's incomplete gamma at a ~ x, where the
+        # lower series needs about 8 sqrt(a) terms
+        for lam in (1e4, 1e6):
+            x_prev = -math.inf
+            for n in (2.0, 1e3, 1e50):
+                model = PoissonModel(lam, extension)
+                prof = profile(model, n)
+                assert abs(model.log_tail_ext(prof.x_n) + math.log(n)) <= 1e-6
+                assert x_prev < prof.x_n < lam + 16.0 * math.sqrt(lam)
+                x_prev = prof.x_n
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # unstable tail ratio
     def test_x_sigfigs_below_support_edge(self):
         # x_n ~ 1004.3 rounds to 1000 at 3 digits: an anchor outside the

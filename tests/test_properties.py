@@ -15,16 +15,23 @@ The same models under the natural and the loglinear extension:
 
 - log_tail_ext is non-increasing, and equals log_tail at integers;
 - the crossing point solves ln G(x_n) = -ln n within 1e-6.
+
+The regularized incomplete gamma pair for a from 1 to 1e8 and x within
+a factor 2 of a (the series, continued-fraction and large-a branches):
+
+- P + Q = 1, and ln Q is non-increasing in x.
 """
 
 import math
 
 import mpmath as mp
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discmax.datafit import daily_max_law
 from discmax.extremes import ExtremalProfile, Regime, profile, tie_distribution
+from discmax.specfun import reg_gamma_p_log, reg_gamma_q_log
 from discmax.tailmodel import GeometricModel, NegativeBinomialModel, PoissonModel, make_model
 
 poisson_models = st.builds(PoissonModel, st.floats(1e-3, 50.0))
@@ -50,6 +57,16 @@ def test_log_tail_ext_non_increasing(model, x, dx):
 @given(model=extended_models, k=st.integers(-1, 1000))
 def test_log_tail_ext_calibrated_at_integers(model, k):
     assert model.log_tail_ext(float(k)) == model.log_tail(k), (model, k)
+
+
+@settings(deadline=None)
+@given(a=st.floats(0.0, math.log(1e8)).map(math.exp), t=st.floats(-0.5, 1.0),
+       dt=st.floats(0.0, 0.1))
+def test_incomplete_gamma_pair(a, t, dt):
+    x = a * (1.0 + t)
+    assert math.exp(reg_gamma_p_log(a, x)) + math.exp(reg_gamma_q_log(a, x)) == \
+        pytest.approx(1.0, abs=1e-13), (a, x)
+    assert reg_gamma_q_log(a, x * (1.0 + dt)) <= reg_gamma_q_log(a, x), (a, x, dt)
 
 
 @settings(deadline=None)

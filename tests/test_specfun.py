@@ -84,7 +84,49 @@ class TestRegGammaQ:
         monkeypatch.setattr(specfun, "REL_TOL", 1e-16)
         monkeypatch.setattr(specfun, "MAX_ITER", 32)
         with pytest.raises(AccuracyError):
-            reg_gamma_q_log(5000.0, 4999.0)
+            reg_gamma_q_log(900.0, 899.0)
+
+
+class TestRegGammaLargeA:
+    """a >= LARGE_A with |x - a| <= 0.2 a, where the quadrature branch runs."""
+
+    # (a, x, ln P, ln Q) from mpmath at 50 digits: the lower series for
+    # x < a and the Legendre continued fraction for x >= a, each summed to
+    # 1e-45, the other side as ln(1 - .)
+    @pytest.mark.parametrize("a,x,log_p,log_q", [
+        (1000.0, 1000.0, -0.68477186329031015, -0.7015932366459725),
+        (5000.0, 4999.0, -0.70069870956832914, -0.68565225000401712),
+        (5000.0, 5002.0, -0.66716666016511213, -0.71982073376876464),
+        (1e5, 97000.0, -49.100091127547147, -4.7435268410334277e-22),
+        (1e6, 1.001e6, -0.17275373112418319, -1.8410218990178857),
+        (3e6, 2.5e6, -46971.254632378679, 0.0),
+        (3e6, 3.5e6, 0.0, -37554.544772739696),
+    ])
+    def test_vs_mpmath(self, a, x, log_p, log_q):
+        assert abs(reg_gamma_p_log(a, x) - log_p) <= 1e-14 * max(1.0, abs(log_p))
+        assert abs(reg_gamma_q_log(a, x) - log_q) <= 1e-14 * max(1.0, abs(log_q))
+
+    def test_where_the_lower_series_gave_up(self):
+        # ~8 sqrt(a) series terms at x ~ a, over MAX_ITER from a ~ 4000
+        for a in (5000.0, 1e5, 1e9):
+            log_p = reg_gamma_p_log(a, a)
+            assert -math.log(2.0) < log_p < 0.0
+            assert math.exp(log_p) + math.exp(reg_gamma_q_log(a, a)) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("a,x", [
+        (specfun.LARGE_A, 1000.0), (specfun.LARGE_A, 800.0), (specfun.LARGE_A, 1200.0),
+        (20000.0, 16000.0), (20000.0, 24000.0),
+    ], ids=["large_a_edge", "lower_edge", "upper_edge", "lower_edge_20000", "upper_edge_20000"])
+    def test_continuous_across_branch_edges(self, a, x):
+        # the next float down in a (or in x, away from a) takes the
+        # series or the continued fraction, whose lgamma prefactor loses
+        # about 1e-16 a ln a: 1.5e-13 at (1000, 1000), where the quadrature
+        # matches mpmath to the last digit
+        a_out = math.nextafter(a, 0.0) if x == a else a
+        x_out = x if x == a else math.nextafter(x, 2.0 * x - a)
+        for fn in (reg_gamma_p_log, reg_gamma_q_log):
+            inside, outside = fn(a, x), fn(a_out, x_out)
+            assert abs(inside - outside) <= 1e-12 * max(1.0, abs(inside)), fn
 
 
 class TestRegBeta:
@@ -248,17 +290,17 @@ class TestAccuracyError:
     # one case per raise site: (call, REL_TOL, message, inputs), messages
     # pinned exactly; each call runs with specfun.MAX_ITER patched to 32
     @pytest.mark.parametrize("call,rel_tol,message,inputs", [
-        (lambda: reg_gamma_q_log(5000.0, 4999.0), specfun.REL_TOL,
-         "lower gamma series did not converge (a=5000.0, x=4999.0)",
-         {"a": 5000.0, "x": 4999.0}),
+        (lambda: reg_gamma_q_log(900.0, 899.0), specfun.REL_TOL,
+         "lower gamma series did not converge (a=900.0, x=899.0)",
+         {"a": 900.0, "x": 899.0}),
         # the small-x series converges in ~20 terms unless the tolerance
         # asks for terms below 1e-300
         (lambda: reg_gamma_q_log(0.5, 0.5), 1e-300,
          "upper gamma series did not converge (a=0.5, x=0.5)",
          {"a": 0.5, "x": 0.5}),
-        (lambda: reg_gamma_p_log(5000.0, 5002.0), specfun.REL_TOL,
-         "upper gamma continued fraction did not converge (a=5000.0, x=5002.0)",
-         {"a": 5000.0, "x": 5002.0}),
+        (lambda: reg_gamma_p_log(900.0, 902.0), specfun.REL_TOL,
+         "upper gamma continued fraction did not converge (a=900.0, x=902.0)",
+         {"a": 900.0, "x": 902.0}),
         (lambda: reg_beta_log(1e4, 3e4, 0.25), specfun.REL_TOL,
          "incomplete beta continued fraction did not converge (a=10000.0, b=30000.0, x=0.25)",
          {"a": 1e4, "b": 3e4, "x": 0.25}),
@@ -289,8 +331,19 @@ class TestAccuracyError:
     def test_iterations_is_the_cap_reached(self, monkeypatch):
         monkeypatch.setattr(specfun, "MAX_ITER", 100)
         with pytest.raises(AccuracyError) as info:
-            reg_gamma_q_log(5000.0, 4999.0)
+            reg_gamma_q_log(900.0, 899.0)
         assert info.value.iterations == 100
+
+    def test_large_a_quadrature_panel_cap(self, monkeypatch):
+        # a handful of panels suffice, so the cap is reached only when set
+        # below that
+        monkeypatch.setattr(specfun, "MAX_ITER", 2)
+        with pytest.raises(AccuracyError) as info:
+            reg_gamma_p_log(5000.0, 4999.0)
+        exc = info.value
+        assert str(exc) == "large-a incomplete gamma quadrature did not converge (a=5000.0, x=4999.0)"
+        assert exc.inputs == {"a": 5000.0, "x": 4999.0}
+        assert exc.iterations == 2
 
 
 def test_log1mexp_edges():
