@@ -238,17 +238,15 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
     return {key: (float(alloc[key]), weight[key] / total_weight) for key in sorted(alloc)}
 
 
-def merging_report(spec: AllocationSpec, prof: ExtremalProfile, t_max: int = 3,
-                   summary: AllocationSummary | None = None) -> list:
-    """Empirical-vs-theory comparison rows for a simulated allocation.
+def merging_report(spec: AllocationSpec, prof: ExtremalProfile, t_max: int = 3, *,
+                   summary: AllocationSummary) -> list:
+    """Empirical-vs-theory comparison rows for the simulated allocation summary.
 
     Each row carries the empirical frequency, the limiting theoretical
     value, their absolute difference, and the binomial standard error
     sqrt(f(1-f)/trials) where a frequency is being estimated.  The max
     rows read the regime's limiting law; tie and phase rows need gamma = 0.
     """
-    if summary is None:
-        summary = simulate(spec, prof)
     trials = summary.trials
     m = prof.m_n
 

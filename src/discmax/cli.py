@@ -50,30 +50,31 @@ def _parse_params(text: str | None) -> dict:
     return params
 
 
+MAX_SCAN_POINTS = 10 ** 5  # the most n values a scan's --n-range may list
+
+
 def _parse_n_range(text: str) -> list:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"malformed range {text!r}, expected start:stop:x<factor> or start:stop:+<step>")
     start, stop = float(parts[0]), float(parts[1])
     rule = parts[2]
+    if rule[:1] not in ("x", "+"):
+        raise ValueError(f"malformed step rule {rule!r}")
+    geometric = rule.startswith("x")
+    step = float(rule[1:])  # the factor of a geometric range
+    if geometric and step <= 1.0:
+        raise ValueError("geometric factor must exceed 1")
+    if not geometric and step <= 0.0:
+        raise ValueError("arithmetic step must be positive")
     out = []
     n = start
-    if rule.startswith("x"):
-        factor = float(rule[1:])
-        if factor <= 1.0:
-            raise ValueError("geometric factor must exceed 1")
-        while n <= stop * (1.0 + 1e-12):
-            out.append(n)
-            n *= factor
-    elif rule.startswith("+"):
-        step = float(rule[1:])
-        if step <= 0.0:
-            raise ValueError("arithmetic step must be positive")
-        while n <= stop * (1.0 + 1e-12):
-            out.append(n)
-            n += step
-    else:
-        raise ValueError(f"malformed step rule {rule!r}")
+    while n <= stop * (1.0 + 1e-12):
+        # also ends a range whose step is lost to rounding (1e16 + 1 == 1e16)
+        if len(out) == MAX_SCAN_POINTS:
+            raise ValueError(f"n range {text!r} lists more than {MAX_SCAN_POINTS} values")
+        out.append(n)
+        n = n * step if geometric else n + step
     if not out:
         raise ValueError(f"empty n range {text!r}")
     return out

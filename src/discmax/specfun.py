@@ -15,7 +15,9 @@ u = t/a - 1.  The incomplete beta uses the Numerical Recipes continued
 fraction with the symmetric swap.  Lambert W is solved by Halley
 iteration.  The Poisson and negative binomial pmfs use Loader's
 saddle-point form (Stirling remainders and deviances), which does not
-cancel lgamma terms at large counts.
+cancel lgamma terms at large counts.  Their Stirling remainder and
+ln(1 + u) - u series are the module's only copies, shared with
+``log_binomial`` and the large-a quadrature.
 
 The iterative kernels share one convergence contract, the module
 constants REL_TOL (target relative error of the returned probability, not
@@ -84,31 +86,24 @@ def log_sum_exp(terms) -> float:
     return m + math.log(math.fsum(math.exp(t - m) for t in ts if t > -math.inf))
 
 
-def _stirling_series(x: float) -> float:
-    # ln Gamma(x) - [(x - 1/2) ln x - x + ln(2 pi)/2], to 1e-17 for x >= 30
-    r = 1.0 / (x * x)
-    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x
-
-
 def log_binomial(n: int, k: int) -> float:
     """ln C(n, k), to ~1e-14 relative error at any size of n.
 
     With m = min(k, n - k), ln C(n, k) = D - ln m! where
-    D = ln Gamma(a) - ln Gamma(b), a = n + 1, b = n - m + 1.  Once b is
-    large, D is taken from the difference of Stirling series, with
-    ln(a/b) = -log1p(-m/a), so nothing of size n ln n cancels; the plain
-    lgamma difference loses every digit for n beyond 2^53.  n may be a
-    float (profiles carry it as one), in which case n - k is rounded.
+    D = ln Gamma(a) - ln Gamma(b), a = n + 1, b = n - m + 1.  D is taken
+    from ln Gamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + stirlerr(x) at any
+    size of b, with ln(a/b) = -log1p(-m/a), so nothing of size n ln n
+    cancels; the plain lgamma difference loses every digit for n beyond
+    2^53.  m = 0 gives 0.0.  n may be a float (profiles carry it as one),
+    in which case n - k is rounded.
     """
     if k < 0 or k > n:
         raise ValueError(f"log_binomial requires 0 <= k <= n, got n={n}, k={k}")
     m = k if k + k <= n else n - k  # min(k, n - k) without a builtin call
-    b = n - m + 1.0
-    if b < 30.0:  # so n < 58: lgamma values this small leave little to cancel
-        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     a = n + 1.0
-    return ((a - 0.5) * -math.log1p(-m / a) + m * (math.log(b) - 1.0)
-            + _stirling_series(a) - _stirling_series(b) - math.lgamma(m + 1))
+    b = n - m + 1.0
+    return ((0.5 - a) * math.log1p(-m / a) + m * (math.log(b) - 1.0)
+            + _stirlerr(a) - _stirlerr(b) - math.lgamma(m + 1))
 
 
 # ln n! - [(n + 1/2) ln n - n + ln(2 pi)/2] at n = 1/2, 1, ..., 15, from
@@ -125,11 +120,10 @@ _STIRLERR_HALVES = (
 
 
 def _stirlerr(n: float) -> float:
-    # ln n! - [(n + 1/2) ln n - n + ln(2 pi)/2], for n > 0: the series from
-    # 15 on, the table at half-integers below, else lgamma, where terms of
-    # size n ln n < 41 cancel
-    if n >= 30.0:
-        return _stirling_series(n)
+    # ln n! - [(n + 1/2) ln n - n + ln(2 pi)/2], which is also
+    # ln Gamma(n) - [(n - 1/2) ln n - n + ln(2 pi)/2], for n > 0: the
+    # Stirling series above 15, the table at half-integers up to it, else
+    # lgamma, where terms of size n ln n < 41 cancel
     if n > 15.0:
         r = 1.0 / (n * n)
         return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0
@@ -139,21 +133,29 @@ def _stirlerr(n: float) -> float:
     return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
 
 
+# ln(1 + u) - u = 2 atanh(s) - 2s/(1 - s) = -2 s^2 sum_{j>=0} c_j s^j with
+# s = u/(2 + u), c_j = 1 for even j and (j+1)/(j+2) for odd j; for
+# |u| <= 0.2, |s| <= 1/9 and 19 terms reach 1e-18
+_LOG1PMX_COEFFS = tuple(1.0 if j % 2 == 0 else (j + 1.0) / (j + 2.0) for j in range(19))[::-1]
+
+
+def _log1pmx(u: float) -> float:
+    # ln(1 + u) - u without the cancellation of log1p(u) - u, for
+    # |u/(2 + u)| <= 1/9, which holds for |u| <= 0.2
+    s = u / (2.0 + u)
+    acc = 0.0
+    for c in _LOG1PMX_COEFFS:
+        acc = acc * s + c
+    return -2.0 * s * s * acc
+
+
 def _bd0(x: float, m: float) -> float:
-    # the deviance x ln(x/m) + m - x, by its series in v = (x - m)/(x + m)
-    # when x ~ m, where the closed form cancels
+    # the deviance x ln(x/m) + m - x, as m [(1 + u) ln1pmx(u) + u^2] with
+    # u = (x - m)/m when x ~ m, where the closed form cancels: there
+    # |u/(2 + u)| = |x - m|/(x + m) < 0.1 and x - m is exact
     if abs(x - m) < 0.1 * (x + m):
-        v = (x - m) / (x + m)
-        total = (x - m) * v
-        term = 2.0 * x * v
-        v *= v  # below 0.01, so a dozen terms reach the last bit
-        for j in range(3, 64, 2):
-            term *= v
-            nxt = total + term / j
-            if nxt == total:
-                break
-            total = nxt
-        return total
+        u = (x - m) / m
+        return m * ((1.0 + u) * _log1pmx(u) + u * u)
     return x * math.log(x / m) + m - x
 
 
@@ -273,21 +275,6 @@ def _log_gamma_q_contfrac(a: float, x: float) -> float:
                         inputs={"a": a, "x": x}, iterations=MAX_ITER)
 
 
-# ln(1 + u) - u = 2 atanh(s) - 2s/(1 - s) = -2 s^2 sum_{j>=0} c_j s^j with
-# s = u/(2 + u), c_j = 1 for even j and (j+1)/(j+2) for odd j; for
-# |u| <= 0.2, |s| <= 1/9 and 19 terms reach 1e-18
-_LOG1PMX_COEFFS = tuple(1.0 if j % 2 == 0 else (j + 1.0) / (j + 2.0) for j in range(19))[::-1]
-
-
-def _log1pmx(u: float) -> float:
-    # ln(1 + u) - u without the cancellation of log1p(u) - u, for |u| <= 0.2
-    s = u / (2.0 + u)
-    acc = 0.0
-    for c in _LOG1PMX_COEFFS:
-        acc = acc * s + c
-    return -2.0 * s * s * acc
-
-
 def _gauss_legendre(n: int) -> tuple:
     # n-point Gauss-Legendre (node, weight) pairs on [0, 1], by Newton
     # steps on P_n from the Chebyshev-like starting guesses
@@ -336,7 +323,7 @@ def _log_gamma_pq_large_a(a: float, x: float) -> tuple[float, float]:
                                    for t, w in _GAUSS_20)
         u += sign * width
         if phi(u) - top < _LOG_NEGLIGIBLE:
-            log_side = (0.5 * math.log(a) - _LOG_SQRT_2PI - _stirling_series(a)
+            log_side = (0.5 * math.log(a) - _LOG_SQRT_2PI - _stirlerr(a)
                         + top + math.log(total))
             return (log_side, log1mexp(log_side)) if sign < 0 else (log1mexp(log_side), log_side)
     raise AccuracyError(f"large-a incomplete gamma quadrature did not converge (a={a}, x={x})",

@@ -283,7 +283,7 @@ class TestMergingReport:
         spec = AllocationSpec(n_boxes=400, n_balls=4, kind="multinomial",
                               trials=200, seed=8)
         prof = asym_profile(400, 4)
-        rows = merging_report(spec, prof, t_max=2)
+        rows = merging_report(spec, prof, t_max=2, summary=simulate(spec, prof))
         quantities = [r["quantity"] for r in rows]
         assert "max_eq_anchor" in quantities
         assert "max_eq_anchor_plus_1" in quantities
@@ -301,7 +301,8 @@ class TestMergingReport:
     def test_single_trial_deviations_bounded(self):
         spec = AllocationSpec(n_boxes=50, n_balls=5, kind="multinomial",
                               trials=1, seed=0)
-        rows = merging_report(spec, asym_profile(50, 5), t_max=1)
+        prof = asym_profile(50, 5)
+        rows = merging_report(spec, prof, t_max=1, summary=simulate(spec, prof))
         for r in rows:
             if r["abs_error"] is not None and r["quantity"] != "top_two_occupancy":
                 assert r["abs_error"] <= 1.0
@@ -310,7 +311,7 @@ class TestMergingReport:
         spec = AllocationSpec(n_boxes=2000, n_balls=20, kind="multinomial",
                               trials=150, seed=77)
         prof = asym_profile(2000, 20)
-        rows = merging_report(spec, prof)
+        rows = merging_report(spec, prof, summary=simulate(spec, prof))
         phase = [r for r in rows if r["quantity"].startswith("depth_")]
         assert len(phase) == 2
         # shallow depth nearly always exceeded, deep depth nearly never
@@ -324,7 +325,7 @@ class TestMergingReport:
                               seed=1, r=1.0)
         prof = profile(matched_model(spec), spec.n_boxes)
         assert prof.gamma == 0.5 and prof.m_n == 10
-        rows = {r["quantity"]: r for r in merging_report(spec, prof)}
+        rows = {r["quantity"]: r for r in merging_report(spec, prof, summary=simulate(spec, prof))}
         for quantity, x in (("max_eq_anchor", 0), ("max_eq_anchor_plus_1", 1)):
             theory = limiting_max_pmf(prof, x)
             assert rows[quantity]["theory"] == theory
@@ -333,15 +334,6 @@ class TestMergingReport:
         # no tie law and no phase transition outside gamma = 0
         assert rows["ties_eq_0"]["theory"] is None
         assert not any(q.startswith("depth_") for q in rows)
-
-    def test_accepts_precomputed_summary(self):
-        spec = AllocationSpec(n_boxes=100, n_balls=10, kind="multinomial",
-                              trials=50, seed=1)
-        prof = asym_profile(100, 10)
-        s = simulate(spec, prof)
-        rows1 = merging_report(spec, prof, summary=s)
-        rows2 = merging_report(spec, prof)
-        assert rows1 == rows2
 
 
 class TestMatchedModel:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from discmax import allocsim, extremes
+from discmax import allocsim, cli, extremes
 from discmax.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -87,6 +87,20 @@ class TestScanCommand:
         code, _ = run_cli(["scan", "--model", "poisson", "--params", "lam=1",
                            "--n-range", "5000:1000:x2"], capsys)
         assert code == 2
+
+    def test_range_past_the_cap_refused(self):
+        # ~1.08 10^6 values: refused once the list reaches the cap
+        with pytest.raises(ValueError, match="lists more than 100000 values"):
+            cli._parse_n_range("1e3:1e50:x1.0001")
+
+    def test_range_at_the_cap_accepted(self):
+        assert len(cli._parse_n_range(f"1:{cli.MAX_SCAN_POINTS}:+1")) == cli.MAX_SCAN_POINTS
+
+    def test_step_lost_to_rounding_usage_error(self, capsys):
+        # 1e16 + 1 == 1e16: without the cap the range never ends
+        code, out = run_cli(["scan", "--model", "poisson", "--params", "lam=1",
+                             "--n-range", "1e16:2e16:+1"], capsys)
+        assert (code, out) == (2, "")
 
 
 class TestTiesCommand:

@@ -20,6 +20,18 @@ The regularized incomplete gamma pair for a from 1 to 1e8 and x within
 a factor 2 of a (the series, continued-fraction and large-a branches):
 
 - P + Q = 1, and ln Q is non-increasing in x.
+
+The log-space helpers against mpmath, with errors measured as a fraction
+of max(1, |ln value|); each bound sits just above the worst of 44000
+random arguments:
+
+- the Poisson pmf for k up to 2 10^4 and lam log-uniform in [1e-2, 1e4]
+  (worst 7.2e-15), and the negative binomial pmf for k up to 2 10^4, r
+  log-uniform in [1e-2, 1e5] and p in [0.01, 0.99] (worst 5.9e-15);
+- ln C(n, k) for float n log-uniform in [1, 1e50], which includes
+  n > 2^53, and k up to 10^5 (worst 7.9e-15);
+- the Stirling remainder on both sides of 15 and at the half-integer
+  table points (worst 1.2e-14).
 """
 
 import math
@@ -31,7 +43,8 @@ from hypothesis import strategies as st
 
 from discmax.datafit import daily_max_law
 from discmax.extremes import ExtremalProfile, Regime, profile, tie_distribution
-from discmax.specfun import reg_gamma_p_log, reg_gamma_q_log
+from discmax.specfun import (_stirlerr, log_binomial, log_negbinom_pmf, log_poisson_pmf,
+                              reg_gamma_p_log, reg_gamma_q_log)
 from discmax.tailmodel import GeometricModel, NegativeBinomialModel, PoissonModel, make_model
 
 poisson_models = st.builds(PoissonModel, st.floats(1e-3, 50.0))
@@ -67,6 +80,54 @@ def test_incomplete_gamma_pair(a, t, dt):
     assert math.exp(reg_gamma_p_log(a, x)) + math.exp(reg_gamma_q_log(a, x)) == \
         pytest.approx(1.0, abs=1e-13), (a, x)
     assert reg_gamma_q_log(a, x * (1.0 + dt)) <= reg_gamma_q_log(a, x), (a, x, dt)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def assert_log_close(got, ref, bound, args):
+    """got within bound * max(1, |ref|) of the mpmath value ref."""
+    assert abs(got - float(ref)) <= bound * max(1.0, abs(float(ref))), (args, got, ref)
+
+
+@settings(deadline=None)
+@given(k=st.integers(0, 2 * 10 ** 4), lam=log_uniform(1e-2, 1e4))
+def test_poisson_pmf_vs_mpmath(k, lam):
+    with mp.workdps(40):
+        ref = k * mp.log(lam) - lam - mp.loggamma(k + 1)
+    assert_log_close(log_poisson_pmf(k, lam), ref, 1e-14, (k, lam))
+
+
+@settings(deadline=None)
+@given(k=st.integers(0, 2 * 10 ** 4), r=log_uniform(1e-2, 1e5), p=st.floats(0.01, 0.99))
+def test_negbinom_pmf_vs_mpmath(k, r, p):
+    with mp.workdps(40):
+        # k + r summed in mpmath: the float sum rounds, by ~1e-11 relative
+        # in the result
+        kr = mp.mpf(k) + mp.mpf(r)
+        ref = (mp.loggamma(kr) - mp.loggamma(r) - mp.loggamma(k + 1)
+               + r * mp.log1p(-mp.mpf(p)) + k * mp.log(p))
+    assert_log_close(log_negbinom_pmf(k, r, p), ref, 1e-14, (k, r, p))
+
+
+@settings(deadline=None)
+@given(n=log_uniform(1.0, 1e50), frac=st.floats(0.0, 1.0))
+def test_log_binomial_vs_mpmath(n, frac):
+    k = int(frac * min(n, 1e5))
+    with mp.workdps(120):  # ln n! reaches 1e52 at n = 1e50
+        ref = mp.loggamma(mp.mpf(n) + 1) - mp.loggamma(k + 1) - mp.loggamma(mp.mpf(n) - k + 1)
+    assert_log_close(log_binomial(n, k), ref, 1e-14, (n, k))
+
+
+@settings(deadline=None)
+@given(n=st.one_of(st.floats(0.0, 40.0, exclude_min=True), log_uniform(15.0, 1e8),
+                   st.integers(1, 30).map(lambda i: i / 2)))
+def test_stirlerr_vs_mpmath(n):
+    with mp.workdps(40):
+        x = mp.mpf(n)
+        ref = mp.loggamma(x + 1) - (x + 0.5) * mp.log(x) + x - mp.log(2 * mp.pi) / 2
+    assert_log_close(_stirlerr(n), ref, 2e-14, n)
 
 
 @settings(deadline=None)
