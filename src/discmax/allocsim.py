@@ -64,8 +64,8 @@ class AllocationSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "dirichlet":
-            if self.r is None or self.r <= 0.0:
-                raise ValueError("dirichlet allocations need a positive hyperparameter r")
+            if self.r is None or not 0.0 < self.r < math.inf:  # also rejects nan
+                raise ValueError(f"dirichlet allocations need a positive finite r, got {self.r}")
 
 
 @dataclass(frozen=True)

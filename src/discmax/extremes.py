@@ -89,6 +89,8 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None) -> Extrem
     """Solve G(x_n) = 1/n and assemble the derived extremal quantities."""
     if not 2 <= n < math.inf:  # also rejects nan
         raise ValueError(f"profile requires a finite n >= 2, got {n}")
+    if x_sigfigs is not None and x_sigfigs < 1:
+        raise ValueError(f"x_sigfigs must be at least 1, got {x_sigfigs}")
     # G is 1 at the support edge lo, above the target 1/n <= 1/2: double
     # the bracket until G drops below it, keeping the last point above
     target = -math.log(n)

@@ -17,7 +17,8 @@ iteration.  The Poisson and negative binomial pmfs use Loader's
 saddle-point form (Stirling remainders and deviances), which does not
 cancel lgamma terms at large counts.  Their Stirling remainder and
 ln(1 + u) - u series are the module's only copies, shared with
-``log_binomial`` and the large-a quadrature.
+``log_binomial`` and the large-a quadrature; below 15 the remainder
+comes from Gamma(n + 1) = n Gamma(n), not from cancelling lgamma terms.
 
 The iterative kernels share one convergence contract, the module
 constants REL_TOL (target relative error of the returned probability, not
@@ -106,31 +107,21 @@ def log_binomial(n: int, k: int) -> float:
             + _stirlerr(a) - _stirlerr(b) - math.lgamma(m + 1))
 
 
-# ln n! - [(n + 1/2) ln n - n + ln(2 pi)/2] at n = 1/2, 1, ..., 15, from
-# mpmath at 40 digits
-_STIRLERR_HALVES = (
-    0.15342640972002736, 0.08106146679532726, 0.05481412105191765, 0.0413406959554093,
-    0.03316287351993629, 0.02767792568499834, 0.023746163656297496, 0.020790672103765093,
-    0.018488450532673187, 0.016644691189821193, 0.015134973221917378, 0.013876128823070748,
-    0.012810465242920227, 0.01189670994589177, 0.011104559758206917, 0.010411265261972096,
-    0.009799416126158804, 0.009255462182712733, 0.008768700134139386, 0.00833056343336287,
-    0.00793411456431402, 0.007573675487951841, 0.007244554301320383, 0.00694284010720953,
-    0.006665247032707682, 0.006408994188004207, 0.006171712263039458, 0.0059513701127588475,
-    0.0057462165130101155, 0.005554733551962801)
-
-
 def _stirlerr(n: float) -> float:
     # ln n! - [(n + 1/2) ln n - n + ln(2 pi)/2], which is also
     # ln Gamma(n) - [(n - 1/2) ln n - n + ln(2 pi)/2], for n > 0: the
-    # Stirling series above 15, the table at half-integers up to it, else
-    # lgamma, where terms of size n ln n < 41 cancel
-    if n > 15.0:
-        r = 1.0 / (n * n)
-        return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0
-                                                                         - r / 1188.0)))) / n
-    if (2.0 * n).is_integer():
-        return _STIRLERR_HALVES[int(n + n) - 1]
-    return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
+    # Stirling series above 15, reached from below by the recurrence
+    # stirlerr(n) = stirlerr(n + 1) + (n + 1/2) ln(1 + 1/n) - 1, each step
+    # rounding by ~1e-16 absolute; below 1, ln(1 + 1/n) is log1p(n) - ln n,
+    # because 1/n overflows at subnormal n
+    shift = 0.0
+    while n <= 15.0:
+        step = math.log1p(1.0 / n) if n >= 1.0 else math.log1p(n) - math.log(n)
+        shift += (n + 0.5) * step - 1.0
+        n += 1.0
+    r = 1.0 / (n * n)
+    return shift + (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0
+                                                                             - r / 1188.0)))) / n
 
 
 # ln(1 + u) - u = 2 atanh(s) - 2s/(1 - s) = -2 s^2 sum_{j>=0} c_j s^j with

@@ -138,8 +138,8 @@ class PoissonModel(DiscreteTailModel):
     name = "poisson"
 
     def __init__(self, lam: float, extension: str = "natural"):
-        if lam <= 0.0:
-            raise ValueError(f"poisson rate must be positive, got {lam}")
+        if not 0.0 < lam < math.inf:  # also rejects nan
+            raise ValueError(f"poisson rate must be positive and finite, got {lam}")
         self.lam = float(lam)
         super().__init__(extension)
 
@@ -175,8 +175,8 @@ class NegativeBinomialModel(DiscreteTailModel):
     name = "negbinom"
 
     def __init__(self, r: float, p: float, extension: str = "natural"):
-        if r <= 0.0:
-            raise ValueError(f"negative binomial r must be positive, got {r}")
+        if not 0.0 < r < math.inf:  # also rejects nan
+            raise ValueError(f"negative binomial r must be positive and finite, got {r}")
         if not (0.0 < p < 1.0):
             raise ValueError(f"negative binomial p must be in (0, 1), got {p}")
         self.r = float(r)
@@ -362,22 +362,20 @@ class EmpiricalModel(DiscreteTailModel):
         return d.estimate
 
 
-_BUILDERS = {
-    "poisson": lambda params, ext: PoissonModel(params["lam"], ext),
-    "negbinom": lambda params, ext: NegativeBinomialModel(params["r"], params["p"], ext),
-    "geometric": lambda params, ext: GeometricModel(params["q"], ext),
-    "dcauchy": lambda params, ext: DiscreteCauchyModel(ext),
-    "empirical": lambda params, ext: EmpiricalModel(
-        params["probabilities"], int(params.get("support_min", 0)), ext),
-}
-
-MODEL_NAMES = tuple(sorted(_BUILDERS))
+_MODELS = {cls.name: cls for cls in (PoissonModel, NegativeBinomialModel, GeometricModel,
+                                     DiscreteCauchyModel, EmpiricalModel)}
+MODEL_NAMES = tuple(sorted(_MODELS))
 
 
 def make_model(name: str, params: dict | None = None, extension: str | None = None) -> DiscreteTailModel:
-    """Build a model from a {name, params, extension} specification record."""
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown model {name!r}, expected one of {sorted(_BUILDERS)}")
-    if extension is None:
-        extension = "loglinear" if name == "empirical" else "natural"
-    return _BUILDERS[name](params or {}, extension)
+    """Build a model from a {name, params, extension} specification record:
+    params are the constructor's keywords; extension=None keeps its default."""
+    if name not in _MODELS:
+        raise ValueError(f"unknown model {name!r}, expected one of {list(MODEL_NAMES)}")
+    kwargs = dict(params or {})
+    if extension is not None:
+        kwargs["extension"] = extension
+    try:
+        return _MODELS[name](**kwargs)
+    except TypeError as exc:  # a missing, unknown or ill-typed parameter
+        raise ValueError(f"bad parameters {params!r} for model {name!r}: {exc}") from None

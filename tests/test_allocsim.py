@@ -97,6 +97,9 @@ class TestAllocationSpec:
             AllocationSpec(n_boxes=2, n_balls=1, kind="urn", trials=1, seed=0)
         with pytest.raises(ValueError):
             AllocationSpec(n_boxes=2, n_balls=1, kind="dirichlet", trials=1, seed=0)
+        for r in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                AllocationSpec(n_boxes=2, n_balls=1, kind="dirichlet", trials=1, seed=0, r=r)
         AllocationSpec(n_boxes=2, n_balls=1, kind="dirichlet", trials=1, seed=0, r=0.5)
 
 

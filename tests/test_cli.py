@@ -288,6 +288,41 @@ class TestExitCodes:
                            "--n", "100"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["profile", "--params", "lam=nan"], "poisson rate must be positive and finite, got nan"),
+        (["profile", "--params", "lam=inf"], "poisson rate must be positive and finite, got inf"),
+        (["profile", "--model", "negbinom", "--params", "r=nan,p=0.5"],
+         "negative binomial r must be positive and finite, got nan"),
+        (["profile", "--model", "negbinom", "--params", "r=inf,p=0.5"],
+         "negative binomial r must be positive and finite, got inf"),
+        (["profile", "--model", "poisson"], "missing 1 required positional argument: 'lam'"),
+        (["profile", "--model", "geometric", "--params", "q=0.5:0.3"],
+         "bad parameters {'q': [0.5, 0.3]} for model 'geometric'"),
+        (["profile", "--model", "empirical", "--params", "probabilities=0.5"],
+         "bad parameters {'probabilities': 0.5} for model 'empirical'"),
+        (["profile", "--params", "lam=1,foo=2"], "unexpected keyword argument 'foo'"),
+        (["profile", "--params", "lam=1", "--x-sigfigs", "0"], "x_sigfigs must be at least 1, got 0"),
+        (["profile", "--params", "lam=1", "--x-sigfigs", "-2"],
+         "x_sigfigs must be at least 1, got -2"),
+    ])
+    def test_rejected_input_usage_error(self, capsys, argv, message):
+        # unchecked, these exited 3 after 500 continued-fraction steps,
+        # raised a traceback, silently dropped foo, or printed a row
+        code = main(argv + ["--n", "1e6"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and message in captured.err
+
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_non_finite_r_usage_error(self, capsys, r):
+        code = main(["simulate", "--kind", "dirichlet", "--r", r, "--boxes", "10",
+                     "--balls", "5", "--trials", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"positive finite r, got {r}" in captured.err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empirical_gamma_not_estimable_usage_error(self, capsys, fmt):

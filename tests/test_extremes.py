@@ -140,6 +140,12 @@ class TestProfile:
                 assert x_prev < prof.x_n < lam + 16.0 * math.sqrt(lam)
                 x_prev = prof.x_n
 
+    @pytest.mark.parametrize("sigfigs", [0, -2])
+    def test_x_sigfigs_below_one(self, sigfigs):
+        # without the check, 0 and -2 gave x_n = 10 and x_n = 0
+        with pytest.raises(ValueError, match=f"x_sigfigs must be at least 1, got {sigfigs}"):
+            profile(PoissonModel(1.0), 1e6, x_sigfigs=sigfigs)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # unstable tail ratio
     def test_x_sigfigs_below_support_edge(self):
         # x_n ~ 1004.3 rounds to 1000 at 3 digits: an anchor outside the

@@ -288,6 +288,27 @@ class TestMakeModel:
         with pytest.raises(ValueError):
             make_model("zeta", {})
 
+    @pytest.mark.parametrize("name, params, fragment", [
+        ("poisson", {}, "missing 1 required positional argument: 'lam'"),
+        ("poisson", {"lam": 1.0, "foo": 2.0}, "unexpected keyword argument 'foo'"),
+        ("dcauchy", {"lam": 1.0}, "unexpected keyword argument 'lam'"),
+        ("geometric", {"q": [0.5, 0.3]}, "not supported between instances"),
+        ("empirical", {"probabilities": 0.5}, "'float' object is not iterable"),
+    ])
+    def test_bad_params_value_error(self, name, params, fragment):
+        with pytest.raises(ValueError, match=f"bad parameters .* for model '{name}'") as exc:
+            make_model(name, params)
+        assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize("build", [
+        lambda v: PoissonModel(v),
+        lambda v: NegativeBinomialModel(v, 0.5),
+    ], ids=["poisson", "negbinom"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_value_error(self, build, value):
+        with pytest.raises(ValueError, match=f"must be positive and finite, got {value}"):
+            build(value)
+
 
 def chi_square_critical(df: int, z: float = 4.75) -> float:
     """Wilson-Hilferty chi-square quantile at the normal quantile z
