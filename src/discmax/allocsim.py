@@ -247,6 +247,8 @@ def merging_report(spec: AllocationSpec, prof: ExtremalProfile, t_max: int = 3, 
     sqrt(f(1-f)/trials) where a frequency is being estimated.  The max
     rows read the regime's limiting law; tie and phase rows need gamma = 0.
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
     trials = summary.trials
     m = prof.m_n
 

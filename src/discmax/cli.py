@@ -41,6 +41,8 @@ def _parse_params(text: str | None) -> dict:
         key, raw = item.split("=", 1)
         key = key.strip()
         raw = raw.strip()
+        if key in params:
+            raise ValueError(f"parameter {key!r} given more than once")
         if ":" in raw:
             params[key] = [float(v) for v in raw.split(":")]
         elif key == "support_min":

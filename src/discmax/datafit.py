@@ -42,7 +42,7 @@ class CountSeries:
 
     def __post_init__(self) -> None:
         if self.block_size < 1:
-            raise DataError(f"block_size must be >= 1, got {self.block_size}")
+            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if len(self.counts) < self.block_size:
             raise DataError(
                 f"series of length {len(self.counts)} is shorter than one block "

@@ -3,7 +3,10 @@
 The central object is the profile of a sample size n against a tail model:
 the continuous crossing point x_n where the extended tail equals 1/n, the
 cluster anchor m_n = floor(x_n + 1/2), the cluster weight theta_n with
-p_n = e^-theta_n, and the tie depth z_n.  In the gamma = 0 regime the
+p_n = e^-theta_n, and the tie depth z_n.  The number of samples above
+m_n + x is asymptotically Poisson(theta_n gamma^x), which gives both
+limiting laws: P(max <= m_n + x) = exp(-theta_n gamma^x) in each of the
+three families, and, at gamma = 0, the ties at the maximum.  There the
 maximum concentrates on {m_n, m_n + 1} with P(max = m_n) ~ p_n, and p_n
 oscillates in n instead of converging.
 
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .specfun import lambert_w0, log1mexp, log_binomial, log_sum_exp
+from .specfun import lambert_w0, log1mexp, log_binomial, log_poisson_pmf, log_sum_exp
 from .tailmodel import DiscreteTailModel, PoissonModel
 
 
@@ -52,9 +55,11 @@ class ExtremalProfile:
 class TieDistribution:
     """Limiting law of the number of ties at the sample maximum (gamma = 0).
 
-    ``exactly[t]`` is the probability of exactly t ties; ``at_least[k]``
-    of at least k.  The residual mass p_n not covered by any finite t is
-    the branch where the maximum sits at m_n and ties proliferate.
+    ``exactly[t]`` is the probability of exactly t ties, P(N = t + 1) for
+    the Poisson(theta_n) count N of samples above m_n; ``at_least[k]`` is
+    the probability of at least k.  The residual mass p_n = P(N = 0) not
+    covered by any finite t is the branch where the maximum sits at m_n
+    and ties proliferate.
     """
 
     p_n: float
@@ -148,18 +153,17 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None) -> Extrem
 
 
 def limiting_max_cdf(prof: ExtremalProfile, x: int) -> float:
-    """Limiting P(max <= m_n + x) under the profile's regime."""
-    if prof.regime is Regime.GAMMA_ZERO:
-        if x <= -1:
-            return 0.0
-        if x == 0:
-            return prof.p_n
-        return 1.0
-    if prof.regime is Regime.GAMMA_ONE:
-        return prof.p_n
+    """Limiting P(max <= m_n + x) = exp(-theta_n gamma^x).
+
+    One formula for the three families: p_n at every x when gamma = 1, the
+    doubly geometric law when 0 < gamma < 1.  At gamma = 0 the maximum
+    clusters on {m_n, m_n + 1}: the law is 0 below m_n, p_n at m_n, 1 above.
+    """
     if math.isnan(prof.gamma):
         raise ValueError("the limiting law needs a tail ratio gamma; it is nan (not estimable)")
-    return prof.p_n ** (prof.gamma ** x)
+    if prof.gamma == 0.0 and x != 0:
+        return 0.0 if x < 0 else 1.0
+    return math.exp(-prof.theta_n * prof.gamma ** x)
 
 
 def limiting_max_pmf(prof: ExtremalProfile, x: int) -> float:
@@ -200,33 +204,22 @@ def exact_order_stat_cdf_log(model: DiscreteTailModel, n, k: int, x: int) -> flo
 def tie_distribution(prof: ExtremalProfile, t_max: int) -> TieDistribution:
     """Tie-count law at the maximum in the gamma = 0 regime.
 
-    at_least(k) = p + 1 - p sum_{j<=k} ln^j(1/p)/j!, and
-    exactly(t) = p ln^(t+1)(1/p)/(t+1)!.  For p in {0, 1} every at_least
-    equals one (0 ln 0 read as 0): ties accumulate without bound.
+    The N ~ Poisson(theta_n) samples above m_n sit at m_n + 1, so t ties
+    means N = t + 1: exactly(t) = e^-theta theta^(t+1)/(t+1)!, taken from
+    the saddle-point pmf, and at_least(k) = 1 - sum_{t<k} exactly(t).  For
+    theta in {0, inf} (p in {1, 0}) every exactly is 0 and every at_least
+    is 1: ties accumulate without bound.
     """
     if prof.regime is not Regime.GAMMA_ZERO:
         raise ValueError("tie distribution is defined for the gamma = 0 clustering regime only")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    p = prof.p_n
-    if p <= 0.0 or p >= 1.0:
-        at_least = {k: 1.0 for k in range(t_max + 2)}
-        exactly = {t: 0.0 for t in range(t_max + 1)}
-        return TieDistribution(p_n=p, at_least=at_least, exactly=exactly, t_max=t_max)
-
-    log_inv = -math.log(p)
-    at_least = {}
-    exactly = {}
-    term = 1.0           # ln^j(1/p)/j!
-    partial = 1.0        # sum_{j<=k}
-    at_least[0] = 1.0
-    for k in range(1, t_max + 2):
-        term *= log_inv / k
-        partial += term
-        at_least[k] = p + 1.0 - p * partial
+    theta = prof.theta_n
+    at_least, exactly = {0: 1.0}, {}
     for t in range(t_max + 1):
-        exactly[t] = at_least[t] - at_least[t + 1]
-    return TieDistribution(p_n=p, at_least=at_least, exactly=exactly, t_max=t_max)
+        exactly[t] = math.exp(log_poisson_pmf(t + 1, theta)) if 0.0 < theta < math.inf else 0.0
+        at_least[t + 1] = at_least[t] - exactly[t]
+    return TieDistribution(p_n=prof.p_n, at_least=at_least, exactly=exactly, t_max=t_max)
 
 
 def tie_phase_threshold(prof: ExtremalProfile, c: float) -> int:

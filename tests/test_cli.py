@@ -258,6 +258,14 @@ class TestFitCommand:
                                        "NegativeBinomialModel(")
         assert captured.err.endswith("its law needs more than 100000 values\n")
 
+    @pytest.mark.parametrize("block", ["0", "-3"])
+    def test_block_below_one_usage_error(self, counts_file, capsys, block):
+        code = main(["fit", "--input", counts_file, "--block", block])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"usage error: block_size must be >= 1, got {block}\n"
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1\nfoo\n", encoding="utf-8")
@@ -304,6 +312,9 @@ class TestExitCodes:
         (["profile", "--params", "lam=1", "--x-sigfigs", "0"], "x_sigfigs must be at least 1, got 0"),
         (["profile", "--params", "lam=1", "--x-sigfigs", "-2"],
          "x_sigfigs must be at least 1, got -2"),
+        (["profile", "--params", "lam=1,lam=2"], "parameter 'lam' given more than once"),
+        (["profile", "--model", "negbinom", "--params", "r=2,p=0.3,r=3"],
+         "parameter 'r' given more than once"),
     ])
     def test_rejected_input_usage_error(self, capsys, argv, message):
         # unchecked, these exited 3 after 500 continued-fraction steps,
@@ -313,6 +324,17 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("usage error: ") and message in captured.err
+
+    @pytest.mark.parametrize("kind", [["--kind", "multinomial"],
+                                      ["--kind", "dirichlet", "--r", "1"]])
+    def test_negative_t_max_usage_error(self, capsys, kind):
+        # outside gamma = 0 no tie law is built to refuse it
+        code = main(["simulate", "--boxes", "10", "--balls", "5", "--trials", "5",
+                     "--t-max", "-1"] + kind)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "usage error: t_max must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("r", ["nan", "inf"])
     def test_non_finite_r_usage_error(self, capsys, r):

@@ -67,6 +67,12 @@ class TestIngest:
         with pytest.raises(DataError):
             CountSeries(counts=(1, -1), block_size=1)
 
+    @pytest.mark.parametrize("block_size", [0, -3])
+    def test_block_size_below_one_is_not_a_data_fault(self, block_size):
+        with pytest.raises(ValueError, match="block_size must be >= 1") as exc:
+            CountSeries(counts=(1, 2, 3), block_size=block_size)
+        assert not isinstance(exc.value, DataError)
+
 
 class TestFitNbMoments:
     def test_overdispersed_identities(self):

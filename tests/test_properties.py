@@ -16,6 +16,18 @@ The same models under the natural and the loglinear extension:
 - log_tail_ext is non-increasing, and equals log_tail at integers;
 - the crossing point solves ln G(x_n) = -ln n within 1e-6.
 
+The two limiting laws of a profile against mpmath, over theta_n
+log-uniform in [1e-12, 700]:
+
+- the tie law exactly(t) = P(N = t + 1), N ~ Poisson(theta_n), for t up
+  to 40, relative to max(1, |ln P|) within 3e-15 (worst of 3.4 10^4
+  random laws of 41 cells and 2 10^5 cells at theta in [15, 50] and
+  t >= 25: 2.3e-15);
+- P(max <= m_n + x) = exp(-theta_n gamma^x) for gamma in [1e-10, 1] and
+  |x| <= 30, relative to max(1, theta_n gamma^x) within 5e-16 (worst of
+  10^5 arguments: 2.5e-16); at gamma = 0 and gamma = 1 it is bit-equal to
+  the cluster pair (0, p_n, 1) and to p_n.
+
 The regularized incomplete gamma pair for a from 1 to 1e8 and x within
 a factor 2 of a (the series, continued-fraction and large-a branches):
 
@@ -42,7 +54,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discmax.datafit import daily_max_law
-from discmax.extremes import ExtremalProfile, Regime, profile, tie_distribution
+from discmax.extremes import (ExtremalProfile, Regime, limiting_max_cdf, profile,
+                              tie_distribution)
 from discmax.specfun import (_stirlerr, log_binomial, log_negbinom_pmf, log_poisson_pmf,
                               reg_gamma_p_log, reg_gamma_q_log)
 from discmax.tailmodel import GeometricModel, NegativeBinomialModel, PoissonModel, make_model
@@ -174,6 +187,55 @@ def test_tie_law_at_any_weight(p_n, t_max):
     theta = -math.log(p_n) if p_n > 0.0 else math.inf
     assert_tie_law(ExtremalProfile(n=1000.0, gamma=0.0, x_n=1.0, m_n=1, theta_n=theta,
                                    p_n=p_n, z_n=2.0, regime=Regime.GAMMA_ZERO), t_max)
+
+
+def weight_profile(theta, gamma=0.0):
+    """A profile with weight theta_n, as profile would assemble it."""
+    regime = {0.0: Regime.GAMMA_ZERO, 1.0: Regime.GAMMA_ONE}.get(gamma, Regime.GAMMA_MID)
+    return ExtremalProfile(n=1000.0, gamma=gamma, x_n=1.0, m_n=1, theta_n=theta,
+                           p_n=math.exp(-theta), z_n=2.0, regime=regime)
+
+
+@settings(deadline=None)
+@given(theta=log_uniform(1e-12, 700.0), t=st.integers(0, 40))
+# taken as a difference of two cumulatives near 1 these came out 0, against
+# mpmath's 3.4e-18, 9.5e-21 and 2.4e-23
+@example(theta=0.024787889738385804, t=7)
+@example(theta=0.024787889738385804, t=8)
+@example(theta=0.024787889738385804, t=9)
+@example(theta=39.5468583487772, t=0)  # 16 % off as such a difference
+def test_tie_law_vs_mpmath(theta, t):
+    got = tie_distribution(weight_profile(theta), t).exactly[t]
+    with mp.workdps(40):
+        ref = mp.exp(-mp.mpf(theta)) * mp.mpf(theta) ** (t + 1) / mp.factorial(t + 1)
+        if ref < 1e-300:  # below the normal floats
+            assert got <= 1e-300, (theta, t, got, ref)
+            return
+        # relative to max(1, |ln P|): exp turns the pmf's log error into that
+        assert abs(got - ref) <= 3e-15 * max(1.0, -mp.log(ref)) * ref, (theta, t, got, ref)
+
+
+@settings(deadline=None)
+@given(theta=log_uniform(1e-12, 700.0), gamma=st.floats(1e-10, 1.0), x=st.integers(-30, 30))
+def test_limiting_max_cdf_vs_mpmath(theta, gamma, x):
+    got = limiting_max_cdf(weight_profile(theta, gamma), x)
+    with mp.workdps(40):
+        u = mp.mpf(theta) * mp.mpf(gamma) ** x
+        ref = mp.exp(-u)
+        if ref < 1e-300:
+            assert got <= 1e-300, (theta, gamma, x, got, ref)
+            return
+        assert abs(got - ref) <= 5e-16 * max(1.0, u) * ref, (theta, gamma, x, got, ref)
+
+
+@given(theta=st.one_of(log_uniform(1e-12, 700.0), st.sampled_from([0.0, math.inf])),
+       x=st.integers(-30, 30))
+def test_limiting_max_cdf_at_gamma_zero_and_one(theta, x):
+    # bit-equal to the two-point cluster and the flat law read from p_n
+    p_n = math.exp(-theta)
+    assert limiting_max_cdf(weight_profile(theta, 1.0), x) == p_n
+    assert limiting_max_cdf(weight_profile(theta, 0.0), x) == (
+        0.0 if x < 0 else p_n if x == 0 else 1.0)
 
 
 def mp_pmfs(model):
