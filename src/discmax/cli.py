@@ -157,6 +157,8 @@ def cmd_ties(args) -> str:
 
 
 def cmd_simulate(args) -> str:
+    if args.t_max < 0:  # merging_report refuses it too, but only after the simulation
+        raise ValueError(f"t_max must be >= 0, got {args.t_max}")
     spec = allocsim.AllocationSpec(
         n_boxes=args.boxes, n_balls=args.balls, kind=args.kind,
         trials=args.trials, seed=args.seed, r=args.r)

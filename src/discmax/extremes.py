@@ -17,6 +17,15 @@ equals n F(m_n) at the integer anchor.  ``x_sigfigs`` optionally rounds
 x_n to a fixed number of significant digits before the derived quantities
 are evaluated, replicating how those tables derive p_n from their printed
 x_n column.
+
+x_n is the root of ln G(x) + ln n, bracketed by doubling steps and
+narrowed by Illinois (modified regula falsi) steps to the cell of a
+2^-34 grid that holds it; x_n is the cell's midpoint, as a bisection to
+1e-10 gives it.  ``scan_oscillation`` brackets each row from the previous
+row's x_n.  The
+order statistic X_(n-k) sums the binomial count of samples above x from
+its anchor term outward by term ratios: the lower tail below the mode,
+the upper tail (read as log1p(-upper)) from the mode on.
 """
 
 from __future__ import annotations
@@ -25,8 +34,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .specfun import lambert_w0, log1mexp, log_binomial, log_poisson_pmf, log_sum_exp
+from .specfun import (lambert_w0, log1mexp, log_binomial_pmf, log_poisson_pmf,
+                      reg_gamma_p_log)
 from .tailmodel import DiscreteTailModel, PoissonModel
+
+# the root solve ends in a cell of the multiples of 2^-34, the largest power
+# of 2 not above 1e-10: the cells a bisection to 1e-10 from integer ends
+# reaches; x_n is the midpoint, within 2.9e-11 of the crossing
+_CELL = 2.0 ** -34
+# binomial terms below this fraction of the largest are left out of the
+# order-statistic sums: the rest of a tail that falls at least geometrically
+_NEGLIGIBLE_TERM = math.exp(-40.0)
 
 
 class RootBracketError(RuntimeError):
@@ -90,38 +108,92 @@ def _cluster_anchor(x: float) -> int:
     return int(math.floor(y))
 
 
-def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None) -> ExtremalProfile:
-    """Solve G(x_n) = 1/n and assemble the derived extremal quantities."""
+def _grid_above(x: float) -> float:
+    """The next point above x of the grid of multiples of _CELL (every float,
+    where floats are coarser than _CELL)."""
+    return max(math.floor(x / _CELL) * _CELL + _CELL, math.nextafter(x, math.inf))
+
+
+def _crossing(model: DiscreteTailModel, n, a: float, fa: float) -> tuple:
+    """(x, f(x)) for the crossing of f(x) = ln G(x) + ln n above a, f(a) = fa >= 0.
+
+    Steps of 1, 2, 4, ... from a bracket the crossing in [a, b], f(a) >= 0 >
+    f(b).  Illinois steps then narrow [a, b] until it holds no point of the
+    _CELL grid: regula falsi on f with the bracket kept, the value at an
+    end that two steps in a row left in place halved for the next secant,
+    and, once [a, b] is a cell wide, the grid point inside it.  A step
+    bisects where three steps did not halve the bracket, so it halves at
+    least every four.  x is the midpoint of the cell that holds the
+    crossing, the point a bisection to 1e-10 from integer ends returns, so
+    it is the same nondecreasing function of n.
+    """
+    log_n = math.log(n)
+    start = a
+    for i in range(200):
+        b = start + 2.0 ** i
+        fb = model.log_tail_ext(b) + log_n
+        if fb < 0.0:
+            break
+        a, fa = b, fb
+    else:
+        raise RootBracketError(f"extended tail never drops below 1/n (n={n}); tail bounded?")
+    wa, wb, side = fa, fb, 0  # the secant's end values and the end last replaced
+    widths = [math.inf] * 3  # the bracket's width one, two and three steps back
+    past_zero = False
+    for _ in range(400):
+        above = _grid_above(a)
+        if above >= b:
+            break
+        if b - a <= _CELL:
+            x = above  # the one grid point inside decides the cell
+        elif (b - a > 0.5 * widths[2] or not math.isfinite(wb)
+              or wa == 0.0 and past_zero):
+            # three steps that did not halve the bracket, a tail that ends,
+            # or f still 0 one step past an end where it was 0: bisect
+            x = 0.5 * (a + b)
+        else:
+            past_zero = wa == 0.0  # the secant returns a; the clamp steps past it
+            x = b - wb * (b - a) / (wb - wa)
+            # a secant that lands on an end has found the crossing there:
+            # the step across it closes the bracket
+            x = min(max(x, a + 0.25 * _CELL, math.nextafter(a, math.inf)),
+                    b - 0.25 * _CELL, math.nextafter(b, -math.inf))
+        widths = [b - a] + widths[:-1]
+        fx = model.log_tail_ext(x) + log_n
+        if fx >= 0.0:
+            a, wa = x, fx
+            if side > 0:
+                wb *= 0.5
+            side = 1
+        else:
+            b, wb = x, fx
+            if side < 0:
+                wa *= 0.5
+            side = -1
+    x = 0.5 * (math.floor(a / _CELL) * _CELL + _grid_above(a))  # the cell around [a, b]
+    return x, model.log_tail_ext(x) + log_n
+
+
+def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
+            _start: float | None = None) -> ExtremalProfile:
+    """Solve G(x_n) = 1/n and assemble the derived extremal quantities.
+
+    ``_start`` is for scan_oscillation: the x_n of a smaller n, from which
+    the bracket grows when G there is still at least 1/n.
+    """
     if not 2 <= n < math.inf:  # also rejects nan
         raise ValueError(f"profile requires a finite n >= 2, got {n}")
     if x_sigfigs is not None and x_sigfigs < 1:
         raise ValueError(f"x_sigfigs must be at least 1, got {x_sigfigs}")
-    # G is 1 at the support edge lo, above the target 1/n <= 1/2: double
-    # the bracket until G drops below it, keeping the last point above
-    target = -math.log(n)
+    # G is 1 at the support edge lo, above the target 1/n <= 1/2
+    log_n = math.log(n)
     lo = float(model.support_min - 1)
-    a = lo
-    for i in range(200):
-        b = lo + 2.0 ** i
-        if model.log_tail_ext(b) < target:
-            break
-        a = b
-    else:
-        raise RootBracketError(f"extended tail never drops below 1/n (n={n}); tail bounded?")
-
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        if model.log_tail_ext(mid) >= target:
-            a = mid
-        else:
-            b = mid
-        if b - a <= 1e-10:
-            break
-    x = 0.5 * (a + b)
-
-    residual = model.log_tail_ext(x) - target
+    a, fa = lo, log_n
+    if _start is not None and _start > lo:
+        f_start = model.log_tail_ext(_start) + log_n
+        if f_start >= 0.0:
+            a, fa = _start, f_start
+    x, residual = _crossing(model, n, a, fa)
     if not math.isfinite(residual) or abs(residual) > 1e-6:
         raise RootBracketError(
             f"no genuine crossing of 1/n at x={x} (discontinuous tail extension); "
@@ -145,8 +217,8 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None) -> Extrem
         # the asymptotic extension exists only on the Poisson model
         theta = _cluster_escape(model.lam, x, m)
     else:
-        theta = math.exp(math.log(n) + model.log_tail_ext(float(m)))
-    z = math.exp(math.log(n) + model.log_tail_ext(max(m - 1.0, lo)))
+        theta = math.exp(log_n + model.log_tail_ext(float(m)))
+    z = math.exp(log_n + model.log_tail_ext(max(m - 1.0, lo)))
     return ExtremalProfile(
         n=float(n), gamma=gamma, x_n=x, m_n=m, theta_n=theta,
         p_n=math.exp(-theta), z_n=z, regime=regime)
@@ -184,7 +256,16 @@ def exact_max_cdf_log(model: DiscreteTailModel, n, x: int) -> float:
 
 
 def exact_order_stat_cdf_log(model: DiscreteTailModel, n, k: int, x: int) -> float:
-    """ln P(X_(n-k) <= x): at most k of n samples exceed x (binomial sum)."""
+    """ln P(X_(n-k) <= x): at most k of n samples exceed x (binomial sum).
+
+    The count of samples above x is Binomial(n, q), q = G(x), whose terms
+    fall away from the mode.  Below the mode ln P is the lower tail, summed
+    from t_k down; from the mode on it is log1p(-upper tail), the upper
+    tail summed from t_(k+1) up, so results near 0 keep their digits.  The
+    anchor term comes from the saddle-point pmf and the others from the
+    ratio t_j / t_(j-1) = (n - j + 1) q / (j (1 - q)), until they fall
+    below _NEGLIGIBLE_TERM of it.
+    """
     if not (0 <= k < n):
         raise ValueError(f"order statistic requires 0 <= k < n, got k={k}, n={n}")
     if x < model.support_min:
@@ -193,12 +274,23 @@ def exact_order_stat_cdf_log(model: DiscreteTailModel, n, k: int, x: int) -> flo
     lF = log1mexp(lt)
     if lF == -math.inf:
         return -math.inf
-    terms = []
-    for j in range(k + 1):
-        term = log_binomial(n, j) + (n - j) * lF
-        term += j * lt if j > 0 else 0.0
-        terms.append(term)
-    return min(log_sum_exp(terms), 0.0)
+    odds = math.exp(lt - lF)
+    total, t = 1.0, 1.0  # the tail's terms over its anchor term
+    if k + 1 <= (n + 1) * math.exp(lt):  # k below the mode floor((n + 1) q)
+        for j in range(k, 0, -1):
+            t *= j / ((n - j + 1) * odds)
+            if t < _NEGLIGIBLE_TERM:
+                break
+            total += t
+        return min(log_binomial_pmf(k, n, lt) + math.log(total), 0.0)
+    j = k + 1
+    while j < n:
+        t *= (n - j) * odds / (j + 1)
+        if t < _NEGLIGIBLE_TERM:
+            break
+        total += t
+        j += 1
+    return log1mexp(min(log_binomial_pmf(k + 1, n, lt) + math.log(total), 0.0))
 
 
 def tie_distribution(prof: ExtremalProfile, t_max: int) -> TieDistribution:
@@ -206,20 +298,31 @@ def tie_distribution(prof: ExtremalProfile, t_max: int) -> TieDistribution:
 
     The N ~ Poisson(theta_n) samples above m_n sit at m_n + 1, so t ties
     means N = t + 1: exactly(t) = e^-theta theta^(t+1)/(t+1)!, taken from
-    the saddle-point pmf, and at_least(k) = 1 - sum_{t<k} exactly(t).  For
-    theta in {0, inf} (p in {1, 0}) every exactly is 0 and every at_least
-    is 1: ties accumulate without bound.
+    the saddle-point pmf, and at_least(k) = p_n + P(N >= k + 1), k >= 1.
+    P(N >= t_max + 2) comes from the lower incomplete gamma and the rest
+    by adding exactly(t) downward, so no cell is a difference.  For theta
+    in {0, inf} (p in {1, 0}) every exactly is 0 and every at_least is 1:
+    ties accumulate without bound.
     """
     if prof.regime is not Regime.GAMMA_ZERO:
         raise ValueError("tie distribution is defined for the gamma = 0 clustering regime only")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     theta = prof.theta_n
-    at_least, exactly = {0: 1.0}, {}
-    for t in range(t_max + 1):
-        exactly[t] = math.exp(log_poisson_pmf(t + 1, theta)) if 0.0 < theta < math.inf else 0.0
-        at_least[t + 1] = at_least[t] - exactly[t]
-    return TieDistribution(p_n=prof.p_n, at_least=at_least, exactly=exactly, t_max=t_max)
+    if not 0.0 < theta < math.inf:
+        return TieDistribution(p_n=prof.p_n, at_least=dict.fromkeys(range(t_max + 2), 1.0),
+                               exactly=dict.fromkeys(range(t_max + 1), 0.0), t_max=t_max)
+    exactly = {t: math.exp(log_poisson_pmf(t + 1, theta)) for t in range(t_max + 1)}
+    beyond = math.exp(reg_gamma_p_log(t_max + 2.0, theta))  # P(N >= t_max + 2)
+    # capped at at_least[0] = 1: where P(N = 1) is below the rounding of
+    # the sums, p_n + P(N >= 2) can round above 1
+    at_least = {t_max + 1: min(prof.p_n + beyond, 1.0)}
+    for t in range(t_max, 0, -1):
+        beyond += exactly[t]
+        at_least[t] = min(prof.p_n + beyond, 1.0)
+    at_least[0] = 1.0
+    return TieDistribution(p_n=prof.p_n, at_least=dict(sorted(at_least.items())),
+                           exactly=exactly, t_max=t_max)
 
 
 def tie_phase_threshold(prof: ExtremalProfile, c: float) -> int:
@@ -250,7 +353,18 @@ def briggs_approximation(lam: float, n) -> float:
     if n < 3:
         raise ValueError(f"briggs_approximation requires n >= 3, got {n}")
     log_n = math.log(n)
-    y = log_n / lambert_w0(log_n / (lam * math.e))
+    z = log_n / (lam * math.e)
+    if z < math.inf:
+        w = lambert_w0(z)
+    else:
+        # z overflows (lam below ~5e-308): Newton steps on w + ln w = ln z,
+        # from the asymptotic w = ln z - ln ln z; ln z > 709 makes it exact
+        # to ~1e-2 and four steps to rounding
+        log_z = math.log(log_n) - math.log(lam) - 1.0
+        w = log_z - math.log(log_z)
+        for _ in range(4):
+            w -= (w + math.log(w) - log_z) * w / (w + 1.0)
+    y = log_n / w
     denom = math.log(y) - math.log(lam)
     if abs(denom) < 1e-12:
         raise ValueError("degenerate geometry: ln y_n equals ln lam")
@@ -269,7 +383,12 @@ def scan_oscillation(model: DiscreteTailModel, n_values, x_sigfigs: int | None =
         raise ValueError("scan requires at least one n")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n values must be strictly increasing")
-    rows = tuple(profile(model, n, x_sigfigs=x_sigfigs) for n in ns)
+    # each row's bracket grows from the previous row's x_n, where G >= 1/n
+    # still holds unless rounding moved it (profile checks)
+    rows = [profile(model, ns[0], x_sigfigs=x_sigfigs)]
+    for n in ns[1:]:
+        rows.append(profile(model, n, x_sigfigs=x_sigfigs, _start=rows[-1].x_n))
+    rows = tuple(rows)
     breakpoints = tuple(rows[i].n for i in range(len(rows) - 1)
                         if rows[i + 1].m_n > rows[i].m_n)
     return OscillationScan(rows=rows, breakpoints=breakpoints)

@@ -140,12 +140,15 @@ def _log1pmx(u: float) -> float:
     return -2.0 * s * s * acc
 
 
-def _bd0(x: float, m: float) -> float:
+def _bd0(x: float, m: float, diff: float | None = None) -> float:
     # the deviance x ln(x/m) + m - x, as m [(1 + u) ln1pmx(u) + u^2] with
     # u = (x - m)/m when x ~ m, where the closed form cancels: there
-    # |u/(2 + u)| = |x - m|/(x + m) < 0.1 and x - m is exact
-    if abs(x - m) < 0.1 * (x + m):
-        u = (x - m) / m
+    # |u/(2 + u)| = |x - m|/(x + m) < 0.1 and x - m is exact, unless the
+    # caller passes it as diff because x and m themselves were rounded
+    if diff is None:
+        diff = x - m
+    if abs(diff) < 0.1 * (x + m):
+        u = diff / m
         return m * ((1.0 + u) * _log1pmx(u) + u * u)
     return x * math.log(x / m) + m - x
 
@@ -173,6 +176,32 @@ def log_negbinom_pmf(k: int, r: float, p: float) -> float:
     n = k + r
     return (_stirlerr(n) - _stirlerr(r) - _stirlerr(k) - _bd0(r, n * (1.0 - p)) - _bd0(k, n * p)
             - 0.5 * (2.0 * _LOG_SQRT_2PI + math.log(k) + math.log1p(k / r)))
+
+
+def log_binomial_pmf(k: int, n: float, log_p: float) -> float:
+    """ln[C(n, k) p^k (1 - p)^(n - k)] for p = e^log_p, 0 <= k <= n.
+
+    Loader's saddle-point form, as for the Poisson pmf: near the mean, ln C(n,
+    k), k ln p and (n - k) ln(1 - p) are each of size k ln(n/k) and cancel,
+    which leaves ~eps k ln(n/k) of noise in their sum.  n may be a float
+    beyond 2^53: n - k and n (1 - p) then round, but their difference is
+    taken as n p - k.  Where a mean is below 1e-300 of its count, the
+    deviance overflows and the plain sum is taken; it does not cancel there.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"log_binomial_pmf requires 0 <= k <= n, got n={n}, k={k}")
+    log_q = log1mexp(log_p)
+    if k == 0:
+        return n * log_q
+    if k == n:
+        return n * log_p
+    mean_k, mean_rest = n * math.exp(log_p), n * math.exp(log_q)
+    rest = n - k
+    if mean_k < 1e-300 * k or mean_rest < 1e-300 * rest:
+        return log_binomial(n, k) + k * log_p + rest * log_q
+    return (_stirlerr(n) - _stirlerr(k) - _stirlerr(rest) - _bd0(k, mean_k)
+            - _bd0(rest, mean_rest, mean_k - k)
+            + 0.5 * (math.log(n) - math.log(k) - math.log(rest)) - _LOG_SQRT_2PI)
 
 
 def _log_gamma_pq(a: float, x: float) -> tuple[float, float]:

@@ -327,8 +327,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", [["--kind", "multinomial"],
                                       ["--kind", "dirichlet", "--r", "1"]])
-    def test_negative_t_max_usage_error(self, capsys, kind):
-        # outside gamma = 0 no tie law is built to refuse it
+    def test_negative_t_max_usage_error(self, capsys, monkeypatch, kind):
+        # outside gamma = 0 no tie law is built to refuse it, and the flag
+        # is refused before the simulation runs
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before refusing --t-max")
+
+        monkeypatch.setattr(allocsim, "simulate", no_simulation)
         code = main(["simulate", "--boxes", "10", "--balls", "5", "--trials", "5",
                      "--t-max", "-1"] + kind)
         captured = capsys.readouterr()

@@ -19,6 +19,7 @@ from discmax.extremes import (
 )
 from discmax.tailmodel import (
     DiscreteCauchyModel,
+    DiscreteTailModel,
     EmpiricalModel,
     GeometricModel,
     NegativeBinomialModel,
@@ -430,6 +431,13 @@ class TestBriggs:
         crude = math.log(n) / math.log(math.log(n))
         assert abs(briggs_approximation(1.0, n) - x_true) < abs(crude - x_true)
 
+    def test_subnormal_rate(self):
+        # ln n / (lam e) overflows below lam ~ 5e-308; W then comes from ln z
+        x_true = profile(PoissonModel(1e-310), 1e6).x_n
+        assert abs(briggs_approximation(1e-310, 1e6) - x_true) <= 0.01
+        across = [briggs_approximation(lam, 1e6) for lam in (3e-308, 2.5e-308)]
+        assert math.inf > across[0] > across[1] > across[0] - 1e-5
+
     def test_domain(self):
         with pytest.raises(ValueError):
             briggs_approximation(0.0, 100)
@@ -469,6 +477,29 @@ class TestScanOscillation:
         for a, b in zip(scan.rows, scan.rows[1:]):
             if a.m_n == b.m_n:
                 assert b.p_n <= a.p_n + 1e-12
+
+    @pytest.mark.parametrize("model, sigfigs", [
+        (PoissonModel(1.0), None), (PoissonModel(1.0, "loglinear"), None),
+        (PoissonModel(0.01, "asymptotic"), 6), (NegativeBinomialModel(2.0, 0.3), None),
+        (GeometricModel(0.5), None)])
+    def test_tail_evaluations_per_profile(self, monkeypatch, model, sigfigs):
+        # a bisection to 1e-10 took 43-50 per profile on this grid; counts
+        # include the two evaluations for theta_n and z_n
+        calls = [0]
+        log_tail_ext = DiscreteTailModel.log_tail_ext
+
+        def counted(self, x):
+            calls[0] += 1
+            return log_tail_ext(self, x)
+
+        monkeypatch.setattr(DiscreteTailModel, "log_tail_ext", counted)
+        ns = [10.0 ** (3 + 47 * i / 199) for i in range(200)]
+        for n in ns:
+            profile(model, n, x_sigfigs=sigfigs)
+        assert calls[0] / len(ns) <= 18  # from the support edge
+        calls[0] = 0
+        scan_oscillation(model, ns, x_sigfigs=sigfigs)
+        assert calls[0] / len(ns) <= 11  # from the previous row's x_n
 
     def test_rejects_nonincreasing(self):
         with pytest.raises(ValueError):
