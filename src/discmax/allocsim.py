@@ -10,10 +10,17 @@ multinomial, negative binomial for the Dirichlet mixture), which is what
 limiting law of the matched model: gamma = 0 (Poisson) for the
 multinomial, 0 < gamma < 1 (negative binomial) for the Dirichlet mixture.
 
-Reproducibility: each trial draws from its own stream derived from
-(seed, trial_index) via a spawn key, and all aggregation is commutative,
-so results are bit-identical for a given spec regardless of execution
-order.
+Reproducibility: ``simulate`` draws its trials in chunks, each chunk from
+its own stream ``SeedSequence(entropy=seed, spawn_key=key)``, so results
+are bit-identical for a given spec.  Two stream versions exist:
+
+* version 2 (the default) draws up to CHUNK_DRAWS variates per chunk,
+  under the key (2, chunk_index); CHUNK_DRAWS is part of its definition;
+* version 1 is the original one-stream-per-trial scheme: chunks of one
+  trial under the key (trial_index,).  It reproduces summaries made
+  before version 2 existed.
+
+Both run the same chunk kernel ``trial_counts``.
 
 numpy is imported inside the functions that draw or tally samples, so
 importing this module (and the package) does not load it.
@@ -22,6 +29,8 @@ importing this module (and the package) does not load it.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,8 +43,16 @@ KINDS = ("multinomial", "dirichlet")
 ENUMERATION_MAX_BOXES = 6
 ENUMERATION_MAX_BALLS = 12
 
-# simulate refuses specs whose n_boxes x trials box tallies exceed this
+# simulate refuses specs whose n_boxes x trials box tallies exceed this;
+# it also keeps every trial index below 2^32, one word of a spawn key
 MAX_BOX_TALLIES = 2_000_000_000
+
+STREAM_VERSIONS = (1, 2)
+
+# variates one version-2 chunk draws at most (a chunk holds at least one
+# trial); chosen by peak memory: on the allocation benchmark 2^16 raised
+# peak RSS by ~2 % and 2^17 by up to 9 %, 2^14 and 2^15 by under 1 %
+CHUNK_DRAWS = 2 ** 14
 
 # tie phase-transition depths ceil(c z_n) checked by merging_report
 PHASE_CS = (0.5, 2.0)
@@ -53,6 +70,7 @@ class AllocationSpec:
     trials: int
     seed: int
     r: float | None = None
+    stream_version: int = 2
 
     def __post_init__(self) -> None:
         if self.n_boxes < 1:
@@ -66,6 +84,9 @@ class AllocationSpec:
         if self.kind == "dirichlet":
             if self.r is None or not 0.0 < self.r < math.inf:  # also rejects nan
                 raise ValueError(f"dirichlet allocations need a positive finite r, got {self.r}")
+        if self.stream_version not in STREAM_VERSIONS:
+            raise ValueError(f"stream_version must be one of {STREAM_VERSIONS}, "
+                             f"got {self.stream_version!r}")
 
 
 @dataclass(frozen=True)
@@ -85,45 +106,68 @@ class AllocationSummary:
     trials: int
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    import numpy as np
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
+    """(spawn key, trials) of each chunk of spec's stream version, in trial
+    order; lazily, as version 1 has one chunk per trial."""
+    if spec.stream_version == 1:
+        return (((t,), 1) for t in range(spec.trials))
+    # variates per trial: one integer per ball, or one gamma weight and
+    # one binomial per box
+    per_trial = spec.n_balls if spec.kind == "multinomial" else 2 * spec.n_boxes
+    size = max(1, CHUNK_DRAWS // max(per_trial, 1))
+    return (((2, c), min(size, spec.trials - first))
+            for c, first in enumerate(range(0, spec.trials, size)))
 
 
-def trial_counts(spec: AllocationSpec, trial: int) -> np.ndarray:
-    """Box counts of one trial; deterministic in (spec.seed, trial).
+def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> np.ndarray:
+    """Box counts of one chunk: `trials` trials drawn in one call from the
+    stream (spec.seed, key), one row each; boxes a row does not list are
+    empty.
 
-    For the uniform multinomial the array holds the counts of the occupied
-    boxes only, in box order (empty boxes are left out, so it sums to
-    n_balls and has no zero entry); Dirichlet trials return all n_boxes
-    entries since every box carries its own weight.
+    Rows list all n_boxes boxes in box order, except for the uniform
+    multinomial with fewer balls than boxes: there a row has one entry per
+    ball, the count of each occupied box at its first ball and zeros
+    elsewhere, so no array is as wide as the mostly empty boxes.
     """
     import numpy as np
-    rng = _trial_rng(spec.seed, trial)
-    if spec.kind == "multinomial":
-        if spec.n_balls >= spec.n_boxes:
-            # the draws are freed before filtering, so peak memory stays at
-            # draws + one box array
-            counts = np.bincount(rng.integers(0, spec.n_boxes, size=spec.n_balls))
-            return counts[counts > 0]
-        # fewer balls than boxes: run lengths of the sorted draws, with no
-        # pass over the mostly empty boxes
-        draws = rng.integers(0, spec.n_boxes, size=spec.n_balls)
-        draws.sort()
-        run_edge = np.ones(spec.n_balls + 1, dtype=bool)
-        np.not_equal(draws[1:], draws[:-1], out=run_edge[1:-1])
-        edges = run_edge.nonzero()[0]
-        return edges[1:] - edges[:-1]
-    weights = rng.gamma(spec.r, 1.0, size=spec.n_boxes)
-    weights /= weights.sum()
-    return rng.multinomial(spec.n_balls, weights)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
+    if spec.kind == "dirichlet":
+        weights = rng.gamma(spec.r, 1.0, size=(trials, spec.n_boxes))
+        weights /= weights.sum(axis=1, keepdims=True)
+        return rng.multinomial(spec.n_balls, weights)
+    draws = rng.integers(0, spec.n_boxes, size=(trials, spec.n_balls))
+    if spec.n_balls >= spec.n_boxes:
+        # one bincount over the chunk, each trial's boxes at its own offset
+        # (a chunk of one trial, as every spec drawing more than CHUNK_DRAWS
+        # balls has, needs none)
+        if trials > 1:
+            draws += np.arange(0, trials * spec.n_boxes, spec.n_boxes)[:, None]
+        return np.bincount(draws.ravel(), minlength=trials * spec.n_boxes).reshape(
+            trials, spec.n_boxes)
+    # run lengths of each trial's sorted draws
+    draws.sort(axis=1)
+    run_start = np.ones(draws.shape, dtype=bool)
+    np.not_equal(draws[:, 1:], draws[:, :-1], out=run_start[:, 1:])
+    starts = run_start.ravel().nonzero()[0]
+    counts = np.zeros(draws.size, dtype=np.int64)
+    counts[starts] = np.diff(starts, append=draws.size)
+    return counts.reshape(draws.shape)
+
+
+def _holding_at_least(counts: np.ndarray, v: int, n_boxes: int) -> np.ndarray:
+    """Boxes of each trial (row) holding at least v balls; a box the row
+    does not list holds 0."""
+    import numpy as np
+    if v <= 0:
+        return np.full(counts.shape[0], n_boxes)
+    return np.count_nonzero(counts >= v, axis=1)
 
 
 def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
     """Run spec.trials allocations and tally maxima, ties and occupancy.
 
-    Each trial is read from its occupancy histogram: occ[v] is the number
-    of boxes holding exactly v balls, empty boxes included.
+    Each chunk of trials is tallied from its box-count matrix (see
+    `trial_counts`), with no per-trial Python.
     """
     import numpy as np
     if spec.n_boxes * spec.trials > MAX_BOX_TALLIES:
@@ -131,29 +175,24 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
             f"n_boxes * trials = {spec.n_boxes * spec.trials} box tallies, "
             f"more than the limit {MAX_BOX_TALLIES}")
     m = prof.m_n
-    max_hist: dict = {}
-    tie_hist: dict = {}
-    ge_hist: dict = {}
+    max_hist, tie_hist, ge_hist = Counter(), Counter(), Counter()
     cluster = 0
     top_two_total = 0
-    for t in range(spec.trials):
-        counts = trial_counts(spec, t)
-        occ = np.bincount(counts, minlength=1).tolist()
-        occ[0] += spec.n_boxes - counts.size
-        # free the box array before the next trial draws: one held across
-        # trials fragments the heap and raises peak memory on dense specs
+    for key, size in _chunks(spec):
+        counts = trial_counts(spec, key, size)  # the module global: tracers patch it
+        mx = counts.max(axis=1, initial=0)
+        # a maximum of 0 leaves every box empty
+        at_max = np.where(mx > 0, np.count_nonzero(counts == mx[:, None], axis=1), spec.n_boxes)
+        ge_anchor = _holding_at_least(counts, m, spec.n_boxes)
+        max_hist.update(mx.tolist())
+        tie_hist.update((at_max - 1).tolist())
+        ge_hist.update(ge_anchor.tolist())
+        cluster += int(np.count_nonzero((mx == m) | (mx == m + 1)))
+        # boxes holding m or m + 1 balls
+        top_two_total += int((ge_anchor - _holding_at_least(counts, m + 2, spec.n_boxes)).sum())
+        # free the box counts before the next chunk draws: an array held
+        # across chunks fragments the heap and raises peak memory on dense specs
         del counts
-
-        mx = len(occ) - 1
-        ties = occ[mx] - 1
-        ge_anchor = sum(occ[max(m, 0):])
-
-        max_hist[mx] = max_hist.get(mx, 0) + 1
-        tie_hist[ties] = tie_hist.get(ties, 0) + 1
-        ge_hist[ge_anchor] = ge_hist.get(ge_anchor, 0) + 1
-        if mx in (m, m + 1):
-            cluster += 1
-        top_two_total += sum(occ[v] for v in (m, m + 1) if 0 <= v <= mx)
 
     return AllocationSummary(
         max_histogram=dict(sorted(max_hist.items())),

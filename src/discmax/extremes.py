@@ -297,8 +297,11 @@ def tie_distribution(prof: ExtremalProfile, t_max: int) -> TieDistribution:
     """Tie-count law at the maximum in the gamma = 0 regime.
 
     The N ~ Poisson(theta_n) samples above m_n sit at m_n + 1, so t ties
-    means N = t + 1: exactly(t) = e^-theta theta^(t+1)/(t+1)!, taken from
-    the saddle-point pmf, and at_least(k) = p_n + P(N >= k + 1), k >= 1.
+    means N = t + 1: exactly(t) = e^-theta theta^(t+1)/(t+1)!, one
+    saddle-point pmf at the cell nearest the mode, clamp(floor(theta) - 1,
+    0, t_max), and the others from it by the term ratio
+    exactly(t + 1) / exactly(t) = theta / (t + 2).  at_least(k) = p_n +
+    P(N >= k + 1), k >= 1.
     P(N >= t_max + 2) comes from the lower incomplete gamma and the rest
     by adding exactly(t) downward, so no cell is a difference.  For theta
     in {0, inf} (p in {1, 0}) every exactly is 0 and every at_least is 1:
@@ -312,7 +315,15 @@ def tie_distribution(prof: ExtremalProfile, t_max: int) -> TieDistribution:
     if not 0.0 < theta < math.inf:
         return TieDistribution(p_n=prof.p_n, at_least=dict.fromkeys(range(t_max + 2), 1.0),
                                exactly=dict.fromkeys(range(t_max + 1), 0.0), t_max=t_max)
-    exactly = {t: math.exp(log_poisson_pmf(t + 1, theta)) for t in range(t_max + 1)}
+    # every ratio taken walks away from the mode, so it is at most 1
+    anchor = min(max(math.floor(theta) - 1, 0), t_max)
+    cells = [0.0] * (t_max + 1)
+    cells[anchor] = math.exp(log_poisson_pmf(anchor + 1, theta))
+    for t in range(anchor, t_max):
+        cells[t + 1] = cells[t] * theta / (t + 2)
+    for t in range(anchor, 0, -1):
+        cells[t - 1] = cells[t] * (t + 1) / theta
+    exactly = dict(enumerate(cells))
     beyond = math.exp(reg_gamma_p_log(t_max + 2.0, theta))  # P(N >= t_max + 2)
     # capped at at_least[0] = 1: where P(N = 1) is below the rounding of
     # the sums, p_n + P(N >= 2) can round above 1

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discmax import allocsim
 from discmax.allocsim import (
+    CHUNK_DRAWS,
     KINDS,
     AllocationSpec,
     AllocationSummary,
     MemoryBudgetError,
+    _chunks,
     enumerate_conditional,
     matched_model,
     merging_report,
@@ -87,6 +93,43 @@ ORACLE_CASES = {
 }
 
 
+def reference_rows(spec, key, size) -> list:
+    """Reference for trial_counts: the chunk's draws, each trial's counts
+    of all n_boxes boxes by its own bincount or multinomial call."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
+    if spec.kind == "multinomial":
+        return [np.bincount(d, minlength=spec.n_boxes)
+                for d in rng.integers(0, spec.n_boxes, size=(size, spec.n_balls))]
+    weights = rng.gamma(spec.r, 1.0, size=(size, spec.n_boxes))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return [rng.multinomial(spec.n_balls, w) for w in weights]
+
+
+def reference_summary(spec, prof) -> AllocationSummary:
+    """Reference for simulate: the same chunks and draws, tallied in Python
+    one trial at a time from its occupancy list, as before chunking."""
+    m = prof.m_n
+    max_hist, tie_hist, ge_hist = {}, {}, {}
+    cluster = top_two_total = 0
+    for key, size in _chunks(spec):
+        for counts in reference_rows(spec, key, size):
+            occ = np.bincount(counts).tolist()
+            mx = len(occ) - 1
+            ge_anchor = sum(occ[max(m, 0):])
+            max_hist[mx] = max_hist.get(mx, 0) + 1
+            tie_hist[occ[mx] - 1] = tie_hist.get(occ[mx] - 1, 0) + 1
+            ge_hist[ge_anchor] = ge_hist.get(ge_anchor, 0) + 1
+            cluster += mx in (m, m + 1)
+            top_two_total += sum(occ[v] for v in (m, m + 1) if 0 <= v <= mx)
+    return AllocationSummary(
+        max_histogram=dict(sorted(max_hist.items())),
+        tie_histogram=dict(sorted(tie_hist.items())),
+        cluster_freq=cluster / spec.trials,
+        mean_top_two_occupancy=top_two_total / spec.trials,
+        ge_anchor_histogram=dict(sorted(ge_hist.items())),
+        trials=spec.trials)
+
+
 class TestAllocationSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -102,33 +145,144 @@ class TestAllocationSpec:
                 AllocationSpec(n_boxes=2, n_balls=1, kind="dirichlet", trials=1, seed=0, r=r)
         AllocationSpec(n_boxes=2, n_balls=1, kind="dirichlet", trials=1, seed=0, r=0.5)
 
+    def test_stream_version(self):
+        spec = AllocationSpec(n_boxes=2, n_balls=1, kind="multinomial", trials=1, seed=0)
+        assert spec.stream_version == 2
+        AllocationSpec(n_boxes=2, n_balls=1, kind="multinomial", trials=1, seed=0,
+                       stream_version=1)
+        for bad in (0, 3, -1, "2", None):
+            with pytest.raises(ValueError, match="stream_version"):
+                AllocationSpec(n_boxes=2, n_balls=1, kind="multinomial", trials=1, seed=0,
+                               stream_version=bad)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("n_boxes,n_balls,kind,r,trials", [
+        (50, 20, "multinomial", None, 5000), (20, 60, "multinomial", None, 1),
+        (10, 0, "multinomial", None, 20000), (30, 45, "dirichlet", 0.7, 999),
+        (100_000, 10 ** 6, "multinomial", None, 3)])
+    def test_version_2_plan(self, n_boxes, n_balls, kind, r, trials):
+        spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
+                              seed=0, r=r)
+        plan = list(_chunks(spec))
+        assert [key for key, _ in plan] == [(2, c) for c in range(len(plan))]
+        assert sum(size for _, size in plan) == trials
+        draws = n_balls if kind == "multinomial" else 2 * n_boxes
+        full = max(1, CHUNK_DRAWS // max(draws, 1))
+        assert all(size == full for _, size in plan[:-1]) and 1 <= plan[-1][1] <= full
+
+    def test_version_1_plan_is_one_trial_per_key(self):
+        spec = AllocationSpec(n_boxes=5, n_balls=9, kind="multinomial", trials=7, seed=0,
+                              stream_version=1)
+        assert list(_chunks(spec)) == [((t,), 1) for t in range(7)]
+
 
 class TestTrialCounts:
-    def test_conservation(self):
-        for kind, r in (("multinomial", None), ("dirichlet", 1.5)):
-            spec = AllocationSpec(n_boxes=7, n_balls=23, kind=kind, trials=1, seed=11, r=r)
-            for t in range(25):
-                counts = trial_counts(spec, t)
-                assert int(counts.sum()) == 23
+    @pytest.mark.parametrize("n_boxes,n_balls,kind,r", [
+        (7, 23, "multinomial", None), (50, 20, "multinomial", None), (8, 8, "multinomial", None),
+        (10, 0, "multinomial", None), (7, 23, "dirichlet", 1.5), (10, 0, "dirichlet", 1.5)])
+    def test_rows_conserve_balls(self, n_boxes, n_balls, kind, r):
+        spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1, seed=11,
+                              r=r)
+        counts = trial_counts(spec, (2, 3), 25)
+        width = n_balls if kind == "multinomial" and n_balls < n_boxes else n_boxes
+        assert counts.shape == (25, width)
+        assert (counts.sum(axis=1) == n_balls).all() and (counts >= 0).all()
 
-    @pytest.mark.parametrize("n_boxes,n_balls", [(50, 20), (20, 60), (8, 8), (10, 0)])
-    def test_multinomial_returns_occupied_boxes(self, n_boxes, n_balls):
-        spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind="multinomial",
-                              trials=1, seed=41)
-        for t in range(20):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=41, spawn_key=(t,)))
-            dense = np.bincount(rng.integers(0, n_boxes, size=n_balls), minlength=n_boxes)
-            counts = trial_counts(spec, t)
-            assert counts.tolist() == dense[dense > 0].tolist()
-            assert int(counts.sum()) == n_balls
+    @pytest.mark.parametrize("n_boxes,n_balls,kind,r", [
+        (50, 20, "multinomial", None), (20, 60, "multinomial", None),
+        (8, 8, "multinomial", None), (10, 0, "multinomial", None), (30, 45, "dirichlet", 0.7)])
+    def test_matches_per_trial_bincounts(self, n_boxes, n_balls, kind, r):
+        # the occupied boxes' counts in box order, and every box where a row
+        # lists them all
+        spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1, seed=41,
+                              r=r)
+        for key, size in (((4,), 1), ((2, 0), 13), ((2, 7), 13)):
+            rows = reference_rows(spec, key, size)
+            counts = trial_counts(spec, key, size)
+            assert counts.shape[0] == size
+            for got, ref in zip(counts, rows):
+                assert got[got > 0].tolist() == ref[ref > 0].tolist(), key
+                if counts.shape[1] == n_boxes:
+                    assert got.tolist() == ref.tolist(), key
 
-    def test_deterministic_per_trial(self):
+    def test_deterministic_per_key(self):
         spec = AllocationSpec(n_boxes=5, n_balls=9, kind="multinomial", trials=1, seed=3)
-        a = trial_counts(spec, 4)
-        b = trial_counts(spec, 4)
-        assert (a == b).all()
-        c = trial_counts(spec, 5)
+        a = trial_counts(spec, (2, 4), 10)
+        assert (a == trial_counts(spec, (2, 4), 10)).all()
+        c = trial_counts(spec, (2, 5), 10)
         assert a.shape != c.shape or not (a == c).all()
+        # a version-2 key is not the version-1 key of the same index
+        d = trial_counts(spec, (4,), 10)
+        assert a.shape != d.shape or not (a == d).all()
+
+
+# (spec, anchor (n_boxes, n_balls), version-1 summary, version-2 summary);
+# the version-1 summaries predate the chunk kernel, the version-2 ones pin
+# the new stream
+PINNED = {
+    "multinomial_sparse": (
+        dict(n_boxes=50, n_balls=20, kind="multinomial", trials=200, seed=12345), (50, 20),
+        AllocationSummary(
+            max_histogram={1: 4, 2: 130, 3: 64, 4: 2},
+            tie_histogram={0: 85, 1: 33, 2: 30, 3: 33, 4: 12, 5: 2, 6: 1, 19: 4},
+            cluster_freq=0.97, mean_top_two_occupancy=3.0,
+            ge_anchor_histogram={0: 4, 1: 25, 2: 39, 3: 57, 4: 52, 5: 19, 6: 3, 7: 1},
+            trials=200),
+        AllocationSummary(
+            max_histogram={1: 3, 2: 145, 3: 45, 4: 7},
+            tie_histogram={0: 67, 1: 43, 2: 48, 3: 29, 4: 6, 5: 4, 19: 3},
+            cluster_freq=0.95, mean_top_two_occupancy=2.89,
+            ge_anchor_histogram={0: 3, 1: 29, 2: 39, 3: 64, 4: 44, 5: 16, 6: 5},
+            trials=200)),
+    "multinomial_dense": (
+        dict(n_boxes=20, n_balls=60, kind="multinomial", trials=200, seed=2024), (20, 60),
+        AllocationSummary(
+            max_histogram={5: 22, 6: 68, 7: 74, 8: 26, 9: 8, 10: 2},
+            tie_histogram={0: 137, 1: 39, 2: 12, 3: 8, 4: 4},
+            cluster_freq=0.45, mean_top_two_occupancy=2.995,
+            ge_anchor_histogram={1: 4, 2: 23, 3: 66, 4: 62, 5: 35, 6: 8, 7: 2},
+            trials=200),
+        AllocationSummary(
+            max_histogram={4: 1, 5: 24, 6: 81, 7: 53, 8: 28, 9: 7, 10: 6},
+            tie_histogram={0: 129, 1: 44, 2: 16, 3: 6, 4: 3, 5: 2},
+            cluster_freq=0.525, mean_top_two_occupancy=3.1,
+            ge_anchor_histogram={0: 1, 1: 5, 2: 23, 3: 58, 4: 72, 5: 28, 6: 12, 7: 1},
+            trials=200)),
+    "dirichlet": (
+        dict(n_boxes=30, n_balls=45, kind="dirichlet", trials=150, seed=77, r=0.7), (30, 45),
+        AllocationSummary(
+            max_histogram={4: 1, 5: 8, 6: 33, 7: 28, 8: 31, 9: 18, 10: 14, 11: 7, 12: 4,
+                           13: 2, 14: 2, 17: 1, 19: 1},
+            tie_histogram={0: 125, 1: 18, 2: 5, 3: 1, 4: 1},
+            cluster_freq=1 / 150, mean_top_two_occupancy=4.12,
+            ge_anchor_histogram={4: 4, 5: 23, 6: 37, 7: 48, 8: 27, 9: 8, 10: 3},
+            trials=150),
+        AllocationSummary(
+            max_histogram={4: 1, 5: 7, 6: 18, 7: 32, 8: 27, 9: 22, 10: 11, 11: 10, 12: 7,
+                           13: 9, 14: 3, 15: 2, 16: 1},
+            tie_histogram={0: 126, 1: 19, 2: 5},
+            cluster_freq=1 / 150, mean_top_two_occupancy=559 / 150,
+            ge_anchor_histogram={3: 1, 4: 9, 5: 24, 6: 45, 7: 45, 8: 19, 9: 6, 10: 1},
+            trials=150)),
+    "zero_balls": (
+        dict(n_boxes=10, n_balls=0, kind="multinomial", trials=20, seed=0), (10, 5),
+        AllocationSummary(
+            max_histogram={0: 20}, tie_histogram={9: 20}, cluster_freq=0.0,
+            mean_top_two_occupancy=0.0, ge_anchor_histogram={0: 20}, trials=20),
+        AllocationSummary(
+            max_histogram={0: 20}, tie_histogram={9: 20}, cluster_freq=0.0,
+            mean_top_two_occupancy=0.0, ge_anchor_histogram={0: 20}, trials=20)),
+    # anchor m_n = 0: every box counts as holding at least m_n
+    "anchor_zero": (
+        dict(n_boxes=20, n_balls=3, kind="multinomial", trials=100, seed=5), (20, 1),
+        AllocationSummary(
+            max_histogram={1: 90, 2: 10}, tie_histogram={0: 10, 2: 90}, cluster_freq=0.9,
+            mean_top_two_occupancy=19.9, ge_anchor_histogram={20: 100}, trials=100),
+        AllocationSummary(
+            max_histogram={1: 78, 2: 21, 3: 1}, tie_histogram={0: 22, 2: 78}, cluster_freq=0.78,
+            mean_top_two_occupancy=19.78, ge_anchor_histogram={20: 100}, trials=100)),
+}
 
 
 class TestSimulate:
@@ -161,48 +315,89 @@ class TestSimulate:
         assert s.max_histogram == {0: 20}
         assert s.tie_histogram == {9: 20}  # all ten boxes tie at zero
 
-    # summaries computed before simulate read occupancy histograms; the
-    # rewrite must reproduce them exactly
-    @pytest.mark.parametrize("spec,anchor_spec,want", [
-        (AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=200, seed=12345),
-         (50, 20),
-         AllocationSummary(
-             max_histogram={1: 4, 2: 130, 3: 64, 4: 2},
-             tie_histogram={0: 85, 1: 33, 2: 30, 3: 33, 4: 12, 5: 2, 6: 1, 19: 4},
-             cluster_freq=0.97, mean_top_two_occupancy=3.0,
-             ge_anchor_histogram={0: 4, 1: 25, 2: 39, 3: 57, 4: 52, 5: 19, 6: 3, 7: 1},
-             trials=200)),
-        (AllocationSpec(n_boxes=20, n_balls=60, kind="multinomial", trials=200, seed=2024),
-         (20, 60),
-         AllocationSummary(
-             max_histogram={5: 22, 6: 68, 7: 74, 8: 26, 9: 8, 10: 2},
-             tie_histogram={0: 137, 1: 39, 2: 12, 3: 8, 4: 4},
-             cluster_freq=0.45, mean_top_two_occupancy=2.995,
-             ge_anchor_histogram={1: 4, 2: 23, 3: 66, 4: 62, 5: 35, 6: 8, 7: 2},
-             trials=200)),
-        (AllocationSpec(n_boxes=30, n_balls=45, kind="dirichlet", trials=150, seed=77, r=0.7),
-         (30, 45),
-         AllocationSummary(
-             max_histogram={4: 1, 5: 8, 6: 33, 7: 28, 8: 31, 9: 18, 10: 14, 11: 7, 12: 4,
-                            13: 2, 14: 2, 17: 1, 19: 1},
-             tie_histogram={0: 125, 1: 18, 2: 5, 3: 1, 4: 1},
-             cluster_freq=1 / 150, mean_top_two_occupancy=4.12,
-             ge_anchor_histogram={4: 4, 5: 23, 6: 37, 7: 48, 8: 27, 9: 8, 10: 3},
-             trials=150)),
-        (AllocationSpec(n_boxes=10, n_balls=0, kind="multinomial", trials=20, seed=0),
-         (10, 5),
-         AllocationSummary(
-             max_histogram={0: 20}, tie_histogram={9: 20}, cluster_freq=0.0,
-             mean_top_two_occupancy=0.0, ge_anchor_histogram={0: 20}, trials=20)),
-        (AllocationSpec(n_boxes=20, n_balls=3, kind="multinomial", trials=100, seed=5),
-         (20, 1),  # anchor m_n = 0: every box counts as holding at least m_n
-         AllocationSummary(
-             max_histogram={1: 90, 2: 10}, tie_histogram={0: 10, 2: 90}, cluster_freq=0.9,
-             mean_top_two_occupancy=19.9, ge_anchor_histogram={20: 100}, trials=100)),
-    ], ids=["multinomial_sparse", "multinomial_dense", "dirichlet", "zero_balls",
-            "anchor_zero"])
-    def test_pinned_summary(self, spec, anchor_spec, want):
-        assert simulate(spec, asym_profile(*anchor_spec)) == want
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_pinned_summary(self, name, version):
+        spec, anchor, *want = PINNED[name]
+        spec = AllocationSpec(**spec, stream_version=version)
+        assert simulate(spec, asym_profile(*anchor)) == want[version - 1]
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("n_boxes,n_balls,kind,r,trials", [
+        (50, 20, "multinomial", None, 2500),   # fewer balls than boxes, 3 chunks
+        (20, 20, "multinomial", None, 1000),   # as many balls as boxes
+        (20, 60, "multinomial", None, 300),
+        (10, 0, "multinomial", None, 30),
+        (30, 45, "dirichlet", 0.7, 200),
+        (400, 4, "multinomial", None, 1),
+        (12, 40, "dirichlet", 2.0, 1),
+    ])
+    def test_matches_per_trial_reference(self, version, n_boxes, n_balls, kind, r, trials):
+        spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
+                              seed=321, r=r, stream_version=version)
+        for anchor in ((20, 1), (50, 20), (20, 60)):  # m_n = 0, 2 and 5
+            prof = asym_profile(*anchor)
+            assert simulate(spec, prof) == reference_summary(spec, prof), anchor
+
+    @pytest.mark.parametrize("kind,r", [("multinomial", None), ("dirichlet", 1.0)])
+    def test_version_2_max_law_at_4_boxes_8_balls(self, kind, r):
+        # every max value's frequency within 5 binomial sigma of the exact
+        # law; 5000 trials are 2 full chunks of 2048 and one of 904
+        trials = 5000
+        spec = AllocationSpec(n_boxes=4, n_balls=8, kind=kind, trials=trials, seed=2718, r=r)
+        assert [size for _, size in _chunks(spec)] == [2048, 2048, 904]
+        law: dict = {}
+        for key, (prob, _) in enumerate_conditional(4, 8, kind, r=r or 1.0).items():
+            law[key[0]] = law.get(key[0], 0.0) + prob
+        s = simulate(spec, asym_profile(4, 8))
+        assert set(s.max_histogram) <= set(law)
+        for value, prob in law.items():
+            f = s.max_histogram.get(value, 0) / trials
+            sigma = math.sqrt(prob * (1.0 - prob) / trials)
+            assert abs(f - prob) <= 5.0 * sigma, (value, f, prob)
+
+    def test_single_trial(self):
+        for kind, r in (("multinomial", None), ("dirichlet", 1.0)):
+            spec = AllocationSpec(n_boxes=30, n_balls=12, kind=kind, trials=1, seed=4, r=r)
+            s = simulate(spec, asym_profile(30, 12))
+            assert s.trials == 1 and sum(s.max_histogram.values()) == 1
+            assert s.cluster_freq in (0.0, 1.0)
+
+    def test_goes_through_the_module_kernel_once_per_chunk(self, monkeypatch):
+        # the traced benchmark patches allocsim.trial_counts to time it
+        calls = []
+
+        def counting(spec, key, trials):
+            calls.append((key, trials))
+            return kernel(spec, key, trials)
+
+        kernel = allocsim.trial_counts
+        monkeypatch.setattr(allocsim, "trial_counts", counting)
+        spec = AllocationSpec(n_boxes=16000, n_balls=160, kind="multinomial", trials=3000,
+                              seed=8)
+        per_chunk = CHUNK_DRAWS // 160
+        want = simulate(spec, asym_profile(16000, 160))
+        assert len(calls) == -(-3000 // per_chunk)
+        assert calls == list(_chunks(spec))
+        monkeypatch.setattr(allocsim, "trial_counts", kernel)
+        assert simulate(spec, asym_profile(16000, 160)) == want
+
+        calls.clear()
+        monkeypatch.setattr(allocsim, "trial_counts", counting)
+        simulate(AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=9, seed=8,
+                                stream_version=1), asym_profile(50, 20))
+        assert calls == [((t,), 1) for t in range(9)]
+
+    def test_import_leaves_numpy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, discmax\n"
+             "from discmax import allocsim\n"
+             "assert callable(allocsim.__dict__['trial_counts'])\n"
+             "assert 'numpy' not in sys.modules, 'import discmax loaded numpy'\n"],
+            capture_output=True, text=True, timeout=60, check=False,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
 
     def test_memory_budget(self):
         spec = AllocationSpec(n_boxes=10 ** 6, n_balls=1, kind="multinomial",
