@@ -10,17 +10,14 @@ multinomial, negative binomial for the Dirichlet mixture), which is what
 limiting law of the matched model: gamma = 0 (Poisson) for the
 multinomial, 0 < gamma < 1 (negative binomial) for the Dirichlet mixture.
 
-Reproducibility: ``simulate`` draws its trials in chunks, each chunk from
-its own stream ``SeedSequence(entropy=seed, spawn_key=key)``, so results
-are bit-identical for a given spec.  Two stream versions exist:
-
-* version 2 (the default) draws up to CHUNK_DRAWS variates per chunk,
-  under the key (2, chunk_index); CHUNK_DRAWS is part of its definition;
-* version 1 is the original one-stream-per-trial scheme: chunks of one
-  trial under the key (trial_index,).  It reproduces summaries made
-  before version 2 existed.
-
-Both run the same chunk kernel ``trial_counts``.
+Reproducibility: ``simulate`` draws its trials in chunks of at most
+CHUNK_DRAWS variates (at least one trial each), chunk c from the stream
+``SeedSequence(entropy=seed, spawn_key=(2, c))``, and counts every chunk
+with one kernel, ``trial_counts``; results are bit-identical for a given
+spec.  This is stream version 2, named by the key's first word, and
+CHUNK_DRAWS is part of its definition.  Version 1 (one stream per trial)
+is gone, so summaries made before version 2 can no longer be reproduced;
+a future scheme takes a new first word.
 
 numpy is imported inside the functions that draw or tally samples, so
 importing this module (and the package) does not load it.
@@ -44,14 +41,12 @@ ENUMERATION_MAX_BOXES = 6
 ENUMERATION_MAX_BALLS = 12
 
 # simulate refuses specs whose n_boxes x trials box tallies exceed this;
-# it also keeps every trial index below 2^32, one word of a spawn key
+# it also keeps every chunk index below 2^32, one word of a spawn key
 MAX_BOX_TALLIES = 2_000_000_000
 
-STREAM_VERSIONS = (1, 2)
-
-# variates one version-2 chunk draws at most (a chunk holds at least one
-# trial); chosen by peak memory: on the allocation benchmark 2^16 raised
-# peak RSS by ~2 % and 2^17 by up to 9 %, 2^14 and 2^15 by under 1 %
+# variates one chunk draws at most (a chunk holds at least one trial);
+# chosen by peak memory: on the allocation benchmark 2^16 raised peak RSS
+# by ~2 % and 2^17 by up to 9 %, 2^14 and 2^15 by under 1 %
 CHUNK_DRAWS = 2 ** 14
 
 # tie phase-transition depths ceil(c z_n) checked by merging_report
@@ -70,7 +65,6 @@ class AllocationSpec:
     trials: int
     seed: int
     r: float | None = None
-    stream_version: int = 2
 
     def __post_init__(self) -> None:
         if self.n_boxes < 1:
@@ -84,9 +78,10 @@ class AllocationSpec:
         if self.kind == "dirichlet":
             if self.r is None or not 0.0 < self.r < math.inf:  # also rejects nan
                 raise ValueError(f"dirichlet allocations need a positive finite r, got {self.r}")
-        if self.stream_version not in STREAM_VERSIONS:
-            raise ValueError(f"stream_version must be one of {STREAM_VERSIONS}, "
-                             f"got {self.stream_version!r}")
+        elif self.r is not None:
+            raise ValueError(f"multinomial allocations take no r, got {self.r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +102,7 @@ class AllocationSummary:
 
 
 def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
-    """(spawn key, trials) of each chunk of spec's stream version, in trial
-    order; lazily, as version 1 has one chunk per trial."""
-    if spec.stream_version == 1:
-        return (((t,), 1) for t in range(spec.trials))
+    """(spawn key, trials) of each chunk, in trial order."""
     # variates per trial: one integer per ball, or one gamma weight and
     # one binomial per box
     per_trial = spec.n_balls if spec.kind == "multinomial" else 2 * spec.n_boxes

@@ -190,6 +190,8 @@ def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:
     import numpy as np
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
     model = fit.to_model() if isinstance(fit, NBFit) else fit
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     out: dict = {}

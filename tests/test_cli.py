@@ -350,6 +350,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"positive finite r, got {r}" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_multinomial_r_usage_error(self, capsys, fmt):
+        # r belongs to the Dirichlet mixture; it was ignored and echoed in the spec
+        code = main(["simulate", "--kind", "multinomial", "--r", "5", "--boxes", "10",
+                     "--balls", "5", "--trials", "5", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "usage error: multinomial allocations take no r, got 5.0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--boxes", "10", "--balls", "5", "--trials", "5"],
+        ["simulate", "--kind", "dirichlet", "--r", "1", "--boxes", "10", "--balls", "5",
+         "--trials", "5"],
+        ["fit", "--block", "4", "--trials", "5"]])
+    def test_negative_seed_usage_error(self, capsys, tmp_path, argv):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("0\n1\n0\n3\n2\n0\n0\n1\n", encoding="utf-8")
+        if argv[0] == "fit":
+            argv = argv + ["--input", str(counts)]
+        code = main(argv + ["--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "usage error: seed must be a nonnegative int, got -1\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empirical_gamma_not_estimable_usage_error(self, capsys, fmt):

@@ -259,6 +259,15 @@ class TestSimulateDailyMax:
         with pytest.raises(ValueError, match="cannot simulate from model"):
             simulate_daily_max(model, 24, trials=10, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_refuses_seed_not_a_nonnegative_int(self, monkeypatch, seed):
+        def no_draws(*args):
+            raise AssertionError("drew before refusing the seed")
+
+        monkeypatch.setattr(PoissonModel, "sample", no_draws)
+        with pytest.raises(ValueError, match="seed must be a nonnegative int"):
+            simulate_daily_max(PoissonModel(1.2), 24, trials=10, seed=seed)
+
     def test_reproducible(self):
         fit = NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True)
         a = simulate_daily_max(fit, 24, trials=5000, seed=42)
