@@ -6,18 +6,17 @@ symmetric Dirichlet mixture of multinomials.  Both admit a conditional
 representation by i.i.d. counts given their sum (Poisson for the
 multinomial, negative binomial for the Dirichlet mixture), which is what
 ``enumerate_conditional`` verifies exactly on small instances and what
-``simulate``/``merging_report`` check statistically at scale against the
-limiting law of the matched model: gamma = 0 (Poisson) for the
-multinomial, 0 < gamma < 1 (negative binomial) for the Dirichlet mixture.
+``simulate`` checks statistically at scale.  ``comparison_tables`` is the
+one source of every theory cell set against a simulation: the limiting
+law of the matched model, gamma = 0 (Poisson) for the multinomial and
+0 < gamma < 1 (negative binomial) for the Dirichlet mixture.
 
 Reproducibility: ``simulate`` draws its trials in chunks of at most
 CHUNK_DRAWS variates (at least one trial each), chunk c from the stream
 ``SeedSequence(entropy=seed, spawn_key=(2, c))``, and counts every chunk
 with one kernel, ``trial_counts``; results are bit-identical for a given
-spec.  This is stream version 2, named by the key's first word, and
-CHUNK_DRAWS is part of its definition.  Version 1 (one stream per trial)
-is gone, so summaries made before version 2 can no longer be reproduced;
-a future scheme takes a new first word.
+spec.  This is stream version 2, named by the key's first word (a future
+scheme takes a new one), and CHUNK_DRAWS is part of its definition.
 
 numpy is imported inside the functions that draw or tally samples, so
 importing this module (and the package) does not load it.
@@ -168,7 +167,6 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
             f"more than the limit {MAX_BOX_TALLIES}")
     m = prof.m_n
     max_hist, tie_hist, ge_hist = Counter(), Counter(), Counter()
-    cluster = 0
     top_two_total = 0
     for key, size in _chunks(spec):
         counts = trial_counts(spec, key, size)  # the module global: tracers patch it
@@ -179,7 +177,6 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
         max_hist.update(mx.tolist())
         tie_hist.update((at_max - 1).tolist())
         ge_hist.update(ge_anchor.tolist())
-        cluster += int(np.count_nonzero((mx == m) | (mx == m + 1)))
         # boxes holding m or m + 1 balls
         top_two_total += int((ge_anchor - _holding_at_least(counts, m + 2, spec.n_boxes)).sum())
         # free the box counts before the next chunk draws: an array held
@@ -189,7 +186,7 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
     return AllocationSummary(
         max_histogram=dict(sorted(max_hist.items())),
         tie_histogram=dict(sorted(tie_hist.items())),
-        cluster_freq=cluster / spec.trials,
+        cluster_freq=(max_hist[m] + max_hist[m + 1]) / spec.trials,
         mean_top_two_occupancy=top_two_total / spec.trials,
         ge_anchor_histogram=dict(sorted(ge_hist.items())),
         trials=spec.trials,
@@ -278,45 +275,56 @@ def merging_report(spec: AllocationSpec, prof: ExtremalProfile, t_max: int = 3, 
     sqrt(f(1-f)/trials) where a frequency is being estimated.  The max
     rows read the regime's limiting law; tie and phase rows need gamma = 0.
     """
+    return comparison_tables(spec, prof, t_max, summary=summary)["merging"]
+
+
+def comparison_tables(spec: AllocationSpec, prof: ExtremalProfile, t_max: int = 3, *,
+                      summary: AllocationSummary) -> dict:
+    """Every empirical-vs-theory row of a simulated allocation, by table:
+    "max" and "ties" hold one row (quantity = value, plus its raw "count")
+    per simulated maximum v and tie count t, against the limiting law at
+    v - m_n and the gamma = 0 tie law (None past t_max); "merging" holds the
+    `merging_report` rows, made by the same two row builders."""
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     trials = summary.trials
     m = prof.m_n
+    # the module global: tracers patch it
+    tie_law = tie_distribution(prof, t_max).exactly if prof.regime is Regime.GAMMA_ZERO else {}
 
-    def freq(hist: dict, value: int) -> float:
-        return hist.get(value, 0) / trials
+    def max_row(quantity, v: int) -> dict:
+        return _comparison_row(quantity, v, summary.max_histogram.get(v, 0) / trials,
+                               limiting_max_pmf(prof, v - m), trials)
 
-    gamma_zero = prof.regime is Regime.GAMMA_ZERO
-    rows = [comparison_row(quantity, m + x, freq(summary.max_histogram, m + x),
-                           limiting_max_pmf(prof, x), trials)
-            for x, quantity in enumerate(("max_eq_anchor", "max_eq_anchor_plus_1"))]
-    rows.append(comparison_row("max_in_cluster", (m, m + 1), summary.cluster_freq, None, trials))
+    def ties_row(quantity, t: int) -> dict:
+        return _comparison_row(quantity, t, summary.tie_histogram.get(t, 0) / trials,
+                               tie_law.get(t), trials)
 
-    ties = tie_distribution(prof, t_max) if gamma_zero else None
-    for t in range(t_max + 1):
-        theory = ties.exactly[t] if ties is not None else None
-        rows.append(comparison_row(f"ties_eq_{t}", t, freq(summary.tie_histogram, t), theory,
-                                   trials))
+    rows = [max_row("max_eq_anchor", m), max_row("max_eq_anchor_plus_1", m + 1),
+            _comparison_row("max_in_cluster", (m, m + 1), summary.cluster_freq, None, trials)]
+    rows += [ties_row(f"ties_eq_{t}", t) for t in range(t_max + 1)]
 
     # expected number of boxes holding m or m+1 balls, from the matched model
     matched = matched_model(spec)
     occ_theory = spec.n_boxes * (
         math.exp(matched.log_pmf(m)) + math.exp(matched.log_pmf(m + 1))) if m >= 0 else None
     # a mean count, not a frequency: no binomial standard error
-    rows.append(comparison_row("top_two_occupancy", (m, m + 1), summary.mean_top_two_occupancy,
-                               occ_theory, trials) | {"stderr": None})
+    rows.append(_comparison_row("top_two_occupancy", (m, m + 1), summary.mean_top_two_occupancy,
+                                occ_theory, trials) | {"stderr": None})
 
-    if gamma_zero:
+    if tie_law:  # the phase rows, like the tie law, need gamma = 0
         for c in PHASE_CS:
             k = tie_phase_threshold(prof, c)
             hit = sum(cnt for j, cnt in summary.ge_anchor_histogram.items() if j >= k + 1)
-            rows.append(comparison_row(f"depth_{k}_above_anchor_minus_1", k, hit / trials,
-                                       1.0 if c < 1.0 else 0.0, trials))
-    return rows
+            rows.append(_comparison_row(f"depth_{k}_above_anchor_minus_1", k, hit / trials,
+                                        1.0 if c < 1.0 else 0.0, trials))
+    return {"max": [max_row(v, v) | {"count": c} for v, c in summary.max_histogram.items()],
+            "ties": [ties_row(t, t) | {"count": c} for t, c in summary.tie_histogram.items()],
+            "merging": rows}
 
 
-def comparison_row(quantity: str, value, empirical: float, theory: float | None,
-                   trials: int) -> dict:
+def _comparison_row(quantity, value, empirical: float, theory: float | None,
+                    trials: int) -> dict:
     """One empirical-vs-theory row: the frequency, the theory value, their
     absolute difference, and the binomial standard error of the frequency."""
     return {"quantity": quantity, "value": value, "empirical": empirical, "theory": theory,
@@ -327,7 +335,13 @@ def comparison_row(quantity: str, value, empirical: float, theory: float | None,
 def matched_model(spec: AllocationSpec, extension: str = "natural"):
     """The i.i.d. model whose conditional law is the allocation law: Poisson
     with the mean occupancy, or the negative binomial with that mean."""
+    if spec.n_balls == 0:
+        raise ValueError("n_balls must be >= 1: an empty allocation has no matched model")
     lam = spec.n_balls / spec.n_boxes
     if spec.kind == "multinomial":
         return PoissonModel(lam, extension)
-    return NegativeBinomialModel(spec.r, lam / (spec.r + lam), extension)
+    p = lam / (spec.r + lam)
+    if p == 1.0:
+        raise ValueError(f"r = {spec.r} is too small for n_balls / n_boxes = {lam}: "
+                         "the matched p = mean / (r + mean) rounds to 1")
+    return NegativeBinomialModel(spec.r, p, extension)

@@ -111,12 +111,9 @@ def _profile_row(model, prof) -> dict:
         "theta_n": prof.theta_n, "p_n": prof.p_n, "z_n": prof.z_n,
         "regime": prof.regime.value,
     }
-    if isinstance(model, tailmodel.PoissonModel):
-        row["cluster_escape_bound"] = extremes.anderson_cluster_bound(model, prof)
-        row["briggs_x"] = extremes.briggs_approximation(model.lam, prof.n)
-    else:
-        row["cluster_escape_bound"] = None
-        row["briggs_x"] = None
+    poisson = isinstance(model, tailmodel.PoissonModel)
+    row["cluster_escape_bound"] = extremes.anderson_cluster_bound(model, prof) if poisson else None
+    row["briggs_x"] = extremes.briggs_approximation(model.lam, prof.n) if poisson else None
     return row
 
 
@@ -157,7 +154,7 @@ def cmd_ties(args) -> str:
 
 
 def cmd_simulate(args) -> str:
-    if args.t_max < 0:  # merging_report refuses it too, but only after the simulation
+    if args.t_max < 0:  # refused before simulating; comparison_tables would refuse it after
         raise ValueError(f"t_max must be >= 0, got {args.t_max}")
     spec = allocsim.AllocationSpec(
         n_boxes=args.boxes, n_balls=args.balls, kind=args.kind,
@@ -166,7 +163,7 @@ def cmd_simulate(args) -> str:
     model = allocsim.matched_model(spec, extension)
     prof = extremes.profile(model, spec.n_boxes, x_sigfigs=args.x_sigfigs)
     summary = allocsim.simulate(spec, prof)
-    merging = allocsim.merging_report(spec, prof, t_max=args.t_max, summary=summary)
+    tables = allocsim.comparison_tables(spec, prof, t_max=args.t_max, summary=summary)
 
     if args.format == "json":
         payload = {
@@ -180,26 +177,15 @@ def cmd_simulate(args) -> str:
                 "mean_top_two_occupancy": summary.mean_top_two_occupancy,
                 "trials": summary.trials,
             },
-            "merging": merging,
+            "merging": tables["merging"],
         }
         return json.dumps(payload, indent=2, default=str) + "\n"
 
-    tie_theory = (extremes.tie_distribution(prof, args.t_max).exactly
-                  if prof.regime is extremes.Regime.GAMMA_ZERO else {})
-
-    def compare(value, count, theory):
-        return allocsim.comparison_row(value, value, count / spec.trials, theory, spec.trials)
-
-    # (table, count, comparison row); a row's quantity is its CSV value
-    tables = [("max", cnt, compare(v, cnt, extremes.limiting_max_pmf(prof, v - prof.m_n)))
-              for v, cnt in summary.max_histogram.items()]
-    tables += [("ties", cnt, compare(t, cnt, tie_theory.get(t)))
-               for t, cnt in summary.tie_histogram.items()]
-    tables += [("merging", None, row) for row in merging]
+    # a row's quantity is its CSV value
     rows = [{"kind": spec.kind, "n": spec.n_boxes, "k": spec.n_balls, "table": table,
-             "value": row["quantity"], "count": count, "frequency": row["empirical"],
+             "value": row["quantity"], "count": row.get("count"), "frequency": row["empirical"],
              "theory": row["theory"], "abs_error": row["abs_error"], "stderr": row["stderr"]}
-            for table, count, row in tables]
+            for table in ("max", "ties", "merging") for row in tables[table]]
     return _render_rows(rows, ["kind", "n", "k", "table", "value", "count",
                                "frequency", "theory", "abs_error", "stderr"], "csv")
 

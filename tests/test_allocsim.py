@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from discmax.allocsim import (
     AllocationSummary,
     MemoryBudgetError,
     _chunks,
+    comparison_tables,
     enumerate_conditional,
     matched_model,
     merging_report,
     simulate,
     trial_counts,
 )
-from discmax.extremes import limiting_max_pmf, profile
+from discmax.extremes import limiting_max_pmf, profile, tie_distribution
 from discmax.tailmodel import NegativeBinomialModel, PoissonModel
 
 
@@ -503,6 +505,69 @@ class TestMergingReport:
         assert not any(q.startswith("depth_") for q in rows)
 
 
+class TestComparisonTables:
+    @pytest.mark.parametrize("kind,r,t_max", [("multinomial", None, 3),
+                                              ("multinomial", None, 0),
+                                              ("dirichlet", 1.0, 3)])
+    def test_tables_read_one_tie_law(self, monkeypatch, kind, r, t_max):
+        spec = AllocationSpec(n_boxes=50, n_balls=200, kind=kind, trials=100, seed=3, r=r)
+        prof = profile(matched_model(spec), spec.n_boxes)
+        summary = simulate(spec, prof)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return tie_distribution(*args)
+
+        # the module global: the traced benchmark patches it
+        monkeypatch.setattr(allocsim, "tie_distribution", counting)
+        tables = comparison_tables(spec, prof, t_max, summary=summary)
+        assert calls == ([(prof, t_max)] if kind == "multinomial" else [])
+        assert tables["merging"] == merging_report(spec, prof, t_max, summary=summary)
+        for name, hist in (("max", summary.max_histogram), ("ties", summary.tie_histogram)):
+            rows = tables[name]
+            assert sum(row["count"] for row in rows) == spec.trials
+            assert [(row["value"], row["count"]) for row in rows] == list(hist.items())
+            for row in rows:
+                assert row["quantity"] == row["value"]
+                assert row["empirical"] == row["count"] / spec.trials
+        for row in tables["max"]:
+            assert row["theory"] == limiting_max_pmf(prof, row["value"] - prof.m_n)
+        law = tie_distribution(prof, t_max).exactly if kind == "multinomial" else {}
+        for row in tables["ties"]:
+            assert row["theory"] == law.get(row["value"])
+        # the merging rows carry no count and read the same builders
+        merging = {row["quantity"]: row for row in tables["merging"]}
+        assert not any("count" in row for row in tables["merging"])
+        assert merging["max_eq_anchor"]["theory"] == limiting_max_pmf(prof, 0)
+        assert [merging[f"ties_eq_{t}"]["theory"] for t in range(t_max + 1)] == [
+            law.get(t) for t in range(t_max + 1)]
+
+    def test_refuses_negative_t_max(self):
+        spec = AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=5, seed=0)
+        prof = asym_profile(50, 20)
+        with pytest.raises(ValueError, match="t_max must be >= 0, got -1"):
+            comparison_tables(spec, prof, -1, summary=simulate(spec, prof))
+
+
+class TestBenchmarkContract:
+    def test_traced_targets_exist(self):
+        # the traced benchmark patches each (owner, attribute) by name; a
+        # rename or removal would break its run, not this suite
+        perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys\nsys.path.insert(0, {perfbench!r})\n"
+             "import spans\n"
+             "targets = spans._targets()\n"
+             "assert targets\n"
+             "for owner, attr, name in targets:\n"
+             "    assert callable(owner.__dict__.get(attr)), (owner, attr, name)\n"],
+            capture_output=True, text=True, timeout=60, check=False,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestMatchedModel:
     def test_multinomial_is_poisson_of_mean_occupancy(self):
         spec = AllocationSpec(n_boxes=400, n_balls=100, kind="multinomial", trials=1, seed=0)
@@ -517,3 +582,21 @@ class TestMatchedModel:
         assert m.r * m.p / (1.0 - m.p) == pytest.approx(0.5, rel=1e-15)
         with pytest.raises(ValueError):
             matched_model(spec, "asymptotic")
+
+    @pytest.mark.parametrize("kind,r", [("multinomial", None), ("dirichlet", 1.0)])
+    def test_refuses_zero_balls(self, kind, r):
+        # the spec itself is valid: simulate tallies an empty allocation
+        spec = AllocationSpec(n_boxes=10, n_balls=0, kind=kind, trials=1, seed=0, r=r)
+        with pytest.raises(ValueError, match=r"^n_balls must be >= 1: an empty allocation"):
+            matched_model(spec)
+
+    def test_refuses_r_whose_p_rounds_to_1(self):
+        spec = AllocationSpec(n_boxes=10, n_balls=5, kind="dirichlet", trials=1, seed=0,
+                              r=1e-300)
+        assert 0.5 / (spec.r + 0.5) == 1.0
+        with pytest.raises(ValueError, match=r"^r = 1e-300 is too small for n_balls / n_boxes"):
+            matched_model(spec)
+        # a small r whose p stays below 1 still has its model
+        spec = AllocationSpec(n_boxes=10, n_balls=5, kind="dirichlet", trials=1, seed=0,
+                              r=1e-16)
+        assert matched_model(spec).p < 1.0

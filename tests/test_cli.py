@@ -184,21 +184,24 @@ class TestSimulateCommand:
         _, natural = run_cli(args + ["--extension", "natural"], capsys)
         assert default == asymptotic != natural
 
-    @pytest.mark.parametrize("kind,r,extension", [
-        ("multinomial", None, "asymptotic"),
-        ("dirichlet", 1.0, "natural"),
+    @pytest.mark.parametrize("kind,r,extension,t_max", [
+        ("multinomial", None, "asymptotic", 3),
+        ("multinomial", None, "asymptotic", 0),
+        ("dirichlet", 1.0, "natural", 3),
     ])
-    def test_max_theory_is_the_limiting_law(self, capsys, kind, r, extension):
+    def test_max_theory_is_the_limiting_law(self, capsys, kind, r, extension, t_max):
         # every max row, the cluster's two values and the rest, reads the
         # regime's limiting law; for gamma = 0 that is 0 off the cluster
         args = ["simulate", "--kind", kind, "--boxes", "50", "--balls", "200",
-                "--trials", "100", "--seed", "3"] + (["--r", str(r)] if r else [])
+                "--trials", "100", "--seed", "3", "--t-max", str(t_max)] + (
+                    ["--r", str(r)] if r else [])
         code, out = run_cli(args, capsys)
         assert code == 0
         spec = allocsim.AllocationSpec(n_boxes=50, n_balls=200, kind=kind, trials=100, seed=3,
                                        r=r)
         prof = extremes.profile(allocsim.matched_model(spec, extension), 50)
-        max_rows = [r for r in parse_csv(out) if r["table"] == "max"]
+        rows = parse_csv(out)
+        max_rows = [r for r in rows if r["table"] == "max"]
         assert len(max_rows) > 2
         for r in max_rows:
             want = extremes.limiting_max_pmf(prof, int(r["value"]) - prof.m_n)
@@ -208,6 +211,23 @@ class TestSimulateCommand:
         if kind == "multinomial":
             off_cluster = [r for r in max_rows if int(r["value"]) not in (prof.m_n, prof.m_n + 1)]
             assert off_cluster and all(r["theory"] == "0" for r in off_cluster)
+        # the tie rows read the gamma = 0 tie law up to --t-max and nothing
+        # past it; outside gamma = 0 there is no tie law
+        tie_rows = [r for r in rows if r["table"] == "ties"]
+        assert sum(int(r["count"]) for r in tie_rows) == 100
+        law = extremes.tie_distribution(prof, t_max).exactly if kind == "multinomial" else {}
+        for r in tie_rows:
+            t = int(r["value"])
+            if t in law:
+                assert float(r["theory"]) == pytest.approx(law[t], rel=1e-7, abs=1e-12), r
+                assert float(r["abs_error"]) == pytest.approx(
+                    abs(float(r["frequency"]) - law[t]), rel=1e-7, abs=1e-12), r
+            else:
+                assert r["theory"] == r["abs_error"] == "", r
+        if kind == "multinomial":
+            # rows on both sides of --t-max
+            values = {int(r["value"]) for r in tie_rows}
+            assert values & set(law) and max(values) > t_max
 
     def test_missing_r_usage_error(self, capsys):
         code, _ = run_cli(["simulate", "--kind", "dirichlet", "--boxes", "10",
@@ -340,6 +360,20 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "usage error: t_max must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--balls", "0"], "n_balls must be >= 1"),
+        (["--balls", "0", "--kind", "dirichlet", "--r", "1"], "n_balls must be >= 1"),
+        (["--balls", "5", "--kind", "dirichlet", "--r", "1e-300"], "r = 1e-300 is too small"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_matched_model_usage_error(self, capsys, argv, field, fmt):
+        # these named the model's rate or p, not the flag given
+        code = main(["simulate", "--boxes", "10", "--trials", "5", "--format", fmt] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and field in captured.err
 
     @pytest.mark.parametrize("r", ["nan", "inf"])
     def test_non_finite_r_usage_error(self, capsys, r):
