@@ -65,8 +65,10 @@ def _parse_n_range(text: str) -> list:
         raise ValueError(f"malformed step rule {rule!r}")
     geometric = rule.startswith("x")
     step = float(rule[1:])  # the factor of a geometric range
-    if geometric and step <= 1.0:
-        raise ValueError("geometric factor must exceed 1")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"n range {text!r} needs a finite start, stop and step")
+    if geometric and (start <= 0.0 or step <= 1.0):
+        raise ValueError(f"geometric range {text!r} needs a start above 0 and a factor above 1")
     if not geometric and step <= 0.0:
         raise ValueError("arithmetic step must be positive")
     out = []

@@ -19,13 +19,13 @@ are evaluated, replicating how those tables derive p_n from their printed
 x_n column.
 
 x_n is the root of ln G(x) + ln n, bracketed by doubling steps and
-narrowed by Illinois (modified regula falsi) steps to the cell of a
-2^-34 grid that holds it; x_n is the cell's midpoint, as a bisection to
-1e-10 gives it.  ``scan_oscillation`` brackets each row from the previous
-row's x_n.  The
-order statistic X_(n-k) sums the binomial count of samples above x from
-its anchor term outward by term ratios: the lower tail below the mode,
-the upper tail (read as log1p(-upper)) from the mode on.
+narrowed by Illinois (modified regula falsi) steps, each probing a point
+of a 2^-34 grid, to the grid cell that holds it; x_n is the cell's
+midpoint, as a bisection to 1e-10 gives it.  ``scan_oscillation``
+brackets each row from the previous row's x_n.  The order statistic
+X_(n-k) sums the binomial count of samples above x from its anchor term
+outward by term ratios: the lower tail below the mode, the upper tail
+(read as log1p(-upper)) from the mode on.
 """
 
 from __future__ import annotations
@@ -114,18 +114,22 @@ def _grid_above(x: float) -> float:
     return max(math.floor(x / _CELL) * _CELL + _CELL, math.nextafter(x, math.inf))
 
 
+def _grid_below(x: float) -> float:
+    """The last point below x of the same grid."""
+    return min(math.ceil(x / _CELL) * _CELL - _CELL, math.nextafter(x, -math.inf))
+
+
 def _crossing(model: DiscreteTailModel, n, a: float, fa: float) -> tuple:
     """(x, f(x)) for the crossing of f(x) = ln G(x) + ln n above a, f(a) = fa >= 0.
 
     Steps of 1, 2, 4, ... from a bracket the crossing in [a, b], f(a) >= 0 >
-    f(b).  Illinois steps then narrow [a, b] until it holds no point of the
-    _CELL grid: regula falsi on f with the bracket kept, the value at an
-    end that two steps in a row left in place halved for the next secant,
-    and, once [a, b] is a cell wide, the grid point inside it.  A step
-    bisects where three steps did not halve the bracket, so it halves at
-    least every four.  x is the midpoint of the cell that holds the
-    crossing, the point a bisection to 1e-10 from integer ends returns, so
-    it is the same nondecreasing function of n.
+    f(b).  Illinois steps then probe the _CELL grid point nearest the
+    regula-falsi root inside (a, b), the value at an end that two steps in a
+    row left in place halved, until [a, b] holds no grid point.  A step
+    bisects where three steps did not halve the bracket, or while f(a) == 0.
+    x is the midpoint of the cell that holds the crossing, the point a
+    bisection to 1e-10 from integer ends returns, so it is the same
+    nondecreasing function of n.
     """
     log_n = math.log(n)
     start = a
@@ -137,38 +141,27 @@ def _crossing(model: DiscreteTailModel, n, a: float, fa: float) -> tuple:
         a, fa = b, fb
     else:
         raise RootBracketError(f"extended tail never drops below 1/n (n={n}); tail bounded?")
-    wa, wb, side = fa, fb, 0  # the secant's end values and the end last replaced
+    side = 0  # the end last replaced
     widths = [math.inf] * 3  # the bracket's width one, two and three steps back
-    past_zero = False
-    for _ in range(400):
-        above = _grid_above(a)
-        if above >= b:
-            break
-        if b - a <= _CELL:
-            x = above  # the one grid point inside decides the cell
-        elif (b - a > 0.5 * widths[2] or not math.isfinite(wb)
-              or wa == 0.0 and past_zero):
+    while (above := _grid_above(a)) < b:
+        if b - a > 0.5 * widths[2] or not math.isfinite(fb) or fa == 0.0:
             # three steps that did not halve the bracket, a tail that ends,
-            # or f still 0 one step past an end where it was 0: bisect
+            # or a secant that would return a: bisect
             x = 0.5 * (a + b)
         else:
-            past_zero = wa == 0.0  # the secant returns a; the clamp steps past it
-            x = b - wb * (b - a) / (wb - wa)
-            # a secant that lands on an end has found the crossing there:
-            # the step across it closes the bracket
-            x = min(max(x, a + 0.25 * _CELL, math.nextafter(a, math.inf)),
-                    b - 0.25 * _CELL, math.nextafter(b, -math.inf))
+            x = b - fb * (b - a) / (fb - fa)
+        x = min(max(round(x / _CELL) * _CELL, above), _grid_below(b))
         widths = [b - a] + widths[:-1]
         fx = model.log_tail_ext(x) + log_n
         if fx >= 0.0:
-            a, wa = x, fx
+            a, fa = x, fx
             if side > 0:
-                wb *= 0.5
+                fb *= 0.5
             side = 1
         else:
-            b, wb = x, fx
+            b, fb = x, fx
             if side < 0:
-                wa *= 0.5
+                fa *= 0.5
             side = -1
     x = 0.5 * (math.floor(a / _CELL) * _CELL + _grid_above(a))  # the cell around [a, b]
     return x, model.log_tail_ext(x) + log_n
@@ -224,6 +217,13 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
         p_n=math.exp(-theta), z_n=z, regime=regime)
 
 
+def _require_gamma(prof: ExtremalProfile) -> None:
+    # an unestimable empirical tail ratio is filed under GAMMA_MID, so this
+    # comes before any regime check
+    if math.isnan(prof.gamma):
+        raise ValueError("the limiting law needs a tail ratio gamma; it is nan (not estimable)")
+
+
 def limiting_max_cdf(prof: ExtremalProfile, x: int) -> float:
     """Limiting P(max <= m_n + x) = exp(-theta_n gamma^x).
 
@@ -231,8 +231,7 @@ def limiting_max_cdf(prof: ExtremalProfile, x: int) -> float:
     doubly geometric law when 0 < gamma < 1.  At gamma = 0 the maximum
     clusters on {m_n, m_n + 1}: the law is 0 below m_n, p_n at m_n, 1 above.
     """
-    if math.isnan(prof.gamma):
-        raise ValueError("the limiting law needs a tail ratio gamma; it is nan (not estimable)")
+    _require_gamma(prof)
     if prof.gamma == 0.0 and x != 0:
         return 0.0 if x < 0 else 1.0
     return math.exp(-prof.theta_n * prof.gamma ** x)
@@ -307,6 +306,7 @@ def tie_distribution(prof: ExtremalProfile, t_max: int) -> TieDistribution:
     in {0, inf} (p in {1, 0}) every exactly is 0 and every at_least is 1:
     ties accumulate without bound.
     """
+    _require_gamma(prof)
     if prof.regime is not Regime.GAMMA_ZERO:
         raise ValueError("tie distribution is defined for the gamma = 0 clustering regime only")
     if t_max < 0:
@@ -338,6 +338,7 @@ def tie_distribution(prof: ExtremalProfile, t_max: int) -> TieDistribution:
 
 def tie_phase_threshold(prof: ExtremalProfile, c: float) -> int:
     """Order-statistic depth ceil(c z_n) of the tie phase transition."""
+    _require_gamma(prof)
     if prof.regime is not Regime.GAMMA_ZERO:
         raise ValueError("the tie phase transition is defined for the gamma = 0 regime only")
     if c <= 0.0:

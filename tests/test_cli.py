@@ -102,6 +102,24 @@ class TestScanCommand:
                              "--n-range", "1e16:2e16:+1"], capsys)
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("n_range, message", [
+        ("1e3:1e6:xnan", "needs a finite start, stop and step"),
+        ("1e3:1e6:+nan", "needs a finite start, stop and step"),
+        ("1e3:1e6:xinf", "needs a finite start, stop and step"),
+        ("nan:1e6:x2", "needs a finite start, stop and step"),
+        ("1e3:inf:+1", "needs a finite start, stop and step"),
+        ("0:1e6:x2", "needs a start above 0"),
+        ("-1e3:1e6:x2", "needs a start above 0"),
+    ])
+    def test_bad_range_usage_error(self, capsys, n_range, message):
+        # a nan or inf factor printed one row and exited 0; a geometric
+        # range from 0 listed 10^5 zeros before it was refused
+        code = main(["scan", "--model", "poisson", "--params", "lam=1", f"--n-range={n_range}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and message in captured.err
+
 
 class TestTiesCommand:
     def test_reference_tie_rows(self, capsys):
@@ -421,6 +439,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert "usage error: the empirical tail ratio could not be estimated" in captured.err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ties_gamma_not_estimable_usage_error(self, capsys):
+        # refused for the missing gamma, not as outside the gamma = 0 regime
+        code = main(["ties", "--model", "empirical", "--params", "probabilities=0.5:0.3:0.2",
+                     "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("usage error: the limiting law needs a tail ratio gamma; "
+                                "it is nan (not estimable)\n")
 
     def test_x_sigfigs_below_support_edge_usage_error(self, capsys):
         code = main(["profile", "--model", "empirical", "--params",

@@ -33,6 +33,20 @@ def poisson_tail(k: int, lam: float) -> float:
                                             for j in range(k + 1))
 
 
+@pytest.fixture
+def tail_args(monkeypatch):
+    """The arguments of every log_tail_ext call made while the test runs."""
+    args = []
+    log_tail_ext = DiscreteTailModel.log_tail_ext
+
+    def recorded(self, x):
+        args.append(x)
+        return log_tail_ext(self, x)
+
+    monkeypatch.setattr(DiscreteTailModel, "log_tail_ext", recorded)
+    return args
+
+
 def synthetic_profile(p_n: float, regime=Regime.GAMMA_ZERO, gamma=0.0,
                       x_n=4.5, m_n=5, z_n=3.0) -> ExtremalProfile:
     theta = -math.log(p_n) if p_n > 0 else math.inf
@@ -161,6 +175,23 @@ class TestProfile:
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             profile(PoissonModel(1.0), 1)
+
+    @pytest.mark.parametrize("model", [PoissonModel(1.0), NegativeBinomialModel(2.0, 0.3)])
+    @pytest.mark.parametrize("n", [1e3, 1e9, 1e50])
+    def test_probes_on_the_grid(self, tail_args, model, n):
+        # from an integer support edge, every tail evaluation but the one at
+        # x_n is a doubling step, a solver probe or an anchor: all on the
+        # 2^-34 grid, whose cells the answer is made of
+        x = profile(model, n).x_n
+        assert [a for a in tail_args if a != x and not (a / 2.0 ** -34).is_integer()] == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # zeros in the tail ratios
+    def test_flat_stretch(self, tail_args):
+        # ln G + ln n == 0.0 on [1, 4]: the sign change is at 4, and the
+        # secant, which returns a while f(a) == 0, gives way to bisection
+        model = EmpiricalModel([0.5, 0.25, 0, 0, 0, 0.125, 0.125])
+        assert profile(model, 4).x_n == 4.0 + 2.0 ** -35
+        assert len(tail_args) <= 45
 
     @pytest.mark.parametrize("n", [math.nan, math.inf])
     def test_non_finite_n(self, n):
@@ -370,6 +401,14 @@ class TestTieDistribution:
         with pytest.raises(ValueError):
             tie_distribution(prof, 3)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_gamma_raises(self):
+        # the unestimable gamma is filed under GAMMA_MID; it was refused as
+        # outside the gamma = 0 regime
+        prof = profile(EmpiricalModel([0.5, 0.3, 0.2]), 3)
+        with pytest.raises(ValueError, match="tail ratio gamma; it is nan"):
+            tie_distribution(prof, 3)
+
 
 class TestTiePhaseThreshold:
     def test_ceiling_arithmetic(self):
@@ -384,6 +423,12 @@ class TestTiePhaseThreshold:
     def test_regime_mismatch(self):
         prof = synthetic_profile(0.4, regime=Regime.GAMMA_ONE, gamma=1.0)
         with pytest.raises(ValueError):
+            tie_phase_threshold(prof, 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_gamma_raises(self):
+        prof = profile(EmpiricalModel([0.5, 0.3, 0.2]), 3)
+        with pytest.raises(ValueError, match="tail ratio gamma; it is nan"):
             tie_phase_threshold(prof, 1.0)
 
 
@@ -482,24 +527,16 @@ class TestScanOscillation:
         (PoissonModel(1.0), None), (PoissonModel(1.0, "loglinear"), None),
         (PoissonModel(0.01, "asymptotic"), 6), (NegativeBinomialModel(2.0, 0.3), None),
         (GeometricModel(0.5), None)])
-    def test_tail_evaluations_per_profile(self, monkeypatch, model, sigfigs):
+    def test_tail_evaluations_per_profile(self, tail_args, model, sigfigs):
         # a bisection to 1e-10 took 43-50 per profile on this grid; counts
         # include the two evaluations for theta_n and z_n
-        calls = [0]
-        log_tail_ext = DiscreteTailModel.log_tail_ext
-
-        def counted(self, x):
-            calls[0] += 1
-            return log_tail_ext(self, x)
-
-        monkeypatch.setattr(DiscreteTailModel, "log_tail_ext", counted)
         ns = [10.0 ** (3 + 47 * i / 199) for i in range(200)]
         for n in ns:
             profile(model, n, x_sigfigs=sigfigs)
-        assert calls[0] / len(ns) <= 18  # from the support edge
-        calls[0] = 0
+        assert len(tail_args) / len(ns) <= 17  # from the support edge
+        tail_args.clear()
         scan_oscillation(model, ns, x_sigfigs=sigfigs)
-        assert calls[0] / len(ns) <= 11  # from the previous row's x_n
+        assert len(tail_args) / len(ns) <= 11  # from the previous row's x_n
 
     def test_rejects_nonincreasing(self):
         with pytest.raises(ValueError):

@@ -34,8 +34,8 @@ Poisson models (natural, loglinear, asymptotic; lam log-uniform in
 empirical pmf, at n log-uniform in [1e3, 1e50]:
 
 - profile's x_n, and the x_n of a two-row scan whose second row brackets
-  from the first, lie within 1e-10 of the bisection (both end in a cell of
-  the same 2^-34 grid: 6 of 5652 random solves differ, by one cell), or
+  from the first, lie within 1e-10 of the bisection (both probe only
+  points of the same 2^-34 grid: none of 5804 random solves differs), or
   the computed ln G is not monotone on that grid between the two; both
   refuse the n where the bisection finds no genuine crossing.
 
@@ -165,6 +165,8 @@ def test_log_binomial_vs_mpmath(n, frac):
 # n p = 1.6e-319: the deviance's k / (n p) overflowed
 @example(n=403.67710655920973, frac=293.5 / 403.67710655920973, near=False, shift=0.0,
          log_p=-740.7937694327718)
+# k = n and p = 1 - 1.3e-288: the oracle's 1 - e^(ln p) rounded to 0 at 120 digits
+@example(n=1.0, frac=1.0, near=True, shift=-1.2916652508388516e-288, log_p=-1.0)
 def test_binomial_pmf_vs_mpmath(n, frac, near, shift, log_p):
     k = int(frac * min(n, 1e5))
     if near and 0 < k and math.log(k / n) + shift < 0.0:
@@ -172,7 +174,7 @@ def test_binomial_pmf_vs_mpmath(n, frac, near, shift, log_p):
     with mp.workdps(120):
         big_n = mp.mpf(n)
         ref = (mp.loggamma(big_n + 1) - mp.loggamma(k + 1) - mp.loggamma(big_n - k + 1)
-               + k * mp.mpf(log_p) + (big_n - k) * mp.log1p(-mp.exp(mp.mpf(log_p))))
+               + k * mp.mpf(log_p) + (big_n - k) * mp.log(-mp.expm1(mp.mpf(log_p))))
     assert_log_close(log_binomial_pmf(k, n, log_p), ref, 3e-14, (n, k, log_p))
 
 
