@@ -12,8 +12,6 @@ from .specfun import (
     AccuracyError,
     lambert_w0,
     log_binomial,
-    log_gamma,
-    log_sum_exp,
     reg_beta_log,
     reg_gamma_p_log,
     reg_gamma_q_log,
@@ -65,8 +63,8 @@ from .datafit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError", "lambert_w0", "log_binomial", "log_gamma",
-    "log_sum_exp", "reg_beta_log", "reg_gamma_p_log", "reg_gamma_q_log",
+    "AccuracyError", "lambert_w0", "log_binomial", "reg_beta_log",
+    "reg_gamma_p_log", "reg_gamma_q_log",
     "DiscreteCauchyModel", "DiscreteTailModel", "EmpiricalModel",
     "GeometricModel", "NegativeBinomialModel", "PoissonModel", "make_model",
     "ExtremalProfile", "OscillationScan", "Regime", "RootBracketError",

@@ -27,11 +27,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .extremes import (ExtremalProfile, Regime, limiting_max_pmf, tie_distribution,
                        tie_phase_threshold)
+from .record import Record
 from .tailmodel import NegativeBinomialModel, PoissonModel
 
 KINDS = ("multinomial", "dirichlet")
@@ -56,8 +55,7 @@ class MemoryBudgetError(RuntimeError):
     """n_boxes * trials box tallies exceed MAX_BOX_TALLIES (a bound on work, not memory)."""
 
 
-@dataclass(frozen=True)
-class AllocationSpec:
+class AllocationSpec(Record):
     n_boxes: int
     n_balls: int
     kind: str
@@ -83,8 +81,7 @@ class AllocationSpec:
             raise ValueError(f"seed must be a nonnegative int, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class AllocationSummary:
+class AllocationSummary(Record):
     """Aggregates over trials; histogram values are raw trial counts.
 
     tie count = (number of boxes achieving the maximum) - 1.
@@ -204,9 +201,10 @@ def _partitions(total: int, parts: int, largest: int):
             yield (first,) + rest
 
 
-def _rising_factorials(a: Fraction, m: int) -> list:
-    """[(a)_0, (a)_1, ..., (a)_m] with (a)_c = a (a + 1) ... (a + c - 1)."""
-    out = [Fraction(1)]
+def _rising_factorials(a, m: int) -> list:
+    """[(a)_0, (a)_1, ..., (a)_m] with (a)_c = a (a + 1) ... (a + c - 1), exact
+    for a Fraction a."""
+    out = [1]
     for j in range(m):
         out.append(out[-1] * (a + j))
     return out
@@ -235,6 +233,7 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
     if n_balls < 0 or n_balls > ENUMERATION_MAX_BALLS:
         raise ValueError(f"enumeration supports 0..{ENUMERATION_MAX_BALLS} balls, got {n_balls}")
 
+    from fractions import Fraction
     if kind == "multinomial":
         model = PoissonModel(lam)
         denom = Fraction(n_boxes ** n_balls)

@@ -73,7 +73,9 @@ def _parse_n_range(text: str) -> list:
         raise ValueError("arithmetic step must be positive")
     out = []
     n = start
-    while n <= stop * (1.0 + 1e-12):
+    # capped, or a stop near the float maximum would end the range at inf
+    end = min(stop * (1.0 + 1e-12), sys.float_info.max)
+    while n <= end:
         # also ends a range whose step is lost to rounding (1e16 + 1 == 1e16)
         if len(out) == MAX_SCAN_POINTS:
             raise ValueError(f"n range {text!r} lists more than {MAX_SCAN_POINTS} values")

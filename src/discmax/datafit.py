@@ -12,10 +12,9 @@ module does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from datetime import datetime, timezone
 
 from .extremes import exact_max_cdf_log
+from .record import Record
 from .specfun import log1mexp
 from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
 
@@ -34,8 +33,7 @@ class DataError(ValueError):
     """Malformed or unusable input data."""
 
 
-@dataclass(frozen=True)
-class CountSeries:
+class CountSeries(Record):
     counts: tuple
     block_size: int
     label: str = "series"
@@ -55,8 +53,7 @@ class CountSeries:
         return len(self.counts) // self.block_size
 
 
-@dataclass(frozen=True)
-class NBFit:
+class NBFit(Record):
     """Method-of-moments negative binomial fit.
 
     Overdispersed data (variance > mean) yields p = 1 - mean/variance and
@@ -108,6 +105,7 @@ def ingest(lines, block_size: int, label: str = "series", bin_by: str | None = N
             raise DataError("no counts found in input")
         return CountSeries(counts=tuple(counts), block_size=block_size, label=label)
 
+    from datetime import datetime, timezone
     stamps = []
     for i, raw in enumerate(lines, start=1):
         text = raw.strip()

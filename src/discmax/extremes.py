@@ -31,9 +31,9 @@ outward by term ratios: the lower tail below the mode, the upper tail
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from .record import Record
 from .specfun import (lambert_w0, log1mexp, log_binomial_pmf, log_poisson_pmf,
                       reg_gamma_p_log)
 from .tailmodel import DiscreteTailModel, PoissonModel
@@ -57,8 +57,7 @@ class Regime(Enum):
     GAMMA_ONE = "GammaOne"
 
 
-@dataclass(frozen=True)
-class ExtremalProfile:
+class ExtremalProfile(Record):
     n: float
     gamma: float
     x_n: float
@@ -69,8 +68,7 @@ class ExtremalProfile:
     regime: Regime
 
 
-@dataclass(frozen=True)
-class TieDistribution:
+class TieDistribution(Record):
     """Limiting law of the number of ties at the sample maximum (gamma = 0).
 
     ``exactly[t]`` is the probability of exactly t ties, P(N = t + 1) for
@@ -86,8 +84,7 @@ class TieDistribution:
     t_max: int
 
 
-@dataclass(frozen=True)
-class OscillationScan:
+class OscillationScan(Record):
     rows: tuple
     breakpoints: tuple
 

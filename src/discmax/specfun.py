@@ -58,13 +58,6 @@ _LOG_HALF = math.log(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def log1mexp(log_p: float) -> float:
     """ln(1 - e^t) for t <= 0, stable at both ends."""
     if log_p > 0.0:
@@ -74,17 +67,6 @@ def log1mexp(log_p: float) -> float:
     if log_p > _LOG_HALF:
         return math.log(-math.expm1(log_p))
     return math.log1p(-math.exp(log_p))
-
-
-def log_sum_exp(terms) -> float:
-    """ln sum(e^t_i), overflow-safe; -inf entries are ignored."""
-    ts = [float(t) for t in terms]
-    if not ts:
-        raise ValueError("log_sum_exp requires a non-empty sequence")
-    m = max(ts)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(t - m) for t in ts if t > -math.inf))
 
 
 def log_binomial(n: int, k: int) -> float:

@@ -43,16 +43,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
 
+from .record import Record
 from .specfun import log_negbinom_pmf, log_poisson_pmf, reg_beta_log, reg_gamma_p_log
 
 EXTENSIONS = ("natural", "loglinear", "asymptotic")
 
 
-@dataclass(frozen=True)
-class GammaDiagnostic:
+class GammaDiagnostic(Record):
     """Convergence report for a numerically estimated tail ratio."""
 
     estimate: float
@@ -296,6 +294,7 @@ class EmpiricalModel(DiscreteTailModel):
     name = "empirical"
 
     def __init__(self, probabilities, support_min: int = 0, extension: str = "loglinear"):
+        from fractions import Fraction
         probs = tuple(float(p) for p in probabilities)
         if not probs:
             raise ValueError("empirical pmf must be non-empty")

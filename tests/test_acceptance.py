@@ -33,8 +33,6 @@ from discmax.datafit import NBFit, daily_max_law, simulate_daily_max
 from discmax.specfun import (
     lambert_w0,
     log_binomial,
-    log_gamma,
-    log_sum_exp,
     reg_beta_log,
     reg_gamma_q_log,
 )
@@ -254,9 +252,6 @@ def test_criterion_8_extension_invariance():
 def test_criterion_9_special_functions():
     t0 = time.perf_counter()
     checks = [
-        abs(log_gamma(1.0)) <= 1e-13,
-        abs(log_gamma(2.0)) <= 1e-13,
-        abs(log_gamma(11.0) - math.log(math.factorial(10))) <= 1e-12,
         abs(reg_gamma_q_log(1.0, 3.7) + 3.7) <= 1e-12,
         reg_gamma_q_log(4.2, 0.0) == 0.0,
         abs(math.exp(reg_gamma_q_log(3.0, 1.0)) - math.exp(-1.0) * 2.5) <= 1e-12,
@@ -266,9 +261,6 @@ def test_criterion_9_special_functions():
         lambert_w0(0.0) == 0.0,
         abs(lambert_w0(math.e) - 1.0) <= 1e-12,
         abs(lambert_w0(1.0) - 0.5671432904) <= 1e-9,
-        log_sum_exp([0.0]) == 0.0,
-        abs(log_sum_exp([-2.0, -2.0]) - (-2.0 + math.log(2))) <= 1e-13,
-        log_sum_exp([0.0, -math.inf]) == 0.0,
         abs(log_binomial(7, 0)) <= 1e-13,
         abs(log_binomial(5, 2) - math.log(10)) <= 1e-12,
         abs(math.exp(log_binomial(52, 5)) - math.comb(52, 5)) <= 1e-12 * math.comb(52, 5),
@@ -282,9 +274,6 @@ def test_criterion_9_special_functions():
             direct = math.exp(-z) * math.fsum(z ** j / math.factorial(j)
                                               for j in range(k + 1))
             checks.append(abs(math.exp(reg_gamma_q_log(k + 1.0, z)) - direct) <= 1e-10)
-    ts = [0.1, -3.0, 2.0]
-    checks.append(abs(log_sum_exp([t + 50.0 for t in ts])
-                      - (log_sum_exp(ts) + 50.0)) <= 1e-12)
     checks.append(abs(log_binomial(40, 13) - log_binomial(40, 27)) <= 1e-12)
     ok = all(checks)
     report("9 (special functions)", ok, time.perf_counter() - t0,

@@ -83,6 +83,15 @@ class TestScanCommand:
         assert code == 0
         assert [float(r["n"]) for r in parse_csv(out)] == [1000.0, 2000.0, 3000.0]
 
+    def test_range_to_the_float_maximum(self, capsys):
+        # the end stop * (1 + 1e-12) overflowed to inf here, so the range
+        # ran on to the 10^5-value cap and exited 2
+        code, out = run_cli(["scan", "--model", "poisson", "--params", "lam=1",
+                             "--n-range", f"1e300:{sys.float_info.max!r}:x10"], capsys)
+        assert code == 0
+        ns = [float(r["n"]) for r in parse_csv(out)]
+        assert ns == pytest.approx([10.0 ** k for k in range(300, 309)], rel=1e-12)
+
     def test_empty_range_usage_error(self, capsys):
         code, _ = run_cli(["scan", "--model", "poisson", "--params", "lam=1",
                            "--n-range", "5000:1000:x2"], capsys)
@@ -524,3 +533,34 @@ sys.exit(code)
         code, out = run_cli(argv, capsys)
         assert code == 0
         assert proc.stdout == out
+
+
+class TestLazyStdlibImports:
+    """`import discmax.cli` loads no standard module that only some calls
+    need: `fractions` (exact enumeration, EmpiricalModel), `datetime`
+    (hourly ingest), nor `dataclasses` and the `inspect` it pulls in.  Those
+    calls still work in that fresh interpreter, with the results they give
+    here.  Module presence is asserted, not start-up time."""
+
+    LAZY = ["dataclasses", "inspect", "fractions", "decimal", "datetime"]
+    STAMPS = ["2024-03-01T00:10:00", "2024-03-01T02:59:59+00:00", "2024-03-01T00:00:00"]
+
+    def test_cli_import_leaves_them_unloaded(self):
+        proc = run_fresh(f"""
+from discmax import cli
+loaded = [m for m in {self.LAZY!r} if m in sys.modules]
+assert not loaded, loaded
+from discmax import allocsim, datafit, tailmodel
+print(repr([allocsim.enumerate_conditional(3, 4, "dirichlet", r=1.5),
+            allocsim.enumerate_conditional(2, 3, "multinomial"),
+            tailmodel.EmpiricalModel([0.5, 0.3, 0.2])._tails,
+            datafit.ingest({self.STAMPS!r}, 1, bin_by="hour").counts]))
+""")
+        assert proc.returncode == 0, proc.stderr
+        from discmax import datafit, tailmodel
+        want = [allocsim.enumerate_conditional(3, 4, "dirichlet", r=1.5),
+                allocsim.enumerate_conditional(2, 3, "multinomial"),
+                tailmodel.EmpiricalModel([0.5, 0.3, 0.2])._tails,
+                datafit.ingest(self.STAMPS, 1, bin_by="hour").counts]
+        assert want[3] == (2, 0, 1)
+        assert proc.stdout == repr(want) + "\n"

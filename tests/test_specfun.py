@@ -10,28 +10,10 @@ from discmax.specfun import (
     lambert_w0,
     log1mexp,
     log_binomial,
-    log_gamma,
-    log_sum_exp,
     reg_beta_log,
     reg_gamma_p_log,
     reg_gamma_q_log,
 )
-
-
-class TestLogGamma:
-    def test_gamma_one_and_two(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_factorial_ten(self):
-        # Gamma(11) = 10!
-        assert log_gamma(11.0) == pytest.approx(math.log(math.factorial(10)), rel=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-3.5)
 
 
 class TestRegGammaQ:
@@ -209,36 +191,6 @@ class TestLambertW:
         mp.mp.dps = 30
         w = lambert_w0(z)
         assert w == pytest.approx(float(mp.lambertw(z).real), rel=1e-15)
-
-
-class TestLogSumExp:
-    def test_single(self):
-        assert log_sum_exp([0.0]) == 0.0
-
-    def test_pair_equal(self):
-        a = -3.7
-        assert log_sum_exp([a, a]) == pytest.approx(a + math.log(2.0), abs=1e-13)
-
-    def test_neg_inf_sentinel_ignored(self):
-        assert log_sum_exp([0.0, -math.inf]) == 0.0
-        assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
-
-    def test_permutation_invariance(self):
-        ts = [0.3, -7.0, 2.2, -0.1, 5.5]
-        assert log_sum_exp(ts) == pytest.approx(log_sum_exp(ts[::-1]), abs=1e-13)
-
-    def test_translation_covariance(self):
-        ts = [0.3, -7.0, 2.2, -0.1]
-        c = 123.456
-        assert log_sum_exp([t + c for t in ts]) == pytest.approx(
-            log_sum_exp(ts) + c, abs=1e-12)
-
-    def test_overflow_safe(self):
-        assert log_sum_exp([1e5, 1e5]) == pytest.approx(1e5 + math.log(2.0), rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([])
 
 
 class TestLogBinomial:
