@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -93,6 +92,7 @@ def _build_model(args) -> tailmodel.DiscreteTailModel:
 def _render_rows(rows: list, columns: list, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(rows, indent=2, default=str) + "\n"
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

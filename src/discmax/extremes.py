@@ -2,12 +2,12 @@
 
 The central object is the profile of a sample size n against a tail model:
 the continuous crossing point x_n where the extended tail equals 1/n, the
-cluster anchor m_n = floor(x_n + 1/2), the cluster weight theta_n with
-p_n = e^-theta_n, and the tie depth z_n.  The number of samples above
-m_n + x is asymptotically Poisson(theta_n gamma^x), which gives both
-limiting laws: P(max <= m_n + x) = exp(-theta_n gamma^x) in each of the
-three families, and, at gamma = 0, the ties at the maximum.  There the
-maximum concentrates on {m_n, m_n + 1} with P(max = m_n) ~ p_n, and p_n
+cluster anchor m_n with G(m_n - 1/2) >= 1/n > G(m_n + 1/2), the cluster
+weight theta_n with p_n = e^-theta_n, and the tie depth z_n.  The number of
+samples above m_n + x is asymptotically Poisson(theta_n gamma^x), which
+gives both limiting laws: P(max <= m_n + x) = exp(-theta_n gamma^x) in each
+of the three families, and, at gamma = 0, the ties at the maximum.  There
+the maximum concentrates on {m_n, m_n + 1} with P(max = m_n) ~ p_n, and p_n
 oscillates in n instead of converging.
 
 For a Poisson model carrying the ``asymptotic`` extension, theta_n is
@@ -95,16 +95,6 @@ def _round_sigfigs(x: float, sigfigs: int) -> float:
     return round(x, sigfigs - 1 - math.floor(math.log10(abs(x))))
 
 
-def _cluster_anchor(x: float) -> int:
-    # floor(x + 1/2), snapping first when x + 1/2 sits within 1e-9 of an
-    # integer so solver noise cannot flip the anchor
-    y = x + 0.5
-    r = round(y)
-    if abs(y - r) <= 1e-9:
-        return int(r)
-    return int(math.floor(y))
-
-
 def _grid_above(x: float) -> float:
     """The next point above x of the grid of multiples of _CELL (every float,
     where floats are coarser than _CELL)."""
@@ -117,7 +107,7 @@ def _grid_below(x: float) -> float:
 
 
 def _crossing(model: DiscreteTailModel, n, a: float, fa: float) -> tuple:
-    """(x, f(x)) for the crossing of f(x) = ln G(x) + ln n above a, f(a) = fa >= 0.
+    """(x, f(x), m) for the crossing of f(x) = ln G(x) + ln n above a, f(a) = fa >= 0.
 
     Steps of 1, 2, 4, ... from a bracket the crossing in [a, b], f(a) >= 0 >
     f(b).  Illinois steps then probe the _CELL grid point nearest the
@@ -126,7 +116,8 @@ def _crossing(model: DiscreteTailModel, n, a: float, fa: float) -> tuple:
     bisects where three steps did not halve the bracket, or while f(a) == 0.
     x is the midpoint of the cell that holds the crossing, the point a
     bisection to 1e-10 from integer ends returns, so it is the same
-    nondecreasing function of n.
+    nondecreasing function of n.  m = floor(c + 1/2), c the cell's left end,
+    is the sign rule below 2^52, where half-integers are grid points.
     """
     log_n = math.log(n)
     start = a
@@ -160,13 +151,18 @@ def _crossing(model: DiscreteTailModel, n, a: float, fa: float) -> tuple:
             if side < 0:
                 fa *= 0.5
             side = -1
-    x = 0.5 * (math.floor(a / _CELL) * _CELL + _grid_above(a))  # the cell around [a, b]
-    return x, model.log_tail_ext(x) + log_n
+    c = math.floor(a / _CELL) * _CELL  # the last grid point with f(c) >= 0
+    x = 0.5 * (c + _grid_above(a))  # the cell around [a, b]
+    m = math.floor((c if c < 2.0 ** 52 else x) + 0.5)  # from 2^52 on no half-integer is a float
+    return x, model.log_tail_ext(x) + log_n, m
 
 
 def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
             _start: float | None = None) -> ExtremalProfile:
     """Solve G(x_n) = 1/n and assemble the derived extremal quantities.
+
+    m_n is the sign rule: ln G(m_n - 1/2) + ln n >= 0 > ln G(m_n + 1/2) + ln n
+    (floor(x_n + 1/2) from 2^52 on, and of the rounded x_n under ``x_sigfigs``).
 
     ``_start`` is for scan_oscillation: the x_n of a smaller n, from which
     the bracket grows when G there is still at least 1/n.
@@ -183,7 +179,7 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
         f_start = model.log_tail_ext(_start) + log_n
         if f_start >= 0.0:
             a, fa = _start, f_start
-    x, residual = _crossing(model, n, a, fa)
+    x, residual, m = _crossing(model, n, a, fa)
     if not math.isfinite(residual) or abs(residual) > 1e-6:
         raise RootBracketError(
             f"no genuine crossing of 1/n at x={x} (discontinuous tail extension); "
@@ -191,7 +187,7 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
 
     if x_sigfigs is not None:
         raw, x = x, _round_sigfigs(x, x_sigfigs)
-    m = _cluster_anchor(x)
+        m = math.floor(x + 0.5)  # a rounded k + 1/2 is exact
     if m < lo:  # only rounding can put the anchor outside the support
         raise ValueError(f"x_sigfigs={x_sigfigs} rounds x_n = {raw!r} to {x!r}, whose anchor "
                          f"lies below the support edge support_min - 1 = {lo:.0f}")
@@ -241,8 +237,8 @@ def limiting_max_pmf(prof: ExtremalProfile, x: int) -> float:
 
 def exact_max_cdf_log(model: DiscreteTailModel, n, x: int) -> float:
     """ln P(max of n i.i.d. samples <= x), exact at finite n."""
-    if n < 1:
-        raise ValueError(f"exact_max_cdf_log requires n >= 1, got {n}")
+    if not 1 <= n < math.inf:  # also rejects nan
+        raise ValueError(f"exact_max_cdf_log requires a finite n >= 1, got {n}")
     if x < model.support_min:
         return -math.inf
     lt = model.log_tail(x)
@@ -262,8 +258,8 @@ def exact_order_stat_cdf_log(model: DiscreteTailModel, n, k: int, x: int) -> flo
     ratio t_j / t_(j-1) = (n - j + 1) q / (j (1 - q)), until they fall
     below _NEGLIGIBLE_TERM of it.
     """
-    if not (0 <= k < n):
-        raise ValueError(f"order statistic requires 0 <= k < n, got k={k}, n={n}")
+    if not 0 <= k < n < math.inf:
+        raise ValueError(f"order statistic requires 0 <= k < n < inf, got k={k}, n={n}")
     if x < model.support_min:
         return -math.inf
     lt = model.log_tail(x)
@@ -338,9 +334,10 @@ def tie_phase_threshold(prof: ExtremalProfile, c: float) -> int:
     _require_gamma(prof)
     if prof.regime is not Regime.GAMMA_ZERO:
         raise ValueError("the tie phase transition is defined for the gamma = 0 regime only")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    return int(math.ceil(c * prof.z_n))
+    depth = c * prof.z_n
+    if not (c > 0.0 and depth < math.inf):  # also rejects nan
+        raise ValueError(f"c must be positive with c z_n finite, got c={c}, z_n={prof.z_n}")
+    return int(math.ceil(depth))
 
 
 def _cluster_escape(lam: float, x: float, m: int) -> float:

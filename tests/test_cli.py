@@ -538,11 +538,12 @@ sys.exit(code)
 class TestLazyStdlibImports:
     """`import discmax.cli` loads no standard module that only some calls
     need: `fractions` (exact enumeration, EmpiricalModel), `datetime`
-    (hourly ingest), nor `dataclasses` and the `inspect` it pulls in.  Those
-    calls still work in that fresh interpreter, with the results they give
-    here.  Module presence is asserted, not start-up time."""
+    (hourly ingest), `csv` (CSV output), nor `dataclasses` and the
+    `inspect` it pulls in.  Those calls still work in that fresh
+    interpreter, with the results they give here.  Module presence is
+    asserted, not start-up time."""
 
-    LAZY = ["dataclasses", "inspect", "fractions", "decimal", "datetime"]
+    LAZY = ["dataclasses", "inspect", "fractions", "decimal", "datetime", "csv"]
     STAMPS = ["2024-03-01T00:10:00", "2024-03-01T02:59:59+00:00", "2024-03-01T00:00:00"]
 
     def test_cli_import_leaves_them_unloaded(self):

@@ -55,16 +55,27 @@ def synthetic_profile(p_n: float, regime=Regime.GAMMA_ZERO, gamma=0.0,
 
 
 class TestProfile:
-    def test_root_satisfies_definition(self):
-        for model in (PoissonModel(1.0), PoissonModel(1.0, "loglinear"),
-                      PoissonModel(1.0, "asymptotic"), NegativeBinomialModel(2.0, 0.3),
-                      GeometricModel(0.5)):
-            for n in (100, 10 ** 4):
-                prof = profile(model, n)
-                assert model.log_tail_ext(prof.x_n) == pytest.approx(
-                    -math.log(n), abs=1e-8)
-                assert prof.m_n == math.floor(prof.x_n + 0.5)
-                assert prof.p_n == pytest.approx(math.exp(-prof.theta_n), rel=1e-12)
+    @pytest.mark.parametrize("model", [
+        PoissonModel(1.0), PoissonModel(1.0, "loglinear"), PoissonModel(1.0, "asymptotic"),
+        NegativeBinomialModel(2.0, 0.3), GeometricModel(0.5)], ids=repr)
+    def test_root_satisfies_definition(self, model):
+        # m_n steps to j at n_j = 1/G(j - 1/2); at n_j (1 -+ eps), x_n lies
+        # within ~1e-9 of j - 1/2, so snapping x_n + 1/2 to a near integer
+        # would give j on both sides
+        cases = [(100, None), (10 ** 4, None)]
+        for j in range(5, 25):
+            n_j = math.exp(-model.log_tail_ext(j - 0.5))
+            cases += [(n_j * (1.0 + s * eps), j - (s < 0))
+                      for eps in (1e-13, 1e-11, 1e-9) for s in (-1, 1)]
+        for n, m in cases:
+            prof = profile(model, n)
+            log_n = math.log(n)
+            assert model.log_tail_ext(prof.x_n) == pytest.approx(-log_n, abs=1e-8)
+            assert prof.m_n == math.floor(prof.x_n + 0.5)
+            assert (model.log_tail_ext(prof.m_n - 0.5) + log_n >= 0.0
+                    > model.log_tail_ext(prof.m_n + 0.5) + log_n), n
+            assert m is None or prof.m_n == m, (n, m, prof.m_n)
+            assert prof.p_n == pytest.approx(math.exp(-prof.theta_n), rel=1e-12)
 
     def test_reference_table_row_1e3(self):
         prof = profile(PoissonModel(1.0, "asymptotic"), 1e3, x_sigfigs=6)
@@ -263,6 +274,12 @@ class TestLimitingMaxPmf:
 
 
 class TestExactMaxCdf:
+    @pytest.mark.parametrize("n", [0, 0.5, math.nan, math.inf])
+    def test_domain(self, n):
+        # nan gave nan, not an error
+        with pytest.raises(ValueError, match="requires a finite n >= 1"):
+            exact_max_cdf_log(PoissonModel(1.0), n, 3)
+
     def test_single_sample_is_cdf(self):
         m = PoissonModel(1.0)
         for x in (0, 2, 6):
@@ -343,10 +360,11 @@ class TestExactOrderStat:
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 0.01
 
-    def test_domain(self):
-        m = PoissonModel(1.0)
-        with pytest.raises(ValueError):
-            exact_order_stat_cdf_log(m, 10, 10, 3)
+    @pytest.mark.parametrize("n, k", [(10, 10), (10, -1), (math.nan, 3), (math.inf, 3)])
+    def test_domain(self, n, k):
+        # n = inf raised "math domain error" from the binomial pmf
+        with pytest.raises(ValueError, match="requires 0 <= k < n < inf"):
+            exact_order_stat_cdf_log(PoissonModel(1.0), n, k, 3)
 
 
 class TestTieDistribution:
@@ -419,6 +437,12 @@ class TestTiePhaseThreshold:
     def test_profile_value(self):
         prof = profile(PoissonModel(1.0), 1000)
         assert tie_phase_threshold(prof, 1.0) == 4
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, 1e308])
+    def test_c_domain(self, c):
+        # c = inf, or c z_n past the float maximum, raised OverflowError
+        with pytest.raises(ValueError, match="c must be positive with c z_n finite"):
+            tie_phase_threshold(synthetic_profile(0.5), c)
 
     def test_regime_mismatch(self):
         prof = synthetic_profile(0.4, regime=Regime.GAMMA_ONE, gamma=1.0)

@@ -39,6 +39,15 @@ empirical pmf, at n log-uniform in [1e3, 1e50]:
   the computed ln G is not monotone on that grid between the two; both
   refuse the n where the bisection finds no genuine crossing.
 
+The anchor m_n for Poisson(1) (natural, loglinear, asymptotic), NB(2,
+0.3) and Geometric(0.5), at n log-uniform in [1e3, 1e50] or within a
+relative 1e-13..1e-8 of a jump n_j = 1/G(j - 1/2):
+
+- the sign rule ln G(m_n - 1/2) + ln n >= 0 > ln G(m_n + 1/2) + ln n,
+  in profiles and in every row of a scan;
+- each scan breakpoint n_b and the next grid n bracket the exact jump
+  n_(m_n + 1) = exp(-ln G(m_n + 1/2)).
+
 The order statistic P(X_(n-k) <= m_n - 1) on the reference tables' gamma
 = 0 rows, at depths ceil(c z_n), c = 0.5, 1, 2, against an mpmath binomial
 sum (n <= 2^53) or ln Q(k + 1, n q) (n = 1e50), relative to
@@ -404,6 +413,50 @@ def assert_same_crossing(model, n, x, ref):
     lo = math.floor(min(x, ref) / step) * step
     values = [model.log_tail_ext(lo + j * step) for j in range(int(abs(x - ref) / step) + 3)]
     assert any(b > a for a, b in zip(values, values[1:])), (model, n, x, ref)
+
+
+# ln G falls by more than its rounding over one 2^-34 cell here; not so for
+# the negative binomial with p near 1 at x ~ 1e6
+anchor_models = st.sampled_from([
+    PoissonModel(1.0), PoissonModel(1.0, "loglinear"), PoissonModel(1.0, "asymptotic"),
+    NegativeBinomialModel(2.0, 0.3), GeometricModel(0.5)])
+
+
+def assert_sign_rule(model, n, m):
+    """ln G(m - 1/2) + ln n >= 0 > ln G(m + 1/2) + ln n."""
+    log_n = math.log(n)
+    assert model.log_tail_ext(m - 0.5) + log_n >= 0.0 > model.log_tail_ext(m + 0.5) + log_n, (
+        model, n, m)
+
+
+@settings(deadline=None)
+@given(model=anchor_models, n=log_uniform(1e3, 1e50), near=st.booleans(),
+       eps=log_uniform(1e-13, 1e-8), below=st.booleans())
+def test_anchor_sign_rule(model, n, near, eps, below):
+    # near: n moves to within eps of the step of m_n at n_j = 1/G(j - 1/2)
+    if near:
+        j = profile(model, n).m_n
+        n = math.exp(-model.log_tail_ext(j - 0.5)) * (1.0 - eps if below else 1.0 + eps)
+    prof = profile(model, n)
+    assert prof.x_n < 2.0 ** 52
+    assert_sign_rule(model, n, prof.m_n)
+
+
+@settings(deadline=None)
+@given(model=anchor_models, lo=log_uniform(1e3, 1e40), span=log_uniform(10.0, 1e10),
+       count=st.integers(2, 60), eps=log_uniform(1e-13, 1e-9))
+def test_scan_breakpoints_bracket_jumps(model, lo, span, count, eps):
+    # log-spaced n plus one n just below a jump n_j = 1/G(j - 1/2); a
+    # breakpoint n_b and the next grid n bracket n_(m_n + 1)
+    ns = [lo * span ** (i / (count - 1)) for i in range(count)]
+    n_j = math.exp(-model.log_tail_ext(profile(model, ns[-1]).m_n - 0.5))
+    scan = scan_oscillation(model, sorted(set(ns + [n_j * (1.0 - eps)])))
+    for row in scan.rows:
+        assert_sign_rule(model, row.n, row.m_n)
+    for a, b in zip(scan.rows, scan.rows[1:]):
+        if a.n in scan.breakpoints:
+            jump = math.exp(-model.log_tail_ext(a.m_n + 0.5))
+            assert a.n < jump <= b.n, (model, a.n, jump, b.n)
 
 
 def tables_rows():
