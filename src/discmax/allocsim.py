@@ -201,12 +201,11 @@ def _partitions(total: int, parts: int, largest: int):
             yield (first,) + rest
 
 
-def _rising_factorials(a, m: int) -> list:
-    """[(a)_0, (a)_1, ..., (a)_m] with (a)_c = a (a + 1) ... (a + c - 1), exact
-    for a Fraction a."""
+def _rising_factorials(a: int, d: int, m: int) -> list:
+    """[d^c (a/d)_c for c = 0..m], the integers a (a + d) ... (a + (c - 1) d)."""
     out = [1]
     for j in range(m):
-        out.append(out[-1] * (a + j))
+        out.append(out[-1] * (a + j * d))
     return out
 
 
@@ -216,8 +215,8 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
 
     Returns {sorted_counts: (allocation_prob, conditioned_iid_prob)}.
     The allocation route evaluates the multinomial (or Dirichlet mixture)
-    probability in exact rational arithmetic; the conditioning route
-    evaluates products of i.i.d. pmf values (Poisson(lam), or NB(r, p))
+    probability as a ratio of exact integers, rounded once; the conditioning
+    route evaluates products of i.i.d. pmf values (Poisson(lam), or NB(r, p))
     normalized by the total mass on the sum.  The two columns must agree:
     the mixing parameter (lam or p) cancels in the conditional law.
 
@@ -233,15 +232,16 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
     if n_balls < 0 or n_balls > ENUMERATION_MAX_BALLS:
         raise ValueError(f"enumeration supports 0..{ENUMERATION_MAX_BALLS} balls, got {n_balls}")
 
-    from fractions import Fraction
     if kind == "multinomial":
         model = PoissonModel(lam)
-        denom = Fraction(n_boxes ** n_balls)
+        denom = n_boxes ** n_balls
     else:
         model = NegativeBinomialModel(r, p)
-        r_frac = Fraction(r)
-        rising = _rising_factorials(r_frac, n_balls)
-        denom = _rising_factorials(n_boxes * r_frac, n_balls)[-1]
+        # r = a/d exactly; the d^c cleared from each (r)_c cancel against the
+        # d^k cleared from (n_boxes r)_k, as the counts sum to k = n_balls
+        a, d = float(r).as_integer_ratio()
+        rising = _rising_factorials(a, d, n_balls)
+        denom = _rising_factorials(n_boxes * a, d, n_balls)[-1]
     log_pmf = [model.log_pmf(c) for c in range(n_balls + 1)]
 
     fact = [math.factorial(i) for i in range(max(n_balls, n_boxes) + 1)]
@@ -254,7 +254,7 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
             coeff //= fact[c]
         for v in set(key):
             arrangements //= fact[key.count(v)]
-        num = Fraction(arrangements * coeff)
+        num = arrangements * coeff
         if kind == "dirichlet":
             for c in key:
                 num *= rising[c]
@@ -262,7 +262,7 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
         weight[key] = arrangements * math.exp(math.fsum(log_pmf[c] for c in key))
     total_weight = math.fsum(weight.values())
 
-    return {key: (float(alloc[key]), weight[key] / total_weight) for key in sorted(alloc)}
+    return {key: (alloc[key], weight[key] / total_weight) for key in sorted(alloc)}
 
 
 def merging_report(spec: AllocationSpec, prof: ExtremalProfile, t_max: int = 3, *,

@@ -117,7 +117,9 @@ def _profile_row(model, prof) -> dict:
     }
     poisson = isinstance(model, tailmodel.PoissonModel)
     row["cluster_escape_bound"] = extremes.anderson_cluster_bound(model, prof) if poisson else None
-    row["briggs_x"] = extremes.briggs_approximation(model.lam, prof.n) if poisson else None
+    # the Lambert-W refinement needs n >= 3; n = 2 leaves it empty, as other models do
+    row["briggs_x"] = (extremes.briggs_approximation(model.lam, prof.n)
+                       if poisson and prof.n >= 3 else None)
     return row
 
 

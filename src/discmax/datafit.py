@@ -12,6 +12,7 @@ module does not load it.
 from __future__ import annotations
 
 import math
+import os
 
 from .extremes import exact_max_cdf_log
 from .record import Record
@@ -24,9 +25,10 @@ from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
 LAW_TAIL_MASS = 1e-9
 MAX_LAW_VALUES = 100_000
 
-# blocks drawn per sampler call in simulate_daily_max; it fixes the random
-# stream, so changing it changes every seeded result
-SIMULATION_CHUNK = 100_000
+# variates simulate_daily_max asks the sampler for per call (at least one
+# block): 100000 blocks of 24.  It bounds memory only; the seeded stream is
+# the same however the draws are split into calls
+SIMULATION_DRAWS = 2_400_000
 
 
 class DataError(ValueError):
@@ -75,56 +77,53 @@ class NBFit(Record):
 
 
 def ingest(lines, block_size: int, label: str = "series", bin_by: str | None = None) -> CountSeries:
-    """Build a CountSeries from an iterable of text lines (or a file path).
+    """Build a CountSeries from an iterable of text lines, or from a file
+    path (str or os.PathLike); blank lines are skipped.
 
     Plain mode expects one nonnegative integer per line.  With
-    bin_by="hour", lines are ISO-8601 timestamps that get tallied into
-    consecutive hourly bins spanning the observed range.
+    bin_by="hour", lines are ISO-8601 timestamps (naive ones in UTC),
+    tallied into consecutive hourly bins spanning the observed range by
+    their hour since the epoch, floored: exact for any date.
     """
-    if isinstance(lines, str):
+    if isinstance(lines, (str, os.PathLike)):
         with open(lines, "r", encoding="utf-8") as fh:
             return ingest(fh.read().splitlines(), block_size, label=label, bin_by=bin_by)
 
-    if bin_by is not None and bin_by != "hour":
+    if bin_by is None:
+        read, what = int, "an integer count"
+    elif bin_by == "hour":
+        from datetime import datetime, timedelta, timezone
+        naive_epoch, hour = datetime(1970, 1, 1), timedelta(hours=1)
+        epoch = naive_epoch.replace(tzinfo=timezone.utc)
+
+        def read(text: str) -> int:
+            dt = datetime.fromisoformat(text)
+            return (dt - (naive_epoch if dt.tzinfo is None else epoch)) // hour
+        what = "an ISO-8601 timestamp"
+    else:
         raise DataError(f"unsupported binning {bin_by!r}, expected 'hour'")
 
-    if bin_by is None:
-        counts = []
-        for i, raw in enumerate(lines, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise DataError(f"line {i}: not an integer count: {text!r}") from None
-            if value < 0:
-                raise DataError(f"line {i}: negative count {value}")
-            counts.append(value)
-        if not counts:
-            raise DataError("no counts found in input")
-        return CountSeries(counts=tuple(counts), block_size=block_size, label=label)
-
-    from datetime import datetime, timezone
-    stamps = []
+    values = []
     for i, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text:
             continue
         try:
-            dt = datetime.fromisoformat(text)
+            value = read(text)
         except ValueError:
-            raise DataError(f"line {i}: not an ISO-8601 timestamp: {text!r}") from None
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        stamps.append(int(dt.timestamp()) // 3600)
-    if not stamps:
-        raise DataError("no timestamps found in input")
-    first, last = min(stamps), max(stamps)
-    counts = [0] * (last - first + 1)
-    for h in stamps:
-        counts[h - first] += 1
-    return CountSeries(counts=tuple(counts), block_size=block_size, label=label)
+            raise DataError(f"line {i}: not {what}: {text!r}") from None
+        if value < 0 and bin_by is None:
+            raise DataError(f"line {i}: negative count {value}")
+        values.append(value)
+    if not values:
+        raise DataError(f"no {'counts' if bin_by is None else 'timestamps'} found in input")
+    if bin_by is not None:  # hours since the epoch, tallied from the first
+        first = min(values)
+        counts = [0] * (max(values) - first + 1)
+        for h in values:
+            counts[h - first] += 1
+        values = counts
+    return CountSeries(counts=tuple(values), block_size=block_size, label=label)
 
 
 def fit_nb_moments(series: CountSeries) -> NBFit:
@@ -183,8 +182,8 @@ def empirical_daily_max(series: CountSeries) -> dict:
 
 
 def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:
-    """Monte Carlo block maxima from a fitted model, SIMULATION_CHUNK blocks
-    per draw, so results are reproducible for a given (trials, seed)."""
+    """Monte Carlo block maxima from a fitted model, reproducible for a given
+    (trials, seed); a sampler call draws SIMULATION_DRAWS variates at most, or one block."""
     import numpy as np
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -193,9 +192,10 @@ def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:
     model = fit.to_model() if isinstance(fit, NBFit) else fit
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     out: dict = {}
+    per_call = max(1, SIMULATION_DRAWS // block_size)
     remaining = trials
     while remaining > 0:
-        size = min(SIMULATION_CHUNK, remaining)
+        size = min(per_call, remaining)
         maxima = model.sample(rng, (size, block_size)).max(axis=1)
         for v, c in zip(*np.unique(maxima, return_counts=True)):
             out[int(v)] = out.get(int(v), 0) + int(c)

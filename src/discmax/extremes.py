@@ -48,7 +48,7 @@ _NEGLIGIBLE_TERM = math.exp(-40.0)
 
 
 class RootBracketError(RuntimeError):
-    """The extended tail never crosses 1/n (bounded tail or n too small)."""
+    """The extended tail does not cross 1/n below 2^990 (bounded tail or n too small)."""
 
 
 class Regime(Enum):
@@ -110,25 +110,28 @@ def _crossing(model: DiscreteTailModel, n, a: float, fa: float) -> tuple:
     """(x, f(x), m) for the crossing of f(x) = ln G(x) + ln n above a, f(a) = fa >= 0.
 
     Steps of 1, 2, 4, ... from a bracket the crossing in [a, b], f(a) >= 0 >
-    f(b).  Illinois steps then probe the _CELL grid point nearest the
-    regula-falsi root inside (a, b), the value at an end that two steps in a
-    row left in place halved, until [a, b] holds no grid point.  A step
-    bisects where three steps did not halve the bracket, or while f(a) == 0.
-    x is the midpoint of the cell that holds the crossing, the point a
-    bisection to 1e-10 from integer ends returns, so it is the same
-    nondecreasing function of n.  m = floor(c + 1/2), c the cell's left end,
-    is the sign rule below 2^52, where half-integers are grid points.
+    f(b), while the grid's b / _CELL is finite (b < 2^990).  Illinois steps
+    then probe the _CELL grid point nearest the regula-falsi root inside
+    (a, b), the value at an end that two steps in a row left in place
+    halved, until [a, b] holds no grid point.  A step bisects where three
+    steps did not halve the bracket, or while f(a) == 0.  x is the midpoint
+    of the cell that holds the crossing, the point a bisection to 1e-10 from
+    integer ends returns, so it is the same nondecreasing function of n.
+    m = floor(c + 1/2), c the cell's left end, is the sign rule below 2^52,
+    where half-integers are grid points.
     """
     log_n = math.log(n)
-    start = a
-    for i in range(200):
-        b = start + 2.0 ** i
+    start, step = a, 1.0
+    while (b := start + step) / _CELL < math.inf:
         fb = model.log_tail_ext(b) + log_n
         if fb < 0.0:
             break
         a, fa = b, fb
+        step *= 2.0
     else:
-        raise RootBracketError(f"extended tail never drops below 1/n (n={n}); tail bounded?")
+        raise RootBracketError(
+            f"extended tail does not drop below 1/n up to x = {a!r} (n={n}): x_n lies beyond "
+            "the solver's range, or the tail is bounded")
     side = 0  # the end last replaced
     widths = [math.inf] * 3  # the bracket's width one, two and three steps back
     while (above := _grid_above(a)) < b:

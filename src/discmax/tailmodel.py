@@ -43,11 +43,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import accumulate
 
 from .record import Record
 from .specfun import log_negbinom_pmf, log_poisson_pmf, reg_beta_log, reg_gamma_p_log
 
 EXTENSIONS = ("natural", "loglinear", "asymptotic")
+
+# every float is an integer multiple of 1 / _FLOAT_UNITS, the least subnormal
+_FLOAT_UNITS = 2 ** 1074
 
 
 class GammaDiagnostic(Record):
@@ -254,8 +258,9 @@ class DiscreteCauchyModel(DiscreteTailModel):
         self._log_norm = -math.log(self._tail_sum(0))
 
     @staticmethod
-    def _em_tail(m: int) -> float:
-        # sum_{j>=m} 1/(1+j^2) via Euler-Maclaurin through the 5th derivative
+    def _em_tail(m: float) -> float:
+        # sum_{j>=m} 1/(1+j^2) via Euler-Maclaurin through the 5th derivative;
+        # past m ~ 1.3e154, m * m is inf and the sum is theta
         f = 1.0 / (1.0 + m * m)
         s = math.sqrt(f)          # sin(theta), theta = atan(1/m)
         theta = math.atan2(1.0, m)
@@ -267,9 +272,9 @@ class DiscreteCauchyModel(DiscreteTailModel):
     @classmethod
     def _tail_sum(cls, m: int) -> float:
         if m >= cls._EM_CUTOFF:
-            return cls._em_tail(m)
+            return cls._em_tail(float(m))
         head = math.fsum(1.0 / (1.0 + j * j) for j in range(m, cls._EM_CUTOFF))
-        return head + cls._em_tail(cls._EM_CUTOFF)
+        return head + cls._em_tail(float(cls._EM_CUTOFF))
 
     def log_pmf(self, k: int) -> float:
         if k < 0:
@@ -294,11 +299,10 @@ class EmpiricalModel(DiscreteTailModel):
     name = "empirical"
 
     def __init__(self, probabilities, support_min: int = 0, extension: str = "loglinear"):
-        from fractions import Fraction
         probs = tuple(float(p) for p in probabilities)
         if not probs:
             raise ValueError("empirical pmf must be non-empty")
-        if any(p < 0.0 for p in probs):
+        if any(not p >= 0.0 for p in probs):  # also rejects nan
             raise ValueError("empirical pmf entries must be nonnegative")
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-9:
@@ -306,13 +310,11 @@ class EmpiricalModel(DiscreteTailModel):
         self.probabilities = probs
         self.support_min = int(support_min)
         # suffix sums: tails[i] = P(X > support_min + i - 1) = sum_{j>=i} p_j,
-        # each the exact sum rounded once, as math.fsum(probs[i:]) gives it
-        tails = [0.0] * (len(probs) + 1)
-        exact = Fraction(0)
-        for i in range(len(probs) - 1, -1, -1):
-            exact += Fraction(probs[i])
-            tails[i] = float(exact)
-        self._tails = tails
+        # summed exactly in integer units of 1 / _FLOAT_UNITS and rounded once
+        # by the int / int division, as math.fsum(probs[i:]) gives it
+        units = (num * (_FLOAT_UNITS // den)
+                 for num, den in map(float.as_integer_ratio, reversed(probs)))
+        self._tails = [s / _FLOAT_UNITS for s in accumulate(units)][::-1] + [0.0]
         super().__init__(extension)
         self._diagnostic = self._estimate_gamma()
 

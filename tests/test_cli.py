@@ -47,6 +47,30 @@ class TestProfileCommand:
         assert float(row["gamma"]) == 0.5
         assert row["cluster_escape_bound"] == ""  # Poisson-only column
 
+    @pytest.mark.parametrize("n", ["2", "2.5"])
+    def test_poisson_below_briggs_range(self, capsys, n):
+        # the Lambert-W refinement needs n >= 3; the row leaves it empty
+        code, out = run_cli(["profile", "--params", "lam=1", "--n", n], capsys)
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["briggs_x"] == ""
+        assert float(row["cluster_escape_bound"]) > 0.0
+        code, out = run_cli(["profile", "--params", "lam=1", "--n", n, "--format", "json"],
+                            capsys)
+        assert code == 0
+        assert json.loads(out)[0]["briggs_x"] is None
+
+    def test_simulate_two_boxes(self, capsys):
+        code, out = run_cli(["simulate", "--boxes", "2", "--balls", "3", "--trials", "50",
+                             "--extension", "natural", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["profile"]["briggs_x"] is None
+
+    def test_dcauchy_beyond_doubling_range(self, capsys):
+        code, out = run_cli(["profile", "--model", "dcauchy", "--n", "1e61"], capsys)
+        assert code == 0
+        assert float(parse_csv(out)[0]["x_n"]) == pytest.approx(0.48153922e61, rel=1e-8)
+
     def test_json_format(self, capsys):
         code, out = run_cli(["profile", "--model", "poisson", "--params", "lam=1",
                              "--n", "1000", "--format", "json"], capsys)
@@ -326,11 +350,18 @@ class TestExitCodes:
             main(["profile", "--model", "nosuch", "--n", "10"])
         assert exc.value.code == 2
 
-    def test_numeric_failure(self, capsys):
+    @pytest.mark.parametrize("argv, message", [
         # bounded empirical tail cannot reach 1/n for large n
-        code, _ = run_cli(["profile", "--model", "empirical",
-                           "--params", "probabilities=0.5:0.5", "--n", "1e9"], capsys)
-        assert code == 3
+        (["--model", "empirical", "--params", "probabilities=0.5:0.5", "--n", "1e9"],
+         "no genuine crossing"),
+        # x_n ~ 4.8e299 lies past the bracket's last step, 2^989
+        (["--model", "dcauchy", "--n", "1e300"], "beyond the solver's range"),
+    ], ids=["bounded", "dcauchy-1e300"])
+    def test_numeric_failure(self, capsys, argv, message):
+        assert main(["profile"] + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     @pytest.mark.parametrize("n", ["nan", "inf"])
     def test_non_finite_n_usage_error(self, capsys, n):
@@ -537,11 +568,12 @@ sys.exit(code)
 
 class TestLazyStdlibImports:
     """`import discmax.cli` loads no standard module that only some calls
-    need: `fractions` (exact enumeration, EmpiricalModel), `datetime`
-    (hourly ingest), `csv` (CSV output), nor `dataclasses` and the
-    `inspect` it pulls in.  Those calls still work in that fresh
-    interpreter, with the results they give here.  Module presence is
-    asserted, not start-up time."""
+    need: `datetime` (hourly ingest), `csv` (CSV output), nor `dataclasses`
+    and the `inspect` it pulls in.  No module uses `fractions` (or the
+    `decimal` it pulls in): exact enumeration and EmpiricalModel sum in
+    integers, and they leave both unloaded.  Those calls still work in that
+    fresh interpreter, with the results they give here.  Module presence
+    is asserted, not start-up time."""
 
     LAZY = ["dataclasses", "inspect", "fractions", "decimal", "datetime", "csv"]
     STAMPS = ["2024-03-01T00:10:00", "2024-03-01T02:59:59+00:00", "2024-03-01T00:00:00"]
@@ -556,6 +588,7 @@ print(repr([allocsim.enumerate_conditional(3, 4, "dirichlet", r=1.5),
             allocsim.enumerate_conditional(2, 3, "multinomial"),
             tailmodel.EmpiricalModel([0.5, 0.3, 0.2])._tails,
             datafit.ingest({self.STAMPS!r}, 1, bin_by="hour").counts]))
+assert "fractions" not in sys.modules and "decimal" not in sys.modules
 """)
         assert proc.returncode == 0, proc.stderr
         from discmax import datafit, tailmodel

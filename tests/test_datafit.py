@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from discmax import datafit
 from discmax.datafit import (
     CountSeries,
     DataError,
@@ -51,14 +52,26 @@ class TestIngest:
         series = ingest(lines, block_size=1, bin_by="hour")
         assert series.counts == (1, 0, 2)
 
+    @pytest.mark.parametrize("lines, counts", [
+        # hours floor before the epoch too: -1.5 h is hour -2, not -1
+        (["1969-12-31T22:59:59.5+00:00", "1969-12-31T23:00:00.5", "1969-12-31T23:30"], (1, 2)),
+        # exact for any date: a float timestamp here rounds 22:59:59.999999 to 23:00
+        (["9999-12-31T22:59:59.999999", "9999-12-31T23:00:00"], (1, 1)),
+        # an offset is read as such; naive means UTC
+        (["2024-05-01T02:30:00+02:00", "2024-05-01T01:59:59"], (1, 1)),
+    ], ids=["before-1970", "year-9999", "offset"])
+    def test_timestamps_binned_by_exact_hour(self, lines, counts):
+        assert ingest(lines, block_size=1, bin_by="hour").counts == counts
+
     def test_bad_timestamp_reports_line(self):
         with pytest.raises(DataError, match="line 2"):
             ingest(["2024-05-01T00:30:00", "yesterday"], block_size=1, bin_by="hour")
 
-    def test_from_path(self, tmp_path):
+    @pytest.mark.parametrize("as_input", [str, lambda path: path], ids=["str", "pathlike"])
+    def test_from_path(self, tmp_path, as_input):
         path = tmp_path / "counts.csv"
         path.write_text("0\n1\n0\n2\n", encoding="utf-8")
-        series = ingest(str(path), block_size=2)
+        series = ingest(as_input(path), block_size=2)
         assert series.counts == (0, 1, 0, 2)
 
     def test_series_validation(self):
@@ -242,6 +255,31 @@ class TestSimulateDailyMax:
     def test_pinned_draws(self, fit, counts):
         got = simulate_daily_max(fit, 24, trials=3000, seed=2024)
         assert got == {v: c / 3000 for v, c in counts.items()}
+
+    @pytest.mark.parametrize("draws", [1, 24 * 7, 24 * 1000 + 23])
+    def test_calls_do_not_define_the_stream(self, monkeypatch, draws):
+        monkeypatch.setattr(datafit, "SIMULATION_DRAWS", draws)
+        fit = NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True)
+        got = simulate_daily_max(fit, 24, trials=3000, seed=2024)
+        assert got == {v: c / 3000 for v, c in PINNED_NB_COUNTS.items()}
+
+    def test_long_blocks_bound_each_call(self, monkeypatch):
+        asked = []
+
+        def zeros(model, rng, size):  # a broadcast view: no draws, nothing allocated
+            asked.append(size)
+            return np.broadcast_to(np.int64(0), size)
+
+        monkeypatch.setattr(PoissonModel, "sample", zeros)
+        block = 50_000
+        per_call = datafit.SIMULATION_DRAWS // block
+        got = simulate_daily_max(PoissonModel(1.0), block, trials=2 * per_call + 4, seed=0)
+        assert got == {0: 1.0}
+        assert asked == [(per_call, block)] * 2 + [(4, block)]
+        # a block longer than the bound still goes one block per call
+        asked.clear()
+        simulate_daily_max(PoissonModel(1.0), datafit.SIMULATION_DRAWS + 1, trials=2, seed=0)
+        assert asked == [(1, datafit.SIMULATION_DRAWS + 1)] * 2
 
     def test_geometric_simulates(self):
         model = GeometricModel(0.3)

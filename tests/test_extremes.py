@@ -225,6 +225,24 @@ class TestProfile:
             prof = profile(DiscreteCauchyModel(), n)
             assert (prof.x_n + 0.5) * s / n == pytest.approx(1.0, abs=2e-14), e
 
+    @pytest.mark.parametrize("n", [1e61, 1e200, 1e297])
+    def test_dcauchy_beyond_doubling_range(self, n):
+        # x_n far past 2^199, and past m ~ 1.3e154, where m * m overflows;
+        # ln G is ~ -690 here, so its rounding is ~1e-13
+        model = DiscreteCauchyModel()
+        s = (1.0 + math.pi / math.tanh(math.pi)) / 2.0
+        prof = profile(model, n)
+        assert prof.x_n * s / n == pytest.approx(1.0, abs=3e-13)
+        assert abs(model.log_tail_ext(prof.x_n) + math.log(n)) <= 2e-13
+        rows = scan_oscillation(model, [n / 3.0, n]).rows
+        assert rows[1].x_n == prof.x_n
+        assert rows[0].x_n * 3.0 * s / n == pytest.approx(1.0, abs=3e-13)
+
+    def test_dcauchy_beyond_solver_range(self):
+        # x_n ~ 4.8e299 > 2^989, the last bracket step whose grid is finite
+        with pytest.raises(RootBracketError, match="beyond the solver's range"):
+            profile(DiscreteCauchyModel(), 1e300)
+
 
 class TestLimitingMaxCdf:
     def test_gamma_zero_steps(self):

@@ -236,6 +236,9 @@ class TestEmpirical:
             EmpiricalModel([1.2, -0.2])
         with pytest.raises(ValueError):
             EmpiricalModel([])
+        # nan passes both p < 0 and the sum check
+        with pytest.raises(ValueError, match="entries must be nonnegative"):
+            EmpiricalModel([0.5, math.nan, 0.5])
 
     def test_tail_exactly_zero_beyond_support(self):
         m = EmpiricalModel([0.25, 0.25, 0.5])
@@ -258,10 +261,17 @@ class TestEmpirical:
         with pytest.warns(RuntimeWarning):
             m.tail_ratio_gamma()
 
-    def test_suffix_sums_match_fsum(self):
+    @pytest.mark.parametrize("weights", [
+        [rng.uniform(0.5, 1.5) * 0.995 ** i for rng in [random.Random(2000)]
+         for i in range(2000)],
+        # zero and subnormal atoms
+        [0.5, 0.0, 5e-324, 0.25, 0.0, 2.5e-310, 1e-300],
+        # atoms spread over 300 decades
+        [rng.random() * 10.0 ** -rng.randrange(300) for rng in [random.Random(6)]
+         for _ in range(3000)],
+    ], ids=["decaying", "subnormal", "300-decades"])
+    def test_suffix_sums_match_fsum(self, weights):
         # the one-pass exact suffix sums round like fsum over each suffix
-        rng = random.Random(2000)
-        weights = [rng.uniform(0.5, 1.5) * 0.995 ** i for i in range(2000)]
         total = math.fsum(weights)
         probs = [w / total for w in weights]
         m = EmpiricalModel(probs)
