@@ -25,8 +25,10 @@ importing this module (and the package) does not load it.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Iterator
+from itertools import accumulate
 
 from .extremes import (ExtremalProfile, Regime, limiting_max_pmf, tie_distribution,
                        tie_phase_threshold)
@@ -37,6 +39,10 @@ KINDS = ("multinomial", "dirichlet")
 
 ENUMERATION_MAX_BOXES = 6
 ENUMERATION_MAX_BALLS = 12
+
+# ln of the least normal float: enumerate_conditional's pmf products below
+# it are taken another way
+_LOG_NORMAL_MIN = math.log(sys.float_info.min)
 
 # simulate refuses specs whose n_boxes x trials box tallies exceed this;
 # it also keeps every chunk index below 2^32, one word of a spawn key
@@ -246,7 +252,7 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
 
     fact = [math.factorial(i) for i in range(max(n_balls, n_boxes) + 1)]
     alloc: dict = {}
-    weight: dict = {}
+    arrangements_of: dict = {}
     for key in _partitions(n_balls, n_boxes, n_balls):
         arrangements = fact[n_boxes]
         coeff = fact[n_balls]
@@ -259,7 +265,21 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
             for c in key:
                 num *= rising[c]
         alloc[key] = num / denom
-        weight[key] = arrangements * math.exp(math.fsum(log_pmf[c] for c in key))
+        arrangements_of[key] = arrangements
+
+    def log_products(logs: list) -> dict:
+        return {key: math.fsum(logs[c] for c in key) for key in alloc}
+
+    log_weight, shift = log_products(log_pmf), 0.0
+    if max(log_weight.values()) < _LOG_NORMAL_MIN:
+        # every pmf product underflows, as (1 - p)^r does at r = 1e10: take
+        # them over pmf(0)^n_boxes, from the term ratios pmf(c + 1) / pmf(c),
+        # and over the largest, so no digit cancels and nothing underflows
+        ratios = [lam / (c + 1) if kind == "multinomial" else p * (r + c) / (c + 1)
+                  for c in range(n_balls)]
+        log_weight = log_products([0.0, *accumulate(map(math.log, ratios))])
+        shift = max(log_weight.values())
+    weight = {key: arrangements_of[key] * math.exp(lw - shift) for key, lw in log_weight.items()}
     total_weight = math.fsum(weight.values())
 
     return {key: (alloc[key], weight[key] / total_weight) for key in sorted(alloc)}

@@ -5,6 +5,15 @@ negative binomial by method of moments, compute the exact distribution of
 the per-block (e.g. per-day) maximum from the model's tail, and compare it
 against the block maxima observed in the data and against simulation.
 
+The simulation draws one uniform per hour and inverts it by a search in
+a table of forward pmf sums, F(v) = f(support_min) + ... + f(v); the
+inversion is monotone, so a block's largest uniform gives its maximum,
+one search per block.  The table grows as far as the largest uniform
+drawn, and ends where a pmf term no longer changes the sum and
+P(X > v) < 2^-53.  It comes from log_pmf, while the exact law comes from
+log_tail, so the simulation still checks the law.  Its uniforms are
+block-maximum stream version 2, SeedSequence(entropy=seed, spawn_key=(2,)).
+
 numpy is imported inside the two functions that use it, so importing this
 module does not load it.
 """
@@ -25,10 +34,19 @@ from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
 LAW_TAIL_MASS = 1e-9
 MAX_LAW_VALUES = 100_000
 
-# variates simulate_daily_max asks the sampler for per call (at least one
-# block): 100000 blocks of 24.  It bounds memory only; the seeded stream is
-# the same however the draws are split into calls
+# uniforms simulate_daily_max draws per call (at least one block): 100000
+# blocks of 24.  It bounds memory only; the seeded stream is the same however
+# the draws are split into calls
 SIMULATION_DRAWS = 2_400_000
+
+# simulate_daily_max's table of F(v) ends where P(X > v) < 2^-53, the gap
+# below 1 of the largest uniform
+_LOG_HOUR_TAIL_END = -53 * math.log(2.0)
+
+# hourly bins ingest(..., bin_by="hour") builds at most (~456 years); at the
+# bound, ingest, fit_nb_moments and empirical_daily_max of two timestamps
+# take ~1 s and ~120 MB of peak RSS (2 cores, numpy 2.4), ~23 bytes a bin
+MAX_HOURLY_BINS = 4_000_000
 
 
 class DataError(ValueError):
@@ -83,7 +101,8 @@ def ingest(lines, block_size: int, label: str = "series", bin_by: str | None = N
     Plain mode expects one nonnegative integer per line.  With
     bin_by="hour", lines are ISO-8601 timestamps (naive ones in UTC),
     tallied into consecutive hourly bins spanning the observed range by
-    their hour since the epoch, floored: exact for any date.
+    their hour since the epoch, floored: exact for any date.  A range of
+    more than MAX_HOURLY_BINS hours raises DataError before any bin is made.
     """
     if isinstance(lines, (str, os.PathLike)):
         with open(lines, "r", encoding="utf-8") as fh:
@@ -119,7 +138,11 @@ def ingest(lines, block_size: int, label: str = "series", bin_by: str | None = N
         raise DataError(f"no {'counts' if bin_by is None else 'timestamps'} found in input")
     if bin_by is not None:  # hours since the epoch, tallied from the first
         first = min(values)
-        counts = [0] * (max(values) - first + 1)
+        span = max(values) - first + 1
+        if span > MAX_HOURLY_BINS:
+            raise DataError(f"timestamps span {span} hours, more than the {MAX_HOURLY_BINS} "
+                            "hourly bins a series may hold")
+        counts = [0] * span
         for h in values:
             counts[h - first] += 1
         values = counts
@@ -141,6 +164,21 @@ def fit_nb_moments(series: CountSeries) -> NBFit:
     return NBFit(mean=mean, variance=variance, r=None, p=None, overdispersed=False)
 
 
+def _listable_model(fit, block_size: int) -> DiscreteTailModel:
+    """The tail model of fit (an NBFit or a model), refused with ValueError
+    where the maximum of block_size draws needs more than MAX_LAW_VALUES
+    values to reach LAW_TAIL_MASS."""
+    model = fit.to_model() if isinstance(fit, NBFit) else fit
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    last = model.support_min + MAX_LAW_VALUES - 1
+    beyond = -math.expm1(exact_max_cdf_log(model, block_size, last))
+    if beyond >= LAW_TAIL_MASS:
+        raise ValueError(f"the maximum of {block_size} draws from {model!r} exceeds {last} with "
+                         f"probability {beyond:.3g}: its law needs more than {MAX_LAW_VALUES} values")
+    return model
+
+
 def daily_max_law(fit, block_size: int) -> dict:
     """Exact law {v: P(max = v)} of the maximum of block_size i.i.d. counts.
 
@@ -150,16 +188,9 @@ def daily_max_law(fit, block_size: int) -> dict:
     LAW_TAIL_MASS; a tail that needs more than MAX_LAW_VALUES values raises
     ValueError before any is listed.  Accepts an NBFit or any tail model.
     """
-    model = fit.to_model() if isinstance(fit, NBFit) else fit
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    last = model.support_min + MAX_LAW_VALUES - 1
-    beyond = -math.expm1(exact_max_cdf_log(model, block_size, last))
-    if beyond >= LAW_TAIL_MASS:
-        raise ValueError(f"the maximum of {block_size} draws from {model!r} exceeds {last} with "
-                         f"probability {beyond:.3g}: its law needs more than {MAX_LAW_VALUES} values")
+    model = _listable_model(fit, block_size)
     law = {}
-    for v in range(model.support_min, last + 1):
+    for v in range(model.support_min, model.support_min + MAX_LAW_VALUES):
         log_f = exact_max_cdf_log(model, 1, v)  # ln F(v), the law of one draw
         log_cdf = block_size * log_f  # ln F(v)^B, as exact_max_cdf_log(model, block_size, v)
         # ln f(v)/F(v), at most 0; while F(v) = 0 any value gives the zero step
@@ -181,23 +212,61 @@ def empirical_daily_max(series: CountSeries) -> dict:
     return {v: c / nb for v, c in sorted(out.items())}
 
 
+def _cdf_rows(model: DiscreteTailModel):
+    """F(v) for v = support_min, support_min + 1, ...: forward sums of the
+    pmf.  The rows end before the first v whose pmf no longer changes the
+    sum and whose tail ln P(X > v) is below _LOG_HOUR_TAIL_END; every model
+    with a proper tail gets there."""
+    total, v = 0.0, model.support_min
+    while True:
+        before, total = total, total + math.exp(model.log_pmf(v))
+        if total == before and model.log_tail(v) < _LOG_HOUR_TAIL_END:
+            return
+        yield total
+        v += 1
+
+
 def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:
     """Monte Carlo block maxima from a fitted model, reproducible for a given
-    (trials, seed); a sampler call draws SIMULATION_DRAWS variates at most, or one block."""
+    (trials, seed).  Refuses, with ValueError, the models daily_max_law
+    refuses.
+
+    Each hour is drawn by inversion: one uniform u, and the value v with
+    F(v - 1) <= u < F(v), found by a search in the table of forward pmf sums
+    F(v) from support_min.  The search is monotone in u, so a block's
+    maximum is the value of its largest uniform: one lookup per block.  The
+    table grows only as far as the largest uniform drawn so far, and ends
+    where a pmf term no longer changes the sum and P(X > v) < 2^-53; a
+    uniform past its last row takes the last row's value.  Per hour this
+    misplaces at most the rounding of the pmf sum (~1e-14 of probability).
+
+    Block-maximum stream version 2: the uniforms come from the single
+    stream SeedSequence(entropy=seed, spawn_key=(2,)), SIMULATION_DRAWS of
+    them per call at most (or one block).  Each double takes one PCG64
+    word, so the seeded result does not depend on how the draws are split.
+    """
     import numpy as np
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
-    model = fit.to_model() if isinstance(fit, NBFit) else fit
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    out: dict = {}
+    model = _listable_model(fit, block_size)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
+    rows = _cdf_rows(model)
+    cdf = [next(rows)]
+    tally = np.zeros(0, dtype=np.int64)
     per_call = max(1, SIMULATION_DRAWS // block_size)
     remaining = trials
     while remaining > 0:
         size = min(per_call, remaining)
-        maxima = model.sample(rng, (size, block_size)).max(axis=1)
-        for v, c in zip(*np.unique(maxima, return_counts=True)):
-            out[int(v)] = out.get(int(v), 0) + int(c)
+        top = rng.random((size, block_size)).max(axis=1)  # each block's largest uniform
+        largest = top.max()
+        while cdf[-1] <= largest and (row := next(rows, None)) is not None:
+            cdf.append(row)
+        found = np.searchsorted(cdf, top, side="right")
+        np.minimum(found, len(cdf) - 1, out=found)  # past the last row: the last row
+        hits = np.bincount(found, minlength=len(cdf))
+        hits[:len(tally)] += tally
+        tally = hits
         remaining -= size
-    return {v: c / trials for v, c in sorted(out.items())}
+    return {model.support_min + int(i): int(tally[i]) / trials for i in np.flatnonzero(tally)}

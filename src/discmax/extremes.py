@@ -42,6 +42,8 @@ from .tailmodel import DiscreteTailModel, PoissonModel
 # of 2 not above 1e-10: the cells a bisection to 1e-10 from integer ends
 # reaches; x_n is the midpoint, within 2.9e-11 of the crossing
 _CELL = 2.0 ** -34
+# the largest x with x / _CELL finite, the float below 2^990: the bracket's end
+_TOP = math.nextafter(2.0 ** 990, 0.0)
 # binomial terms below this fraction of the largest are left out of the
 # order-statistic sums: the rest of a tail that falls at least geometrically
 _NEGLIGIBLE_TERM = math.exp(-40.0)
@@ -109,11 +111,11 @@ def _grid_below(x: float) -> float:
 def _crossing(model: DiscreteTailModel, n, a: float, fa: float) -> tuple:
     """(x, f(x), m) for the crossing of f(x) = ln G(x) + ln n above a, f(a) = fa >= 0.
 
-    Steps of 1, 2, 4, ... from a bracket the crossing in [a, b], f(a) >= 0 >
-    f(b), while the grid's b / _CELL is finite (b < 2^990).  Illinois steps
-    then probe the _CELL grid point nearest the regula-falsi root inside
-    (a, b), the value at an end that two steps in a row left in place
-    halved, until [a, b] holds no grid point.  A step bisects where three
+    Steps of 1, 2, 4, ... from a, the last cut to _TOP, bracket the crossing
+    in [a, b], f(a) >= 0 > f(b).  Illinois steps then probe the _CELL grid
+    point nearest the regula-falsi root inside (a, b), the value at an end
+    that two steps in a row left in place halved, until [a, b] holds no grid
+    point.  A step bisects where three
     steps did not halve the bracket, or while f(a) == 0.  x is the midpoint
     of the cell that holds the crossing, the point a bisection to 1e-10 from
     integer ends returns, so it is the same nondecreasing function of n.
@@ -122,16 +124,13 @@ def _crossing(model: DiscreteTailModel, n, a: float, fa: float) -> tuple:
     """
     log_n = math.log(n)
     start, step = a, 1.0
-    while (b := start + step) / _CELL < math.inf:
-        fb = model.log_tail_ext(b) + log_n
-        if fb < 0.0:
-            break
+    while (fb := model.log_tail_ext(b := min(start + step, _TOP)) + log_n) >= 0.0:
+        if b == _TOP:
+            raise RootBracketError(
+                f"extended tail does not drop below 1/n up to x = {b!r} (n={n}): x_n lies "
+                "beyond the solver's range, or the tail is bounded")
         a, fa = b, fb
         step *= 2.0
-    else:
-        raise RootBracketError(
-            f"extended tail does not drop below 1/n up to x = {a!r} (n={n}): x_n lies beyond "
-            "the solver's range, or the tail is bounded")
     side = 0  # the end last replaced
     widths = [math.inf] * 3  # the bracket's width one, two and three steps back
     while (above := _grid_above(a)) < b:

@@ -416,6 +416,21 @@ class TestEnumerateConditional:
         assert math.fsum(a for a, _ in law.values()) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(c for _, c in law.values()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("boxes, balls, kind, kw", [
+        # (1 - p)^r = 0.6^1e10 underflows, and with it every pmf product
+        (2, 3, "dirichlet", {"r": 1e10}),
+        (6, 12, "dirichlet", {"r": 1e10, "p": 0.9}),
+        (4, 8, "dirichlet", {"r": 1e30}),
+        # e^-lam underflows
+        (6, 12, "multinomial", {"lam": 1e6}),
+    ], ids=["r1e10", "r1e10-6x12", "r1e30", "lam1e6"])
+    def test_pmf_products_that_underflow(self, boxes, balls, kind, kw):
+        law = enumerate_conditional(boxes, balls, kind, **kw)
+        assert math.fsum(a for a, _ in law.values()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(c for _, c in law.values()) == pytest.approx(1.0, abs=1e-12)
+        for key, (alloc, cond) in law.items():
+            assert cond == pytest.approx(alloc, abs=1e-12), key
+
     @pytest.mark.parametrize("group", sorted(ORACLE_CASES))
     def test_matches_composition_walk(self, group):
         for boxes, balls, kind, kw in ORACLE_CASES[group]:

@@ -354,7 +354,7 @@ class TestExitCodes:
         # bounded empirical tail cannot reach 1/n for large n
         (["--model", "empirical", "--params", "probabilities=0.5:0.5", "--n", "1e9"],
          "no genuine crossing"),
-        # x_n ~ 4.8e299 lies past the bracket's last step, 2^989
+        # x_n ~ 4.8e299 lies past the bracket's last end, the float below 2^990
         (["--model", "dcauchy", "--n", "1e300"], "beyond the solver's range"),
     ], ids=["bounded", "dcauchy-1e300"])
     def test_numeric_failure(self, capsys, argv, message):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,32 @@ class TestIngest:
     ], ids=["before-1970", "year-9999", "offset"])
     def test_timestamps_binned_by_exact_hour(self, lines, counts):
         assert ingest(lines, block_size=1, bin_by="hour").counts == counts
+
+    @pytest.mark.parametrize("bound, refused", [(None, False), (876577, False), (876576, True)],
+                             ids=["default", "exact", "one-hour-short"])
+    def test_span_bound(self, monkeypatch, bound, refused):
+        # two events a century apart span 876577 hours
+        if bound is not None:
+            monkeypatch.setattr(datafit, "MAX_HOURLY_BINS", bound)
+        lines = ["1900-01-01T00:00", "2000-01-01T00:00"]
+        if refused:
+            with pytest.raises(DataError, match="span 876577 hours, more than the 876576"):
+                ingest(lines, 24, bin_by="hour")
+        else:
+            series = ingest(lines, 24, bin_by="hour")
+            assert len(series.counts) == 876577
+            assert series.counts[0] == series.counts[-1] == 1
+
+    def test_refuses_span_before_binning(self):
+        # years 1 and 9999 would need ~8.8e7 bins, over 1 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="span 87649416 hours"):
+                ingest(["0001-01-01T00:00", "9999-12-31T23:00"], 24, bin_by="hour")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_bad_timestamp_reports_line(self):
         with pytest.raises(DataError, match="line 2"):
@@ -238,23 +265,55 @@ class TestEmpiricalDailyMax:
         assert out == {0: 0.5, 1: 0.5}
 
 
-# block-maximum counts out of 3000 blocks of 24 with seed 2024: numpy's
-# negative_binomial(r, 1 - p) and poisson(mean) streams for these fits, so a
-# change in how the draws are made shows here
-PINNED_NB_COUNTS = {0: 1, 1: 163, 2: 709, 3: 873, 4: 604, 5: 339, 6: 161, 7: 78, 8: 38,
-                    9: 19, 10: 8, 11: 4, 13: 2, 18: 1}
-PINNED_POISSON_COUNTS = {2: 144, 3: 1186, 4: 1140, 5: 434, 6: 81, 7: 13, 8: 2}
+# block-maximum counts out of 3000 blocks of 24 with seed 2024, under
+# block-maximum stream version 2 (uniforms from SeedSequence(2024,
+# spawn_key=(2,)), one per hour), so a change in how the draws are made
+# shows here
+PINNED_NB_COUNTS = {0: 1, 1: 153, 2: 701, 3: 858, 4: 618, 5: 356, 6: 155, 7: 76, 8: 50,
+                    9: 17, 10: 9, 11: 3, 12: 2, 13: 1}
+PINNED_POISSON_COUNTS = {2: 130, 3: 1151, 4: 1200, 5: 406, 6: 98, 7: 12, 8: 3}
+PINNED_FITS = [
+    (NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True), PINNED_NB_COUNTS),
+    (NBFit(mean=1.2, variance=1.0, r=None, p=None, overdispersed=False), PINNED_POISSON_COUNTS),
+]
+
+
+class _ConstantUniforms:
+    """Stands in for numpy's Generator: every uniform is `value`, as a
+    broadcast view, so nothing is drawn or allocated; records each shape."""
+
+    def __init__(self, value: float):
+        self.value = value
+        self.shapes = []
+
+    def random(self, size):
+        self.shapes.append(size)
+        return np.broadcast_to(np.float64(self.value), size)
+
+
+def _stub_generator(monkeypatch, value: float) -> _ConstantUniforms:
+    stub = _ConstantUniforms(value)
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: stub)
+    return stub
 
 
 class TestSimulateDailyMax:
-    @pytest.mark.parametrize("fit, counts", [
-        (NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True), PINNED_NB_COUNTS),
-        (NBFit(mean=1.2, variance=1.0, r=None, p=None, overdispersed=False),
-         PINNED_POISSON_COUNTS),
-    ], ids=["negbinom", "poisson"])
+    @pytest.mark.parametrize("fit, counts", PINNED_FITS, ids=["negbinom", "poisson"])
     def test_pinned_draws(self, fit, counts):
         got = simulate_daily_max(fit, 24, trials=3000, seed=2024)
         assert got == {v: c / 3000 for v, c in counts.items()}
+
+    @pytest.mark.parametrize("fit, counts", PINNED_FITS, ids=["negbinom", "poisson"])
+    def test_pins_are_a_per_hour_lookup_on_scipy(self, fit, counts):
+        # each hour looked up on its own in scipy's CDF, then the maximum
+        # taken: the same histogram, count for count
+        stats = pytest.importorskip("scipy.stats")
+        dist = (stats.nbinom(fit.r, 1.0 - fit.p) if fit.overdispersed  # scipy's p is our 1 - p
+                else stats.poisson(fit.mean))
+        rng = np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(2,)))
+        hours = np.searchsorted(dist.cdf(np.arange(100)), rng.random((3000, 24)), side="right")
+        values, hits = np.unique(hours.max(axis=1), return_counts=True)
+        assert dict(zip(values.tolist(), hits.tolist())) == counts
 
     @pytest.mark.parametrize("draws", [1, 24 * 7, 24 * 1000 + 23])
     def test_calls_do_not_define_the_stream(self, monkeypatch, draws):
@@ -264,22 +323,29 @@ class TestSimulateDailyMax:
         assert got == {v: c / 3000 for v, c in PINNED_NB_COUNTS.items()}
 
     def test_long_blocks_bound_each_call(self, monkeypatch):
-        asked = []
-
-        def zeros(model, rng, size):  # a broadcast view: no draws, nothing allocated
-            asked.append(size)
-            return np.broadcast_to(np.int64(0), size)
-
-        monkeypatch.setattr(PoissonModel, "sample", zeros)
+        stub = _stub_generator(monkeypatch, 0.0)
         block = 50_000
         per_call = datafit.SIMULATION_DRAWS // block
         got = simulate_daily_max(PoissonModel(1.0), block, trials=2 * per_call + 4, seed=0)
         assert got == {0: 1.0}
-        assert asked == [(per_call, block)] * 2 + [(4, block)]
+        assert stub.shapes == [(per_call, block)] * 2 + [(4, block)]
         # a block longer than the bound still goes one block per call
-        asked.clear()
+        stub.shapes.clear()
         simulate_daily_max(PoissonModel(1.0), datafit.SIMULATION_DRAWS + 1, trials=2, seed=0)
-        assert asked == [(1, datafit.SIMULATION_DRAWS + 1)] * 2
+        assert stub.shapes == [(1, datafit.SIMULATION_DRAWS + 1)] * 2
+
+    def test_table_ends_below_the_largest_uniform(self, monkeypatch):
+        # the zero-heavy fit: its forward pmf sum stops short of 1 - 2^-53,
+        # so a block of such uniforms takes the table's last row
+        model = NegativeBinomialModel(0.0012, 0.975)
+        *_, last_sum = datafit._cdf_rows(model)
+        assert last_sum < 1.0 - 2.0 ** -53
+        _stub_generator(monkeypatch, 1.0 - 2.0 ** -53)
+        got = simulate_daily_max(model, 24, trials=5, seed=0)
+        [(v, share)] = got.items()
+        assert share == 1.0
+        # the rows end where the tail falls below 2^-53, one value past v
+        assert model.log_tail(v + 1) < -53 * math.log(2.0) <= model.log_tail(v)
 
     def test_geometric_simulates(self):
         model = GeometricModel(0.3)
@@ -291,20 +357,41 @@ class TestSimulateDailyMax:
                 sigma = math.sqrt(pr * (1 - pr) / 20000)
                 assert abs(sim.get(v, 0.0) - pr) <= 5 * sigma, v
 
-    @pytest.mark.parametrize("model", [DiscreteCauchyModel(), EmpiricalModel([0.5, 0.5])],
-                             ids=["dcauchy", "empirical"])
+    @pytest.mark.parametrize("model", [
+        EmpiricalModel([0.5, 0.5]),
+        # a zero atom inside the support, and a pmf one part in 1e10 short of 1
+        EmpiricalModel([0.2, 0.0, 0.5, 0.2999999999], support_min=3),
+    ], ids=["two_atoms", "gap"])
     def test_models_without_sampler(self, model):
+        # EmpiricalModel has no numpy sampler, but its table simulates it
         with pytest.raises(ValueError, match="cannot simulate from model"):
-            simulate_daily_max(model, 24, trials=10, seed=0)
+            model.sample(np.random.default_rng(0), 1)
+        law = daily_max_law(model, 3)
+        sim = simulate_daily_max(model, 3, trials=20000, seed=5)
+        assert set(sim) <= {v for v, pr in law.items() if pr > 0.0}
+        for v, pr in law.items():
+            sigma = math.sqrt(pr * (1 - pr) / 20000)
+            assert abs(sim.get(v, 0.0) - pr) <= 5 * sigma, v
+
+    @pytest.mark.parametrize("fit", [
+        DiscreteCauchyModel(),
+        fit_nb_moments(CountSeries((0,) * 1000 + (100000,) + (0,) * 1399, 24)),
+    ], ids=["dcauchy", "one_spike"])
+    def test_refuses_what_the_law_refuses(self, monkeypatch, fit):
+        stub = _stub_generator(monkeypatch, 0.0)
+        with pytest.raises(ValueError, match="its law needs more than 100000 values"):
+            simulate_daily_max(fit, 24, trials=10, seed=0)
+        assert stub.shapes == []
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_refuses_seed_not_a_nonnegative_int(self, monkeypatch, seed):
-        def no_draws(*args):
-            raise AssertionError("drew before refusing the seed")
-
-        monkeypatch.setattr(PoissonModel, "sample", no_draws)
+        stub = _stub_generator(monkeypatch, 0.0)
         with pytest.raises(ValueError, match="seed must be a nonnegative int"):
             simulate_daily_max(PoissonModel(1.2), 24, trials=10, seed=seed)
+        assert stub.shapes == []
+        # the stub does see the draws of a valid seed
+        simulate_daily_max(PoissonModel(1.2), 24, trials=10, seed=0)
+        assert stub.shapes == [(10, 24)]
 
     def test_reproducible(self):
         fit = NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True)

@@ -239,9 +239,19 @@ class TestProfile:
         assert rows[0].x_n * 3.0 * s / n == pytest.approx(1.0, abs=3e-13)
 
     def test_dcauchy_beyond_solver_range(self):
-        # x_n ~ 4.8e299 > 2^989, the last bracket step whose grid is finite
+        # x_n ~ 4.8e299 > 2^990, past the last bracket end whose grid is finite
         with pytest.raises(RootBracketError, match="beyond the solver's range"):
             profile(DiscreteCauchyModel(), 1e300)
+
+    @pytest.mark.parametrize("n", [1.2e298, 2.17e298])
+    def test_dcauchy_profile_reaches_scan_range(self, n):
+        # x_n ~ 5.8e297 and 1.04e298 lie past 2^989, the last doubling step
+        # from the support edge; the last step, cut to the float below
+        # 2^990, reaches them as a scan row's bracket from 1e298 does
+        model = DiscreteCauchyModel()
+        row = scan_oscillation(model, [1e298, n]).rows[1]
+        assert row.x_n > 2.0 ** 989
+        assert profile(model, n) == row
 
 
 class TestLimitingMaxCdf:
