@@ -5,7 +5,9 @@ UTF-8 with newline-terminated rows; CSV carries a header row.  Reals are
 printed with 8 significant digits.  Identical invocations produce
 byte-identical output.
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 data error.
+Exit codes: 0 success, 2 usage error (also an --input or --out path that
+cannot be opened), 3 numeric failure, 4 data error (also an input file that
+is not UTF-8).
 """
 
 from __future__ import annotations
@@ -101,14 +103,6 @@ def _render_rows(rows: list, columns: list, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _profile_row(model, prof) -> dict:
     row = {
         "n": prof.n, "gamma": prof.gamma, "x_n": prof.x_n, "m_n": prof.m_n,
@@ -143,10 +137,8 @@ def cmd_scan(args) -> str:
     ns = _parse_n_range(args.n_range)
     scan = extremes.scan_oscillation(model, ns, x_sigfigs=args.x_sigfigs)
     bset = set(scan.breakpoints)
-    rows = []
-    for prof in scan.rows:
-        rows.append({"n": prof.n, "x_n": prof.x_n, "m_n": prof.m_n, "p_n": prof.p_n,
-                     "is_breakpoint": prof.n in bset})
+    rows = [{"n": prof.n, "x_n": prof.x_n, "m_n": prof.m_n, "p_n": prof.p_n,
+             "is_breakpoint": prof.n in bset} for prof in scan.rows]
     return _render_rows(rows, ["n", "x_n", "m_n", "p_n", "is_breakpoint"], args.format)
 
 
@@ -291,16 +283,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except (AccuracyError, extremes.RootBracketError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except datafit.DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, allocsim.MemoryBudgetError) as exc:
+    except (ValueError, OSError, allocsim.MemoryBudgetError) as exc:
+        # OSError: an --input or --out path that cannot be opened; writes to
+        # stdout happen below, outside the handler
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
+    if not args.out:
+        sys.stdout.write(text)
     return 0
 
 

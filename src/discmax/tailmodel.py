@@ -9,12 +9,12 @@ Protocol
 --------
 A subclass implements ``log_pmf(k)``, ``_log_tail(k)`` for the interior
 of the support (k >= support_min), ``tail_ratio_gamma()`` and, where
-they exist, ``_log_tail_natural(x)`` / ``_log_tail_asymptotic(x)`` and
-``sample(rng, size)``.  The base class owns the support edge: ``log_tail``
-and ``log_tail_ext`` raise ValueError below support_min - 1 and give 0.0
-at it, for every extension, and ``sample`` raises ValueError for models
-without a sampler.  A closed-form ``_log_tail`` that also holds at real x
-serves as the natural extension as it is.
+they exist, ``_log_tail_natural(x)`` / ``_log_tail_asymptotic(x)``.  The
+base class owns the support edge: ``log_tail`` and ``log_tail_ext`` raise
+ValueError below support_min - 1 and give 0.0 at it, for every extension.
+A closed-form ``_log_tail`` that also holds at real x serves as the
+natural extension as it is.  Models have no sampler: ``datafit`` draws
+any model by inverting the forward sums of its ``log_pmf``.
 
 Extensions
 ----------
@@ -42,6 +42,7 @@ Extensions
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from itertools import accumulate
 
@@ -98,10 +99,6 @@ class DiscreteTailModel:
     def tail_ratio_gamma(self) -> float:
         """Limit of F(k+1)/F(k); classifies the clustering regime."""
         raise NotImplementedError
-
-    def sample(self, rng, size):
-        """Draws from the model with the numpy Generator rng."""
-        raise ValueError(f"cannot simulate from model {self!r}")
 
     # -- extension -------------------------------------------------------------
 
@@ -167,9 +164,6 @@ class PoissonModel(DiscreteTailModel):
     def tail_ratio_gamma(self) -> float:
         return 0.0
 
-    def sample(self, rng, size):
-        return rng.poisson(self.lam, size)
-
 
 class NegativeBinomialModel(DiscreteTailModel):
     """NB(r, p): P(X=k) = C(k+r-1, k) (1-p)^r p^k, mean r p/(1-p)."""
@@ -203,10 +197,6 @@ class NegativeBinomialModel(DiscreteTailModel):
     def tail_ratio_gamma(self) -> float:
         return self.p
 
-    def sample(self, rng, size):
-        # numpy's p is the success probability of the (1-p)^r factor
-        return rng.negative_binomial(self.r, 1.0 - self.p, size)
-
 
 class GeometricModel(DiscreteTailModel):
     """Geometric(q): P(X=k) = (1-q) q^k on {0, 1, ...}; exact tails q^(k+1)."""
@@ -235,10 +225,6 @@ class GeometricModel(DiscreteTailModel):
 
     def tail_ratio_gamma(self) -> float:
         return self.q
-
-    def sample(self, rng, size):
-        # numpy counts trials up to the first success, from 1
-        return rng.geometric(1.0 - self.q, size) - 1
 
 
 class DiscreteCauchyModel(DiscreteTailModel):
@@ -307,8 +293,11 @@ class EmpiricalModel(DiscreteTailModel):
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"empirical pmf must sum to 1 within 1e-9, got {total}")
+        try:  # an int or any integer type; 2.5, inf and nan are refused, not truncated
+            self.support_min = operator.index(support_min)
+        except TypeError:
+            raise ValueError(f"support_min must be an integer, got {support_min!r}") from None
         self.probabilities = probs
-        self.support_min = int(support_min)
         # suffix sums: tails[i] = P(X > support_min + i - 1) = sum_{j>=i} p_j,
         # summed exactly in integer units of 1 / _FLOAT_UNITS and rounded once
         # by the int / int division, as math.fsum(probs[i:]) gives it
@@ -337,12 +326,10 @@ class EmpiricalModel(DiscreteTailModel):
         return math.log(self._tails[i])
 
     def _estimate_gamma(self) -> GammaDiagnostic:
-        # ratios F(k+1)/F(k) over the usable range; judge stability from
-        # the last two consecutive ratios
-        ratios = []
-        for i in range(1, len(self._tails) - 1):
-            if self._tails[i] > 0.0 and self._tails[i + 1] > 0.0:
-                ratios.append(self._tails[i + 1] / self._tails[i])
+        # ratios F(k+1)/F(k) over the usable range (tails never rise, so
+        # F(k+1) > 0 implies F(k) > 0); judge stability from the last two
+        tails = self._tails
+        ratios = [after / at for at, after in zip(tails[1:-1], tails[2:]) if after > 0.0]
         if len(ratios) < 2:
             return GammaDiagnostic(estimate=math.nan, stable=False, last_delta=math.inf)
         delta = abs(ratios[-1] - ratios[-2])

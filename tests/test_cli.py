@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -468,6 +469,52 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "usage error: seed must be a nonnegative int, got -1\n"
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unopenable_input_usage_error(self, capsys, tmp_path, where):
+        # these printed a traceback and exited 1
+        path = tmp_path / "missing.csv" if where == "missing" else tmp_path
+        code = main(["fit", "--input", str(path), "--block", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: [Errno ")
+        assert captured.err.endswith(f"{str(path)!r}\n") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--input", "{counts}", "--block", "2"],
+        ["profile", "--params", "lam=1", "--n", "1e6"],
+    ], ids=["fit", "profile"])
+    def test_unwritable_out_usage_error(self, capsys, tmp_path, command):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("0\n1\n0\n3\n", encoding="utf-8")
+        out = tmp_path / "no-such-dir" / "out.csv"
+        argv = [arg.format(counts=counts) for arg in command] + ["--out", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"usage error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    def test_not_utf8_input_data_error(self, capsys, tmp_path):
+        # this exited 2, as a usage error: UnicodeDecodeError is a ValueError
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1\n2\n\xe9\n")
+        code = main(["fit", "--input", str(path), "--block", "1"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {path} is not UTF-8 text: ")
+        assert captured.err.count("\n") == 1
+
+    def test_byte_order_mark_input_accepted(self, capsys, tmp_path):
+        # this failed with: line 1: not an integer count: '\ufeff1'
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"1\n0\n3\n0\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = [run_cli(["fit", "--input", str(path), "--block", "2"], capsys)
+                   for path in (plain, marked)]
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empirical_gamma_not_estimable_usage_error(self, capsys, fmt):
@@ -524,9 +571,10 @@ def run_fresh(body: str) -> subprocess.CompletedProcess:
 
 
 class TestNumpyImport:
-    """profile, scan and ties are pure math and must not load numpy; the
-    test process has numpy loaded already, so each check runs in a fresh
-    interpreter.  Module presence is asserted, not start-up time."""
+    """profile, scan, ties and fit without --trials are pure math and must
+    not load numpy; the test process has numpy loaded already, so each
+    check runs in a fresh interpreter.  Module presence is asserted, not
+    start-up time."""
 
     PURE = [
         ["profile", "--model", "poisson", "--params", "lam=1", "--n", "1e6"],
@@ -536,14 +584,24 @@ class TestNumpyImport:
          "--n-range", "2000:512000:x2"],
         ["ties", "--model", "poisson", "--params", "lam=0.01", "--extension", "asymptotic",
          "--n", "16000", "--t-max", "3"],
+        ["fit", "--input", "{counts}", "--block", "4", "--format", "json"],
     ]
+    # for fit: overdispersed, so the fit and its law are negative binomial
+    COUNTS = "0\n1\n0\n3\n2\n0\n0\n1\n0\n5\n0\n0\n"
 
-    def test_pure_commands_leave_numpy_unloaded(self):
+    @pytest.fixture
+    def counts(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text(self.COUNTS, encoding="utf-8")
+        return str(path)
+
+    def test_pure_commands_leave_numpy_unloaded(self, counts):
+        pure = [[arg.format(counts=counts) for arg in argv] for argv in self.PURE]
         proc = run_fresh(f"""
 import discmax
 assert "numpy" not in sys.modules, "import discmax"
 from discmax import cli
-for argv in {self.PURE!r}:
+for argv in {pure!r}:
     assert cli.main(argv) == 0
     assert "numpy" not in sys.modules, argv[0]
 """)
@@ -564,6 +622,47 @@ sys.exit(code)
         code, out = run_cli(argv, capsys)
         assert code == 0
         assert proc.stdout == out
+
+    def test_fit_trials_loads_numpy_with_the_same_output(self, capsys, counts):
+        argv = ["fit", "--input", counts, "--block", "4", "--trials", "50", "--seed", "3"]
+        proc = run_fresh(f"""
+from discmax import cli
+assert "numpy" not in sys.modules
+code = cli.main({argv!r})
+assert "numpy" in sys.modules
+sys.exit(code)
+""")
+        assert proc.returncode == 0, proc.stderr
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert proc.stdout == out
+        assert any(row["simulated"] for row in parse_csv(out))
+
+    # the functions that draw or tally samples, as module.function
+    NUMPY_USERS = {"allocsim.trial_counts", "allocsim._holding_at_least",
+                   "allocsim.simulate", "datafit.simulate_daily_max"}
+
+    def test_only_the_samplers_import_numpy(self):
+        found = []
+        for path in sorted(Path(SRC, "discmax").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scopes = [(path.stem, tree)]  # (qualified name, node) still to walk
+            while scopes:
+                name, scope = scopes.pop()
+                for node in ast.iter_child_nodes(scope):
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                        scopes.append((f"{name}.{node.name}", node))
+                        continue
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""]
+                    else:
+                        scopes.append((name, node))
+                        continue
+                    if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                        found.append(name)
+        assert sorted(found) == sorted(self.NUMPY_USERS)
 
 
 class TestLazyStdlibImports:

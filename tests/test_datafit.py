@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +102,27 @@ class TestIngest:
         series = ingest(as_input(path), block_size=2)
         assert series.counts == (0, 1, 0, 2)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheets export UTF-8 with a BOM; it was read as part of line 1
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"\xef\xbb\xbf1\n0\n2\n")
+        assert ingest(path, block_size=1).counts == (1, 0, 2)
+        path.write_bytes(b"\xef\xbb\xbf2024-05-01T00:30:00\n2024-05-01T01:30:00\n")
+        assert ingest(path, block_size=1, bin_by="hour").counts == (1, 1)
+
+    def test_not_utf8_is_a_data_error(self, tmp_path):
+        # UnicodeDecodeError is a ValueError, and so passed for a usage error
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("1\n2\n# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv is not UTF-8 text: .* byte 0xe9"):
+            ingest(path, block_size=1)
+
+    def test_unopenable_path_raises_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ingest(tmp_path / "missing.csv", block_size=1)
+        with pytest.raises(IsADirectoryError):
+            ingest(tmp_path, block_size=1)
+
     def test_series_validation(self):
         with pytest.raises(DataError):
             CountSeries(counts=(1,), block_size=24)
@@ -147,6 +169,30 @@ class TestFitNbMoments:
         fit = fit_nb_moments(series)
         se = math.sqrt(fit.variance / len(series.counts))
         assert abs(fit.mean - fit0.mean) <= 3 * se
+
+    def test_moments_are_exactly_rounded(self):
+        # mean 7/5 and variance (5 * 49 - 7^2) / 5^2 = 7.84; numpy's
+        # two-pass var gives 7.839999999999999, one ulp below
+        fit = fit_nb_moments(CountSeries(counts=(0, 0, 7, 0, 0), block_size=1))
+        assert fit.mean == 1.4
+        assert fit.variance == float(Fraction(196, 25)) == 7.84
+
+    @pytest.mark.parametrize("scale", [1, 3 ** 20, 2 ** 40], ids=["small", "3^20", "2^40"])
+    def test_numpy_int64_counts_do_not_wrap(self, scale):
+        # at 2^40 the squares pass 2^63; summed in int64 they would wrap
+        base = [0, 1, 0, 0, 3, 1, 0, 7, 0, 2]
+        counts = tuple(np.array(base, dtype=np.int64) * scale)
+        n, xs = len(base), [Fraction(c * scale) for c in base]
+        mean = sum(xs) / n
+        fit = fit_nb_moments(CountSeries(counts=counts, block_size=2))
+        assert fit.mean == float(mean)
+        assert fit.variance == float(sum((x - mean) ** 2 for x in xs) / n)
+        assert fit == fit_nb_moments(CountSeries(counts=tuple(map(int, counts)), block_size=2))
+
+    def test_moments_past_the_float_range_are_a_data_error(self):
+        series = CountSeries(counts=(0, 0, 10 ** 200, 0), block_size=2)
+        with pytest.raises(DataError, match="moments of these counts overflow a float"):
+            fit_nb_moments(series)
 
     def test_poisson_like_fallback(self):
         rng = np.random.default_rng(3)
@@ -363,9 +409,7 @@ class TestSimulateDailyMax:
         EmpiricalModel([0.2, 0.0, 0.5, 0.2999999999], support_min=3),
     ], ids=["two_atoms", "gap"])
     def test_models_without_sampler(self, model):
-        # EmpiricalModel has no numpy sampler, but its table simulates it
-        with pytest.raises(ValueError, match="cannot simulate from model"):
-            model.sample(np.random.default_rng(0), 1)
+        # no model carries a sampler; the table of its pmf sums simulates it
         law = daily_max_law(model, 3)
         sim = simulate_daily_max(model, 3, trials=20000, seed=5)
         assert set(sim) <= {v for v, pr in law.items() if pr > 0.0}

@@ -1,7 +1,7 @@
 import math
 import random
+import re
 
-import numpy as np
 import pytest
 
 from discmax.tailmodel import (
@@ -284,6 +284,16 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             m.log_pmf(2)
 
+    @pytest.mark.parametrize("support_min", [2.5, 3.0, math.inf, math.nan, "3"])
+    def test_support_min_not_an_integer(self, support_min):
+        # 2.5 was truncated to 2, and inf raised OverflowError
+        message = re.escape(f"support_min must be an integer, got {support_min!r}")
+        with pytest.raises(ValueError, match=message):
+            EmpiricalModel([0.5, 0.5], support_min=support_min)
+        # make_model passes the ValueError through, not as "bad parameters"
+        with pytest.raises(ValueError, match=message):
+            make_model("empirical", {"probabilities": [0.5, 0.5], "support_min": support_min})
+
 
 class TestMakeModel:
     def test_round_trip_spec_records(self):
@@ -318,34 +328,3 @@ class TestMakeModel:
     def test_non_finite_parameter_value_error(self, build, value):
         with pytest.raises(ValueError, match=f"must be positive and finite, got {value}"):
             build(value)
-
-
-def chi_square_critical(df: int, z: float = 4.75) -> float:
-    """Wilson-Hilferty chi-square quantile at the normal quantile z
-    (4.75: a correct sampler exceeds it about once in a million runs)."""
-    c = 2.0 / (9.0 * df)
-    return df * (1.0 - c + z * math.sqrt(c)) ** 3
-
-
-class TestSample:
-    @pytest.mark.parametrize("model", [
-        PoissonModel(2.5), NegativeBinomialModel(1.5, 0.4), GeometricModel(0.6)],
-        ids=lambda m: m.name)
-    def test_chi_square_against_pmf(self, model):
-        n = 50_000
-        draws = model.sample(np.random.default_rng(31), n)
-        assert draws.shape == (n,) and draws.min() >= 0
-        # bins 0..K-1 where n pmf(k) >= 5, plus one bin for the rest
-        probs = []
-        while n * math.exp(model.log_pmf(len(probs))) >= 5.0:
-            probs.append(math.exp(model.log_pmf(len(probs))))
-        probs.append(math.exp(model.log_tail(len(probs) - 1)))
-        observed = np.bincount(np.minimum(draws, len(probs) - 1), minlength=len(probs))
-        stat = sum((o - n * p) ** 2 / (n * p) for o, p in zip(observed, probs))
-        assert stat <= chi_square_critical(len(probs) - 1), (stat, len(probs))
-
-    @pytest.mark.parametrize("model", [DiscreteCauchyModel(), EmpiricalModel([0.5, 0.5])],
-                             ids=lambda m: m.name)
-    def test_no_sampler(self, model):
-        with pytest.raises(ValueError, match="cannot simulate from model"):
-            model.sample(np.random.default_rng(0), 10)
