@@ -13,9 +13,11 @@ is not UTF-8).
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
+import os
 import sys
 
 from . import allocsim, datafit, extremes, tailmodel
@@ -282,6 +284,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            # refused before the command runs, in the words open() would use
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
         text = args.func(args)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

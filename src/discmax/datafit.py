@@ -10,9 +10,9 @@ a table of forward pmf sums, F(v) = f(support_min) + ... + f(v); the
 inversion is monotone, so a block's largest uniform gives its maximum,
 one search per block.  The table grows as far as the largest uniform
 drawn, and ends where a pmf term no longer changes the sum and
-P(X > v) < 2^-53.  It comes from log_pmf, while the exact law comes from
-log_tail, so the simulation still checks the law.  Its uniforms are
-block-maximum stream version 2, SeedSequence(entropy=seed, spawn_key=(2,)).
+P(X > v) < 2^-53.  The exact law shares these sums below its median, so
+the simulation checks its steps, upper half and end row, not log_pmf.  Its
+uniforms are block-maximum stream version 2, SeedSequence(entropy=seed, spawn_key=(2,)).
 
 numpy is imported inside simulate_daily_max only: importing this module,
 ingesting, fitting and listing laws leave it unloaded.
@@ -23,11 +23,12 @@ from __future__ import annotations
 import math
 import operator
 import os
+from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
 
 from .extremes import exact_max_cdf_log
 from .record import Record
-from .specfun import log1mexp
 from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
 
 
@@ -67,7 +68,11 @@ class CountSeries(Record):
             raise DataError(
                 f"series of length {len(self.counts)} is shorter than one block "
                 f"({self.block_size})")
-        if any(c < 0 for c in self.counts):
+        try:
+            least = min(map(operator.index, self.counts))  # numpy integers pass, floats do not
+        except TypeError as exc:
+            raise DataError(f"counts must be integers: {exc}") from None
+        if least < 0:
             raise DataError("counts must be nonnegative")
 
     @property
@@ -175,10 +180,10 @@ def fit_nb_moments(series: CountSeries) -> NBFit:
                  p=1.0 - mean / variance, overdispersed=True)
 
 
-def _listable_model(fit, block_size: int) -> DiscreteTailModel:
-    """The tail model of fit (an NBFit or a model), refused with ValueError
-    where the maximum of block_size draws needs more than MAX_LAW_VALUES
-    values to reach LAW_TAIL_MASS."""
+def _law_end(fit, block_size: int) -> tuple:
+    """(model, end): the tail model of fit (an NBFit or a model), and the
+    first v with P(max of block_size draws > v) below LAW_TAIL_MASS, found by
+    bisection; ValueError where that needs more than MAX_LAW_VALUES values."""
     model = fit.to_model() if isinstance(fit, NBFit) else fit
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
@@ -187,28 +192,33 @@ def _listable_model(fit, block_size: int) -> DiscreteTailModel:
     if beyond >= LAW_TAIL_MASS:
         raise ValueError(f"the maximum of {block_size} draws from {model!r} exceeds {last} with "
                          f"probability {beyond:.3g}: its law needs more than {MAX_LAW_VALUES} values")
-    return model
+    # the first v below last where P(max > v) < LAW_TAIL_MASS, else last
+    end = bisect_left(range(model.support_min, last), True, key=lambda v: -math.expm1(
+        exact_max_cdf_log(model, block_size, v)) < LAW_TAIL_MASS)
+    return model, model.support_min + end
 
 
 def daily_max_law(fit, block_size: int) -> dict:
     """Exact law {v: P(max = v)} of the maximum of block_size i.i.d. counts.
 
-    F(v)^B = P(max <= v) comes from exact_max_cdf_log, and each step is
-    F(v)^B (1 - (1 - f(v)/F(v))^B), which does not cancel where F(v) ~ 1.
-    The law runs from support_min to the first v with P(max > v) below
-    LAW_TAIL_MASS; a tail that needs more than MAX_LAW_VALUES values raises
-    ValueError before any is listed.  Accepts an NBFit or any tail model.
+    Rows run from support_min to end, the first v with P(max > v) below
+    LAW_TAIL_MASS (ValueError, before any row, past MAX_LAW_VALUES values).
+    With f = exp(log_pmf), F(v) is the forward sum of f below the median and
+    1 - G(v) above, G summed down from G(end), one tail evaluation: nothing
+    cancels in F(v)^B (1 - (1 - f(v)/F(v))^B).  Takes an NBFit or any model.
     """
-    model = _listable_model(fit, block_size)
+    model, end = _law_end(fit, block_size)
+    values = range(model.support_min, end + 1)
+    pmf = [math.exp(model.log_pmf(v)) for v in values]
+    tails = list(accumulate(reversed(pmf[1:]), initial=math.exp(model.log_tail(end))))[::-1]
     law = {}
-    for v in range(model.support_min, model.support_min + MAX_LAW_VALUES):
-        log_f = exact_max_cdf_log(model, 1, v)  # ln F(v), the law of one draw
-        log_cdf = block_size * log_f  # ln F(v)^B, as exact_max_cdf_log(model, block_size, v)
-        # ln f(v)/F(v), at most 0; while F(v) = 0 any value gives the zero step
-        log_ratio = min(model.log_pmf(v) - log_f, 0.0) if log_f > -math.inf else 0.0
-        law[v] = math.exp(log_cdf) * -math.expm1(block_size * log1mexp(log_ratio))
-        if -math.expm1(log_cdf) < LAW_TAIL_MASS:
-            break
+    for v, f, forward, g in zip(values, pmf, accumulate(pmf), tails):
+        if g < 0.5:  # above the median: F(v) = 1 - G(v), F(v)^B from ln(1 - G(v))
+            cdf, cdf_b = 1.0 - g, math.exp(block_size * math.log1p(-g))
+        else:
+            cdf, cdf_b = forward, forward ** block_size
+        # f = F at the first row with mass, where the step is F^B; F = 0 gives 0
+        law[v] = cdf_b * -math.expm1(block_size * math.log1p(-f / cdf)) if f < cdf else cdf_b
     return law
 
 
@@ -257,7 +267,7 @@ def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
-    model = _listable_model(fit, block_size)
+    model, _ = _law_end(fit, block_size)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
     rows = _cdf_rows(model)
     cdf = [next(rows)]

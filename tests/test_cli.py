@@ -495,6 +495,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"usage error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
+    @pytest.mark.parametrize("command,work", [
+        (["fit", "--input", "{counts}", "--block", "2"], "datafit.ingest"),
+        (["profile", "--params", "lam=1", "--n", "1e6"], "extremes.profile"),
+    ], ids=["fit", "profile"])
+    def test_out_into_missing_directory_refused_before_the_command(
+            self, capsys, tmp_path, monkeypatch, command, work):
+        # the command used to run in full before its --out was refused
+        module, name = work.split(".")
+        monkeypatch.setattr(getattr(cli, module), name,
+                            lambda *args, **kwargs: pytest.fail(f"{work} was called"))
+        counts = tmp_path / "counts.csv"
+        counts.write_text("0\n1\n0\n3\n", encoding="utf-8")
+        out = tmp_path / "no-such-dir" / "out.csv"
+        argv = [arg.format(counts=counts) for arg in command] + ["--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == [counts]
+
     def test_not_utf8_input_data_error(self, capsys, tmp_path):
         # this exited 2, as a usage error: UnicodeDecodeError is a ValueError
         path = tmp_path / "latin1.csv"

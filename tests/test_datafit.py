@@ -136,6 +136,27 @@ class TestIngest:
         assert not isinstance(exc.value, DataError)
 
 
+class TestCountSeries:
+    @pytest.mark.parametrize("counts", [
+        (0.5, 1.5, 0.0, 2.0),
+        (0, 1, 2.0, 3),
+        (0, 1, np.float64(2.0), 3),
+        (0, Fraction(1), 2, 3),
+    ], ids=["floats", "one_float", "numpy_float", "fraction"])
+    def test_non_integer_counts_are_a_data_error(self, counts):
+        # (0.5, 1.5, 0.0, 2.0) was accepted, and fit_nb_moments then raised
+        # TypeError
+        with pytest.raises(DataError, match="counts must be integers"):
+            CountSeries(counts=counts, block_size=2)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint64, np.int64])
+    def test_numpy_integer_counts_accepted(self, dtype):
+        counts = tuple(np.array([0, 1, 0, 3], dtype=dtype))
+        assert CountSeries(counts=counts, block_size=2).counts == (0, 1, 0, 3)
+        with pytest.raises(DataError, match="nonnegative"):
+            CountSeries(counts=(np.int64(1), np.int64(-1)), block_size=1)
+
+
 class TestFitNbMoments:
     def test_overdispersed_identities(self):
         rng = np.random.default_rng(7)
@@ -226,8 +247,9 @@ class TestDailyMaxLaw:
         assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_consistent_with_exact_max_cdf(self):
-        # the steps are built on exact_max_cdf_log; their running sums must
-        # give it back, so no step is lost or counted twice
+        # the steps are built from pmf sums, not from exact_max_cdf_log;
+        # their running sums must still give it back, so no step is lost or
+        # counted twice
         model = NegativeBinomialModel(0.7, 0.4)
         law = daily_max_law(model, 24)
         running = 0.0
@@ -267,6 +289,31 @@ class TestDailyMaxLaw:
         law = daily_max_law(fit_nb_moments(CountSeries(tuple(counts), 24)), 24)
         assert f"{law[44192]:.8g}" == "3.5543327e-13"
         assert max(law) == 44193
+
+    def test_long_law_cells_match_mpmath(self):
+        # the same 44194-row law: each step from the pmf sums is within
+        # 1e-12 relative of an mpmath (60 digits) sum of the pmf.  A tail
+        # evaluation per row was 4e-12..6.6e-11 off here, from the
+        # incomplete beta's swapped branch
+        counts = [0] * 2400
+        for hour in (100, 700, 1300, 1900):
+            counts[hour] = 3000
+        law = daily_max_law(fit_nb_moments(CountSeries(tuple(counts), 24)), 24)
+        for v, want in {300: 1.1236868379292502881e-4, 1000: 2.7777946094039106442e-5,
+                        2000: 1.0123299392367232749e-5}.items():
+            assert abs(law[v] - want) <= 1e-12 * want, v
+
+    def test_one_tail_evaluation_per_bisection_step(self, monkeypatch):
+        # the zero-heavy fit's 628 rows: the refusal check at the last
+        # listable value, 17 bisection steps below it and G(end), where a
+        # tail evaluation per row made 629 calls
+        calls = []
+        log_tail = NegativeBinomialModel.log_tail
+        monkeypatch.setattr(NegativeBinomialModel, "log_tail",
+                            lambda self, v: calls.append(v) or log_tail(self, v))
+        law = daily_max_law(NegativeBinomialModel(0.00116, 43.0 / 44.0), 24)
+        assert len(law) > 500
+        assert len(calls) <= 20
 
     @pytest.mark.parametrize("fit,stop,cells", [
         (NBFit(mean=5000.0, variance=4900.0, r=None, p=None, overdispersed=False), 5466,
