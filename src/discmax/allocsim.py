@@ -32,7 +32,7 @@ from itertools import accumulate
 
 from .extremes import (ExtremalProfile, Regime, limiting_max_pmf, tie_distribution,
                        tie_phase_threshold)
-from .record import Record
+from .record import Record, check_int
 from .tailmodel import NegativeBinomialModel, PoissonModel
 
 KINDS = ("multinomial", "dirichlet")
@@ -70,12 +70,9 @@ class AllocationSpec(Record):
     r: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_boxes < 1:
-            raise ValueError(f"n_boxes must be >= 1, got {self.n_boxes}")
-        if self.n_balls < 0:
-            raise ValueError(f"n_balls must be >= 0, got {self.n_balls}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # kept as Python ints: a numpy uint8 n_balls overflows CHUNK_DRAWS // n_balls
+        for name, least in (("n_boxes", 1), ("n_balls", 0), ("trials", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "dirichlet":

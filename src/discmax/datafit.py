@@ -28,7 +28,7 @@ from collections import Counter
 from itertools import accumulate
 
 from .extremes import exact_max_cdf_log
-from .record import Record
+from .record import Record, check_int
 from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
 
 
@@ -62,8 +62,8 @@ class CountSeries(Record):
     label: str = "series"
 
     def __post_init__(self) -> None:
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
+        # kept as a Python int: block offsets past 127 overflow a numpy int8
+        object.__setattr__(self, "block_size", check_int("block_size", self.block_size, 1))
         if len(self.counts) < self.block_size:
             raise DataError(
                 f"series of length {len(self.counts)} is shorter than one block "
@@ -180,35 +180,37 @@ def fit_nb_moments(series: CountSeries) -> NBFit:
                  p=1.0 - mean / variance, overdispersed=True)
 
 
-def _law_end(fit, block_size: int) -> tuple:
-    """(model, end): the tail model of fit (an NBFit or a model), and the
-    first v with P(max of block_size draws > v) below LAW_TAIL_MASS, found by
-    bisection; ValueError where that needs more than MAX_LAW_VALUES values."""
+def _law_model(fit, block_size: int) -> tuple:
+    """(model, block_size as an int) for fit, an NBFit or a model; ValueError
+    for a block_size that is no integer >= 1, or where P(max > v) is still
+    LAW_TAIL_MASS or more at v = support_min + MAX_LAW_VALUES - 1."""
     model = fit.to_model() if isinstance(fit, NBFit) else fit
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    block_size = check_int("block_size", block_size, 1)
     last = model.support_min + MAX_LAW_VALUES - 1
     beyond = -math.expm1(exact_max_cdf_log(model, block_size, last))
     if beyond >= LAW_TAIL_MASS:
         raise ValueError(f"the maximum of {block_size} draws from {model!r} exceeds {last} with "
                          f"probability {beyond:.3g}: its law needs more than {MAX_LAW_VALUES} values")
-    # the first v below last where P(max > v) < LAW_TAIL_MASS, else last
-    end = bisect_left(range(model.support_min, last), True, key=lambda v: -math.expm1(
-        exact_max_cdf_log(model, block_size, v)) < LAW_TAIL_MASS)
-    return model, model.support_min + end
+    return model, block_size
 
 
 def daily_max_law(fit, block_size: int) -> dict:
     """Exact law {v: P(max = v)} of the maximum of block_size i.i.d. counts.
 
     Rows run from support_min to end, the first v with P(max > v) below
-    LAW_TAIL_MASS (ValueError, before any row, past MAX_LAW_VALUES values).
+    LAW_TAIL_MASS, found here by bisection once _law_model has refused, with
+    ValueError, a bad block_size and a law of more than MAX_LAW_VALUES rows.
     With f = exp(log_pmf), F(v) is the forward sum of f below the median and
     1 - G(v) above, G summed down from G(end), one tail evaluation: nothing
     cancels in F(v)^B (1 - (1 - f(v)/F(v))^B).  Takes an NBFit or any model.
     """
-    model, end = _law_end(fit, block_size)
-    values = range(model.support_min, end + 1)
+    model, block_size = _law_model(fit, block_size)
+    first = model.support_min
+    # the first v with P(max > v) < LAW_TAIL_MASS; _law_model found that the
+    # last listable v is one
+    end = first + bisect_left(range(first, first + MAX_LAW_VALUES - 1), True, key=lambda v:
+                              -math.expm1(exact_max_cdf_log(model, block_size, v)) < LAW_TAIL_MASS)
+    values = range(first, end + 1)
     pmf = [math.exp(model.log_pmf(v)) for v in values]
     tails = list(accumulate(reversed(pmf[1:]), initial=math.exp(model.log_tail(end))))[::-1]
     law = {}
@@ -245,8 +247,9 @@ def _cdf_rows(model: DiscreteTailModel):
 
 def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:
     """Monte Carlo block maxima from a fitted model, reproducible for a given
-    (trials, seed).  Refuses, with ValueError, the models daily_max_law
-    refuses.
+    (trials, seed).  Refuses, with ValueError and before any draw, what
+    daily_max_law refuses, by _law_model's one tail evaluation; only
+    daily_max_law bisects for the law's end row.
 
     Each hour is drawn by inversion: one uniform u, and the value v with
     F(v - 1) <= u < F(v), found by a search in the table of forward pmf sums
@@ -263,11 +266,10 @@ def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:
     word, so the seeded result does not depend on how the draws are split.
     """
     import numpy as np
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = check_int("trials", trials, 1)
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
-    model, _ = _law_end(fit, block_size)
+    model, block_size = _law_model(fit, block_size)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
     rows = _cdf_rows(model)
     cdf = [next(rows)]

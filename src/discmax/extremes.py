@@ -243,10 +243,7 @@ def exact_max_cdf_log(model: DiscreteTailModel, n, x: int) -> float:
         raise ValueError(f"exact_max_cdf_log requires a finite n >= 1, got {n}")
     if x < model.support_min:
         return -math.inf
-    lt = model.log_tail(x)
-    if lt == 0.0:
-        return -math.inf
-    return n * log1mexp(lt)
+    return n * log1mexp(model.log_tail(x))  # -inf where the tail is 1
 
 
 def exact_order_stat_cdf_log(model: DiscreteTailModel, n, k: int, x: int) -> float:

@@ -20,6 +20,22 @@ shares one key table for its ``__dict__``, which keeps instances as small
 as the dataclass's, and construction as fast.
 """
 
+import math
+import operator
+
+
+def check_int(name: str, value, least: float = -math.inf) -> int:
+    """value as a Python int (operator.index: numpy integers pass, floats do
+    not, even integral ones), or ValueError if it is none or below least;
+    the one check of an integer size, count or offset."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
 
 class Record:
     __match_args__: tuple = ()  # a subclass's field names, in order

@@ -343,7 +343,9 @@ def reg_gamma_p_log(a: float, x: float) -> float:
 
 
 def _beta_contfrac(a: float, b: float, x: float) -> float:
-    # Lentz evaluation of the continued fraction in I_x(a,b)
+    # Lentz evaluation of the continued fraction in I_x(a,b), one coefficient
+    # j = 2m or 2m + 1 a step; convergence is tested after odd j only, once
+    # both coefficients of m are in
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -354,18 +356,13 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+    for j in range(2, 2 * MAX_ITER):
+        m, odd = j >> 1, j & 1
+        m2 = j - odd
+        if odd:
+            aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        else:
+            aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
         if abs(d) < tiny:
             d = tiny
@@ -375,7 +372,7 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < REL_TOL:
+        if odd and abs(delta - 1.0) < REL_TOL:
             return h
     raise AccuracyError(
         f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})",

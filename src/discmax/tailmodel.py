@@ -9,12 +9,16 @@ Protocol
 --------
 A subclass implements ``log_pmf(k)``, ``_log_tail(k)`` for the interior
 of the support (k >= support_min), ``tail_ratio_gamma()`` and, where
-they exist, ``_log_tail_natural(x)`` / ``_log_tail_asymptotic(x)``.  The
-base class owns the support edge: ``log_tail`` and ``log_tail_ext`` raise
-ValueError below support_min - 1 and give 0.0 at it, for every extension.
-A closed-form ``_log_tail`` that also holds at real x serves as the
-natural extension as it is.  Models have no sampler: ``datafit`` draws
-any model by inverting the forward sums of its ``log_pmf``.
+they exist, ``_log_tail_natural(x)`` / ``_log_tail_asymptotic(x)``.  An
+extension is the model's ``_log_tail_<name>`` method, looked up once
+when the model is built, and a model without one refuses the extension
+with ValueError: the base class gives every model ``loglinear`` and
+``natural``, and ``asymptotic`` exists where a model defines it.  The
+base class also owns the support edge: ``log_tail`` and ``log_tail_ext``
+raise ValueError below support_min - 1 and give 0.0 at it, for every
+extension.  A closed-form ``_log_tail`` that also holds at real x serves
+as the natural extension as it is.  Models have no sampler: ``datafit``
+draws any model by inverting the forward sums of its ``log_pmf``.
 
 Extensions
 ----------
@@ -42,11 +46,10 @@ Extensions
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from itertools import accumulate
 
-from .record import Record
+from .record import Record, check_int
 from .specfun import log_negbinom_pmf, log_poisson_pmf, reg_beta_log, reg_gamma_p_log
 
 EXTENSIONS = ("natural", "loglinear", "asymptotic")
@@ -72,8 +75,11 @@ class DiscreteTailModel:
     def __init__(self, extension: str = "natural"):
         if extension not in EXTENSIONS:
             raise ValueError(f"unknown extension {extension!r}, expected one of {EXTENSIONS}")
-        if extension == "asymptotic" and self.name != "poisson":
-            raise ValueError("the asymptotic extension is only defined for the Poisson model")
+        # the class's function, not a bound method, which would tie the model
+        # into a reference cycle that only the cyclic collector frees
+        self._extend = getattr(type(self), f"_log_tail_{extension}", None)
+        if self._extend is None:
+            raise ValueError(f"the {extension} extension is not defined for the {self.name} model")
         self.extension = extension
 
     # -- distribution surface -------------------------------------------------
@@ -106,14 +112,7 @@ class DiscreteTailModel:
         """ln G(x) for real x >= support_min - 1, per the active extension."""
         if x <= self.support_min - 1:
             return self.log_tail(x)  # 0.0 at the edge, ValueError below it
-        if self.extension == "loglinear":
-            return self._log_tail_loglinear(x)
-        if self.extension == "asymptotic":
-            return self._log_tail_asymptotic(x)
-        return self._log_tail_natural(x)
-
-    def _log_tail_natural(self, x: float) -> float:
-        return self._log_tail_loglinear(x)
+        return self._extend(self, x)
 
     def _log_tail_loglinear(self, x: float) -> float:
         k = math.floor(x)
@@ -125,6 +124,8 @@ class DiscreteTailModel:
         if hi == -math.inf:
             return -math.inf
         return (1.0 - t) * lo + t * hi
+
+    _log_tail_natural = _log_tail_loglinear
 
     def __repr__(self) -> str:
         ps = [f"{k}={v}" for k, v in self.params.items()] + [f"extension={self.extension!r}"]
@@ -293,10 +294,8 @@ class EmpiricalModel(DiscreteTailModel):
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"empirical pmf must sum to 1 within 1e-9, got {total}")
-        try:  # an int or any integer type; 2.5, inf and nan are refused, not truncated
-            self.support_min = operator.index(support_min)
-        except TypeError:
-            raise ValueError(f"support_min must be an integer, got {support_min!r}") from None
+        # an int or any integer type; 2.5, inf and nan are refused, not truncated
+        self.support_min = check_int("support_min", support_min)
         self.probabilities = probs
         # suffix sums: tails[i] = P(X > support_min + i - 1) = sum_{j>=i} p_j,
         # summed exactly in integer units of 1 / _FLOAT_UNITS and rounded once

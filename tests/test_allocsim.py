@@ -158,6 +158,18 @@ class TestAllocationSpec:
         with pytest.raises(ValueError, match="seed must be a nonnegative int"):
             AllocationSpec(n_boxes=2, n_balls=1, kind=kind, trials=1, seed=seed, r=r)
 
+    def test_sizes_must_be_integers(self):
+        # n_boxes=10.5 was accepted, and simulate returned a tie histogram
+        # with float keys: {0.0: 6, 1.0: 2, 4.0: 2}
+        with pytest.raises(ValueError, match="n_boxes must be an integer, got 10.5"):
+            AllocationSpec(n_boxes=10.5, n_balls=5, kind="multinomial", trials=10, seed=0)
+        # numpy integers pass, kept as Python ints: a uint8 n_balls
+        # overflowed in CHUNK_DRAWS // n_balls
+        spec = AllocationSpec(n_boxes=np.int64(10), n_balls=np.uint8(5), kind="multinomial",
+                              trials=np.int32(10), seed=0)
+        assert spec == AllocationSpec(n_boxes=10, n_balls=5, kind="multinomial", trials=10, seed=0)
+        assert simulate(spec, asym_profile(10, 5)).trials == 10
+
     def test_accepts_seeds_past_64_bits(self):
         spec = AllocationSpec(n_boxes=3, n_balls=4, kind="multinomial", trials=2, seed=2 ** 70)
         assert simulate(spec, asym_profile(3, 4)).trials == 2
@@ -460,6 +472,10 @@ class TestEnumerateConditional:
             enumerate_conditional(7, 3, "multinomial")
         with pytest.raises(ValueError):
             enumerate_conditional(3, 13, "multinomial")
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind must be one of .*, got 'urn'"):
+            enumerate_conditional(3, 2, "urn")
 
 
 class TestMergingReport:

@@ -144,6 +144,9 @@ class TestScanCommand:
         ("1e3:inf:+1", "needs a finite start, stop and step"),
         ("0:1e6:x2", "needs a start above 0"),
         ("-1e3:1e6:x2", "needs a start above 0"),
+        ("1e3:1e5", "malformed range '1e3:1e5'"),
+        ("1e3:1e5:*2", "malformed step rule '*2'"),
+        ("1e3:1e5:+0", "arithmetic step must be positive"),
     ])
     def test_bad_range_usage_error(self, capsys, n_range, message):
         # a nan or inf factor printed one row and exited 0; a geometric

@@ -44,6 +44,15 @@ class TestIngest:
         series = ingest(["1", "", "2", "  "], block_size=2)
         assert series.counts == (1, 2)
 
+    @pytest.mark.parametrize("bin_by, what", [(None, "counts"), ("hour", "timestamps")])
+    def test_only_blank_lines_is_a_data_error(self, bin_by, what):
+        with pytest.raises(DataError, match=f"^no {what} found in input$"):
+            ingest(["", " "], 1, bin_by=bin_by)
+
+    def test_unsupported_binning_is_a_data_error(self):
+        with pytest.raises(DataError, match="unsupported binning 'day', expected 'hour'"):
+            ingest(["2024-05-01T00:30:00"], 1, bin_by="day")
+
     def test_timestamps_single_hour(self):
         lines = ["2024-05-01T13:05:00", "2024-05-01T13:59:59", "2024-05-01T13:00:00"]
         series = ingest(lines, block_size=1, bin_by="hour")
@@ -153,6 +162,11 @@ class TestCountSeries:
     def test_numpy_integer_counts_accepted(self, dtype):
         counts = tuple(np.array([0, 1, 0, 3], dtype=dtype))
         assert CountSeries(counts=counts, block_size=2).counts == (0, 1, 0, 3)
+        # a numpy block size is kept as a Python int: block offsets past 127
+        # overflowed an int8
+        series = CountSeries(counts=(0,) * 398 + (1, 3), block_size=dtype(2))
+        assert type(series.block_size) is int
+        assert empirical_daily_max(series) == {0: 199 / 200, 3: 1 / 200}
         with pytest.raises(DataError, match="nonnegative"):
             CountSeries(counts=(np.int64(1), np.int64(-1)), block_size=1)
 
@@ -231,6 +245,13 @@ class TestFitNbMoments:
 
 
 class TestDailyMaxLaw:
+    @pytest.mark.parametrize("block_size", [2.5, 24.0])
+    def test_block_size_must_be_an_integer(self, block_size):
+        # 2.5 gave the steps of F^2.5 as if they were a law
+        with pytest.raises(ValueError, match=f"^block_size must be an integer, got {block_size}$"):
+            daily_max_law(PoissonModel(1.0), block_size)
+        assert daily_max_law(PoissonModel(1.0), np.int64(24)) == daily_max_law(PoissonModel(1.0), 24)
+
     def test_block_one_is_pmf(self):
         model = NegativeBinomialModel(0.5, 0.3)
         law = daily_max_law(model, 1)
@@ -473,6 +494,34 @@ class TestSimulateDailyMax:
         with pytest.raises(ValueError, match="its law needs more than 100000 values"):
             simulate_daily_max(fit, 24, trials=10, seed=0)
         assert stub.shapes == []
+
+    def test_one_tail_evaluation_before_drawing(self, monkeypatch):
+        # the refusal is one exact_max_cdf_log call; a bisection for the
+        # law's end row, which the draws never used, made 17 more
+        calls = []
+        tail = datafit.exact_max_cdf_log
+        monkeypatch.setattr(datafit, "exact_max_cdf_log", lambda *a: calls.append(a) or tail(*a))
+        stub = _stub_generator(monkeypatch, 0.0)
+        draw, calls_at_draws = stub.random, []
+        monkeypatch.setattr(stub, "random", lambda size: calls_at_draws.append(len(calls))
+                            or draw(size))
+        simulate_daily_max(NegativeBinomialModel(0.00116, 43 / 44), 24, trials=10, seed=0)
+        assert calls_at_draws == [1]
+
+    @pytest.mark.parametrize("block_size, trials, message", [
+        (24, 2.5, "trials must be an integer, got 2.5"),
+        (24, 10.0, "trials must be an integer, got 10.0"),
+        (2.5, 10, "block_size must be an integer, got 2.5"),
+    ])
+    def test_refuses_sizes_not_integers(self, monkeypatch, block_size, trials, message):
+        stub = _stub_generator(monkeypatch, 0.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_daily_max(PoissonModel(1.2), block_size, trials=trials, seed=0)
+        assert stub.shapes == []
+        # numpy integers are integers; an int8 block size overflowed in
+        # SIMULATION_DRAWS // block_size
+        simulate_daily_max(PoissonModel(1.2), np.int8(24), trials=np.int64(10), seed=0)
+        assert stub.shapes == [(10, 24)]
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_refuses_seed_not_a_nonnegative_int(self, monkeypatch, seed):

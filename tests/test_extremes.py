@@ -447,6 +447,10 @@ class TestTieDistribution:
         with pytest.raises(ValueError):
             tie_distribution(prof, 3)
 
+    def test_negative_t_max(self):
+        with pytest.raises(ValueError, match="t_max must be >= 0, got -1"):
+            tie_distribution(synthetic_profile(0.4), -1)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_gamma_raises(self):
         # the unestimable gamma is filed under GAMMA_MID; it was refused as
@@ -590,6 +594,10 @@ class TestScanOscillation:
         scan_oscillation(model, ns, x_sigfigs=sigfigs)
         assert len(tail_args) / len(ns) <= 11  # from the previous row's x_n
 
-    def test_rejects_nonincreasing(self):
-        with pytest.raises(ValueError):
-            scan_oscillation(PoissonModel(1.0), [100, 100])
+    @pytest.mark.parametrize("ns, message", [
+        ([100, 100], "n values must be strictly increasing"),
+        ([], "scan requires at least one n"),
+    ], ids=["repeated", "empty"])
+    def test_rejects_nonincreasing(self, ns, message):
+        with pytest.raises(ValueError, match=message):
+            scan_oscillation(PoissonModel(1.0), ns)

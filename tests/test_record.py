@@ -79,7 +79,15 @@ def test_defaults():
      "multinomial allocations take no r, got 2.0"),
     (lambda: AllocationSpec(2, 1, "multinomial", 1, -3), ValueError,
      "seed must be a nonnegative int, got -3"),
+    (lambda: AllocationSpec(10.5, 5, "multinomial", 10, 0), ValueError,
+     "n_boxes must be an integer, got 10.5"),
+    (lambda: AllocationSpec(2, 1.0, "multinomial", 1, 0), ValueError,
+     "n_balls must be an integer, got 1.0"),
+    (lambda: AllocationSpec(2, 1, "multinomial", "10", 0), ValueError,
+     "trials must be an integer, got '10'"),
     (lambda: CountSeries((1, 2), 0), ValueError, "block_size must be >= 1, got 0"),
+    # 2.5 was accepted, and empirical_daily_max then raised TypeError
+    (lambda: CountSeries((1, 2, 3, 4, 5), 2.5), ValueError, "block_size must be an integer, got 2.5"),
     (lambda: CountSeries((1, 2), 3), DataError,
      "series of length 2 is shorter than one block (3)"),
     (lambda: CountSeries((1, -2), 1), DataError, "counts must be nonnegative"),

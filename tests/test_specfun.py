@@ -10,6 +10,7 @@ from discmax.specfun import (
     lambert_w0,
     log1mexp,
     log_binomial,
+    log_binomial_pmf,
     reg_beta_log,
     reg_gamma_p_log,
     reg_gamma_q_log,
@@ -303,6 +304,13 @@ def test_log1mexp_edges():
     assert log1mexp(0.0) == -math.inf
     assert math.exp(log1mexp(-0.1)) == pytest.approx(1.0 - math.exp(-0.1), rel=1e-13)
     assert math.exp(log1mexp(-40.0)) == pytest.approx(1.0 - math.exp(-40.0), rel=1e-13)
+    with pytest.raises(ValueError, match="requires a nonpositive argument, got 1e-300"):
+        log1mexp(1e-300)
+
+
+def test_log_binomial_pmf_domain():
+    with pytest.raises(ValueError, match=r"requires 0 <= k <= n, got n=3.0, k=5"):
+        log_binomial_pmf(5, 3.0, -1.0)
 
 
 class TestCrossValidation:

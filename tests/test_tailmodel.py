@@ -56,9 +56,12 @@ class TestLogPmf:
         m = GeometricModel(0.25)
         assert m.log_pmf(3) == pytest.approx(math.log(0.75 * 0.25 ** 3), rel=1e-13)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            PoissonModel(1.0).log_pmf(-1)
+    @pytest.mark.parametrize("model", [
+        PoissonModel(1.0), NegativeBinomialModel(2.0, 0.3), GeometricModel(0.5),
+        DiscreteCauchyModel()], ids=lambda m: m.name)
+    def test_domain(self, model):
+        with pytest.raises(ValueError, match="support starts at 0, got k=-1"):
+            model.log_pmf(-1)
 
     def test_pmfs_sum_to_one(self):
         for m in builtin_models():
@@ -205,9 +208,25 @@ class TestExtensions:
             with pytest.raises(ValueError):
                 m.log_tail_ext(m.support_min - 1.5)
 
-    def test_asymptotic_requires_poisson(self):
-        with pytest.raises(ValueError):
-            GeometricModel(0.5, extension="asymptotic")
+    @pytest.mark.parametrize("cls, args", [
+        (NegativeBinomialModel, (2.0, 0.3)), (GeometricModel, (0.5,)), (DiscreteCauchyModel, ()),
+        (EmpiricalModel, ([0.5, 0.5],)),
+    ], ids=["negbinom", "geometric", "dcauchy", "empirical"])
+    def test_asymptotic_requires_poisson(self, cls, args):
+        with pytest.raises(ValueError, match=f"^the asymptotic extension is not defined "
+                                             f"for the {cls.name} model$"):
+            cls(*args, extension="asymptotic")
+
+    def test_extension_is_the_models_method(self):
+        # the base class names no model: a model that defines
+        # _log_tail_asymptotic gets the asymptotic extension
+        class Squared(GeometricModel):
+            def _log_tail_asymptotic(self, x):
+                return 2.0 * self._log_tail(x)
+
+        model = Squared(0.5, "asymptotic")
+        assert model.log_tail_ext(2.5) == 2.0 * GeometricModel(0.5).log_tail_ext(2.5)
+        assert model.log_tail_ext(-1.0) == 0.0  # the base class keeps the support edge
 
     def test_unknown_extension(self):
         with pytest.raises(ValueError):
@@ -328,3 +347,11 @@ class TestMakeModel:
     def test_non_finite_parameter_value_error(self, build, value):
         with pytest.raises(ValueError, match=f"must be positive and finite, got {value}"):
             build(value)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: NegativeBinomialModel(2.0, 1.0), "negative binomial p must be in (0, 1), got 1.0"),
+        (lambda: GeometricModel(1.0), "geometric q must be in (0, 1), got 1.0"),
+    ], ids=["negbinom", "geometric"])
+    def test_probability_of_one_value_error(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
