@@ -230,6 +230,7 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    n_boxes, n_balls = check_int("n_boxes", n_boxes), check_int("n_balls", n_balls)
     if n_boxes < 1 or n_boxes > ENUMERATION_MAX_BOXES:
         raise ValueError(f"enumeration supports 1..{ENUMERATION_MAX_BOXES} boxes, got {n_boxes}")
     if n_balls < 0 or n_balls > ENUMERATION_MAX_BALLS:
@@ -301,8 +302,7 @@ def comparison_tables(spec: AllocationSpec, prof: ExtremalProfile, t_max: int = 
     per simulated maximum v and tie count t, against the limiting law at
     v - m_n and the gamma = 0 tie law (None past t_max); "merging" holds the
     `merging_report` rows, made by the same two row builders."""
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    t_max = check_int("t_max", t_max, 0)
     trials = summary.trials
     m = prof.m_n
     # the module global: tracers patch it

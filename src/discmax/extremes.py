@@ -22,7 +22,9 @@ x_n is the root of ln G(x) + ln n, bracketed by doubling steps and
 narrowed by Illinois (modified regula falsi) steps, each probing a point
 of a 2^-34 grid, to the grid cell that holds it; x_n is the cell's
 midpoint, as a bisection to 1e-10 gives it.  ``scan_oscillation``
-brackets each row from the previous row's x_n.  The order statistic
+brackets each row from the previous row's x_n, by a first step predicted
+from the last two rows, and hands each row the ln G values the last row
+evaluated at its x_n, m_n and m_n - 1.  The order statistic
 X_(n-k) sums the binomial count of samples above x from its anchor term
 outward by term ratios: the lower tail below the mode, the upper tail
 (read as log1p(-upper)) from the mode on.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .record import Record
+from .record import Record, check_int
 from .specfun import (lambert_w0, log1mexp, log_binomial_pmf, log_poisson_pmf,
                       reg_gamma_p_log)
 from .tailmodel import DiscreteTailModel, PoissonModel
@@ -108,22 +110,23 @@ def _grid_below(x: float) -> float:
     return min(math.ceil(x / _CELL) * _CELL - _CELL, math.nextafter(x, -math.inf))
 
 
-def _crossing(model: DiscreteTailModel, n, a: float, fa: float) -> tuple:
-    """(x, f(x), m) for the crossing of f(x) = ln G(x) + ln n above a, f(a) = fa >= 0.
+def _crossing(model: DiscreteTailModel, n, a: float, fa: float, step: float) -> tuple:
+    """(x, m) for the crossing of f(x) = ln G(x) + ln n above a, f(a) = fa >= 0.
 
-    Steps of 1, 2, 4, ... from a, the last cut to _TOP, bracket the crossing
-    in [a, b], f(a) >= 0 > f(b).  Illinois steps then probe the _CELL grid
-    point nearest the regula-falsi root inside (a, b), the value at an end
-    that two steps in a row left in place halved, until [a, b] holds no grid
-    point.  A step bisects where three
-    steps did not halve the bracket, or while f(a) == 0.  x is the midpoint
-    of the cell that holds the crossing, the point a bisection to 1e-10 from
-    integer ends returns, so it is the same nondecreasing function of n.
-    m = floor(c + 1/2), c the cell's left end, is the sign rule below 2^52,
-    where half-integers are grid points.
+    Steps of step, 2 step, 4 step, ... from a, the last cut to _TOP, bracket
+    the crossing in [a, b], f(a) >= 0 > f(b).  Illinois steps then probe the
+    _CELL grid point nearest the regula-falsi root inside (a, b), the value
+    at an end that two steps in a row left in place halved, until [a, b]
+    holds no grid point.  A step bisects where three steps did not halve the
+    bracket, or while f(a) == 0.  x is the midpoint of the cell that holds
+    the crossing, the point a bisection to 1e-10 from integer ends returns,
+    so it is the same nondecreasing function of n, whatever a and step are,
+    wherever ln G is monotone on the grid.  m = floor(c + 1/2), c the cell's
+    left end, is the sign rule below 2^52, where half-integers are grid
+    points.
     """
     log_n = math.log(n)
-    start, step = a, 1.0
+    start = a
     while (fb := model.log_tail_ext(b := min(start + step, _TOP)) + log_n) >= 0.0:
         if b == _TOP:
             raise RootBracketError(
@@ -156,39 +159,88 @@ def _crossing(model: DiscreteTailModel, n, a: float, fa: float) -> tuple:
     c = math.floor(a / _CELL) * _CELL  # the last grid point with f(c) >= 0
     x = 0.5 * (c + _grid_above(a))  # the cell around [a, b]
     m = math.floor((c if c < 2.0 ** 52 else x) + 0.5)  # from 2^52 on no half-integer is a float
-    return x, model.log_tail_ext(x) + log_n, m
+    return x, m
+
+
+class _ScanState:
+    """What one scan row leaves to the next row's profile.
+
+    ``log_tails`` maps x to ln G(x) at the points the next row may read
+    again: the last row's raw crossing x (before any rounding), where the
+    next row's start check lands, and m_n and m_n - 1, where theta_n and
+    z_n land for as long as m_n stays.  ``last`` is (ln n, raw x) of the
+    last row, and ``slope`` is dx/d ln n between the last two rows whose
+    crossings differ (0.0 before there are two), which predicts the first
+    bracket step.  A cold profile starts from an empty state.
+    """
+
+    __slots__ = ("log_tails", "last", "slope")
+
+    def __init__(self) -> None:
+        self.log_tails: dict = {}
+        self.last: tuple | None = None
+        self.slope = 0.0
+
+    def log_tail(self, model: DiscreteTailModel, x: float) -> float:
+        """ln G(x), read from log_tails, or evaluated and stored there."""
+        lg = self.log_tails.get(x)
+        if lg is None:
+            lg = self.log_tails[x] = model.log_tail_ext(x)
+        return lg
+
+    def bracket_start(self, model: DiscreteTailModel, log_n: float, lo: float) -> tuple:
+        """(a, f(a), first step) for _crossing: the last crossing, where G
+        is still at least 1/n there, with the step the slope predicts (1
+        while none is known); else the support edge lo, with steps of 1."""
+        if self.last is not None and (a := self.last[1]) > lo:
+            fa = self.log_tail(model, a) + log_n
+            if fa >= 0.0:
+                step = max(self.slope * (log_n - self.last[0]), _CELL) if self.slope else 1.0
+                return a, fa, step
+        return lo, log_n, 1.0
+
+    def advance(self, log_n: float, x: float, keep: tuple) -> None:
+        """Take a solved row's ln n and raw crossing x; keep ln G only at x
+        and the points of keep (m_n never falls along a scan)."""
+        if self.last is not None and x > self.last[1] and log_n > self.last[0]:
+            self.slope = (x - self.last[1]) / (log_n - self.last[0])
+        self.last = (log_n, x)
+        self.log_tails = {k: self.log_tails[k] for k in (x, *keep) if k in self.log_tails}
 
 
 def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
-            _start: float | None = None) -> ExtremalProfile:
+            _scan: _ScanState | None = None) -> ExtremalProfile:
     """Solve G(x_n) = 1/n and assemble the derived extremal quantities.
 
     m_n is the sign rule: ln G(m_n - 1/2) + ln n >= 0 > ln G(m_n + 1/2) + ln n
     (floor(x_n + 1/2) from 2^52 on, and of the rounded x_n under ``x_sigfigs``).
 
-    ``_start`` is for scan_oscillation: the x_n of a smaller n, from which
-    the bracket grows when G there is still at least 1/n.
+    ``_scan`` is for scan_oscillation: the _ScanState its previous rows
+    left, which this row updates.  The bracket then grows from the last
+    row's crossing by a predicted first step, and ln G is read from the
+    state where the last row evaluated it at the same point; x_n is the
+    midpoint of the same sign-change cell as from a cold start.
     """
     if not 2 <= n < math.inf:  # also rejects nan
         raise ValueError(f"profile requires a finite n >= 2, got {n}")
-    if x_sigfigs is not None and x_sigfigs < 1:
-        raise ValueError(f"x_sigfigs must be at least 1, got {x_sigfigs}")
+    if x_sigfigs is not None:
+        x_sigfigs = check_int("x_sigfigs", x_sigfigs)
+        if x_sigfigs < 1:
+            raise ValueError(f"x_sigfigs must be at least 1, got {x_sigfigs}")
     # G is 1 at the support edge lo, above the target 1/n <= 1/2
     log_n = math.log(n)
     lo = float(model.support_min - 1)
-    a, fa = lo, log_n
-    if _start is not None and _start > lo:
-        f_start = model.log_tail_ext(_start) + log_n
-        if f_start >= 0.0:
-            a, fa = _start, f_start
-    x, residual, m = _crossing(model, n, a, fa)
+    scan = _ScanState() if _scan is None else _scan
+    raw, m = _crossing(model, n, *scan.bracket_start(model, log_n, lo))
+    residual = scan.log_tail(model, raw) + log_n
     if not math.isfinite(residual) or abs(residual) > 1e-6:
         raise RootBracketError(
-            f"no genuine crossing of 1/n at x={x} (discontinuous tail extension); "
+            f"no genuine crossing of 1/n at x={raw} (discontinuous tail extension); "
             "the tail is bounded or n is too small")
 
+    x = raw
     if x_sigfigs is not None:
-        raw, x = x, _round_sigfigs(x, x_sigfigs)
+        x = _round_sigfigs(raw, x_sigfigs)
         m = math.floor(x + 0.5)  # a rounded k + 1/2 is exact
     if m < lo:  # only rounding can put the anchor outside the support
         raise ValueError(f"x_sigfigs={x_sigfigs} rounds x_n = {raw!r} to {x!r}, whose anchor "
@@ -205,8 +257,10 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
         # the asymptotic extension exists only on the Poisson model
         theta = _cluster_escape(model.lam, x, m)
     else:
-        theta = math.exp(log_n + model.log_tail_ext(float(m)))
-    z = math.exp(log_n + model.log_tail_ext(max(m - 1.0, lo)))
+        theta = math.exp(log_n + scan.log_tail(model, float(m)))
+    below = max(m - 1.0, lo)
+    z = math.exp(log_n + scan.log_tail(model, below))
+    scan.advance(log_n, raw, (float(m), below))
     return ExtremalProfile(
         n=float(n), gamma=gamma, x_n=x, m_n=m, theta_n=theta,
         p_n=math.exp(-theta), z_n=z, regime=regime)
@@ -238,9 +292,10 @@ def limiting_max_pmf(prof: ExtremalProfile, x: int) -> float:
 
 
 def exact_max_cdf_log(model: DiscreteTailModel, n, x: int) -> float:
-    """ln P(max of n i.i.d. samples <= x), exact at finite n."""
+    """ln P(max of n i.i.d. samples <= x), exact at finite n; x an integer."""
     if not 1 <= n < math.inf:  # also rejects nan
         raise ValueError(f"exact_max_cdf_log requires a finite n >= 1, got {n}")
+    x = check_int("x", x)
     if x < model.support_min:
         return -math.inf
     return n * log1mexp(model.log_tail(x))  # -inf where the tail is 1
@@ -257,6 +312,7 @@ def exact_order_stat_cdf_log(model: DiscreteTailModel, n, k: int, x: int) -> flo
     ratio t_j / t_(j-1) = (n - j + 1) q / (j (1 - q)), until they fall
     below _NEGLIGIBLE_TERM of it.
     """
+    k, x = check_int("k", k), check_int("x", x)
     if not 0 <= k < n < math.inf:
         raise ValueError(f"order statistic requires 0 <= k < n < inf, got k={k}, n={n}")
     if x < model.support_min:
@@ -301,8 +357,7 @@ def tie_distribution(prof: ExtremalProfile, t_max: int) -> TieDistribution:
     _require_gamma(prof)
     if prof.regime is not Regime.GAMMA_ZERO:
         raise ValueError("tie distribution is defined for the gamma = 0 clustering regime only")
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    t_max = check_int("t_max", t_max, 0)
     theta = prof.theta_n
     if not 0.0 < theta < math.inf:
         return TieDistribution(p_n=prof.p_n, at_least=dict.fromkeys(range(t_max + 2), 1.0),
@@ -380,6 +435,10 @@ def briggs_approximation(lam: float, n) -> float:
 def scan_oscillation(model: DiscreteTailModel, n_values, x_sigfigs: int | None = None) -> OscillationScan:
     """Profiles over an increasing n grid, with cluster-jump breakpoints.
 
+    Each row equals ``profile(model, n, x_sigfigs)``, solved from the
+    state one row leaves to the next: ln G at the last row's raw x_n, m_n
+    and m_n - 1, which the next row's start check, theta_n and z_n read,
+    and the slope of x_n in ln n, which predicts its first bracket step.
     A breakpoint records the last n of a constant-m_n window: the next
     grid point has a strictly larger anchor.
     """
@@ -388,12 +447,8 @@ def scan_oscillation(model: DiscreteTailModel, n_values, x_sigfigs: int | None =
         raise ValueError("scan requires at least one n")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n values must be strictly increasing")
-    # each row's bracket grows from the previous row's x_n, where G >= 1/n
-    # still holds unless rounding moved it (profile checks)
-    rows = [profile(model, ns[0], x_sigfigs=x_sigfigs)]
-    for n in ns[1:]:
-        rows.append(profile(model, n, x_sigfigs=x_sigfigs, _start=rows[-1].x_n))
-    rows = tuple(rows)
+    scan = _ScanState()
+    rows = tuple(profile(model, n, x_sigfigs=x_sigfigs, _scan=scan) for n in ns)
     breakpoints = tuple(rows[i].n for i in range(len(rows) - 1)
                         if rows[i + 1].m_n > rows[i].m_n)
     return OscillationScan(rows=rows, breakpoints=breakpoints)

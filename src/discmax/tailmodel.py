@@ -17,8 +17,13 @@ with ValueError: the base class gives every model ``loglinear`` and
 base class also owns the support edge: ``log_tail`` and ``log_tail_ext``
 raise ValueError below support_min - 1 and give 0.0 at it, for every
 extension.  A closed-form ``_log_tail`` that also holds at real x serves
-as the natural extension as it is.  Models have no sampler: ``datafit``
-draws any model by inverting the forward sums of its ``log_pmf``.
+as the natural extension as it is.  The loglinear extension keeps the
+last integer interval it interpolated on as one tuple on the model,
+(k, ln F(k), ln F(k + 1)): the probes of a root solve inside [k, k + 1]
+make no ``log_tail`` call, and every value is the one a fresh model
+gives, so a subclass must not change its tail after it is built.
+Models have no sampler: ``datafit`` draws any model by inverting the
+forward sums of its ``log_pmf``.
 
 Extensions
 ----------
@@ -81,6 +86,9 @@ class DiscreteTailModel:
         if self._extend is None:
             raise ValueError(f"the {extension} extension is not defined for the {self.name} model")
         self.extension = extension
+        # (k, ln F(k), ln F(k + 1)) of the last interval the loglinear
+        # extension interpolated on
+        self._interval = (None, 0.0, 0.0)
 
     # -- distribution surface -------------------------------------------------
 
@@ -117,10 +125,13 @@ class DiscreteTailModel:
     def _log_tail_loglinear(self, x: float) -> float:
         k = math.floor(x)
         t = x - k
-        lo = self.log_tail(int(k))
         if t == 0.0:
-            return lo
-        hi = self.log_tail(int(k) + 1)
+            return self.log_tail(k)
+        # a root solve probes one interval [k, k + 1] many times in a row
+        at, lo, hi = self._interval
+        if at != k:
+            lo, hi = self.log_tail(k), self.log_tail(k + 1)
+            self._interval = (k, lo, hi)
         if hi == -math.inf:
             return -math.inf
         return (1.0 - t) * lo + t * hi

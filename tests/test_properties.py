@@ -48,7 +48,14 @@ relative 1e-13..1e-8 of a jump n_j = 1/G(j - 1/2):
 - the sign rule ln G(m_n - 1/2) + ln n >= 0 > ln G(m_n + 1/2) + ln n,
   in profiles and in every row of a scan;
 - each scan breakpoint n_b and the next grid n bracket the exact jump
-  n_(m_n + 1) = exp(-ln G(m_n + 1/2)).
+  n_(m_n + 1) = exp(-ln G(m_n + 1/2));
+- with a noisy 200-atom empirical pmf too, every row of a scan over an
+  uneven grid in [1e3, 1e40] with one n near a jump equals the cold
+  profile at its n (x_sigfigs 6 for the asymptotic extension).
+
+The loglinear extension of five models (Poisson, negative binomial,
+geometric, discrete Cauchy, empirical with zero atoms): after any
+sequence of calls, every value equals that of a fresh model.
 
 The order statistic P(X_(n-k) <= m_n - 1) on the reference tables' gamma
 = 0 rows, at depths ceil(c z_n), c = 0.5, 1, 2, against an mpmath binomial
@@ -94,8 +101,8 @@ from discmax.extremes import (ExtremalProfile, Regime, RootBracketError, exact_m
                               scan_oscillation, tie_distribution, tie_phase_threshold)
 from discmax.specfun import (_stirlerr, log_binomial, log_binomial_pmf, log_negbinom_pmf,
                               log_poisson_pmf, reg_gamma_p_log, reg_gamma_q_log)
-from discmax.tailmodel import (EmpiricalModel, GeometricModel, NegativeBinomialModel,
-                               PoissonModel, make_model)
+from discmax.tailmodel import (DiscreteCauchyModel, EmpiricalModel, GeometricModel,
+                               NegativeBinomialModel, PoissonModel, make_model)
 
 poisson_models = st.builds(PoissonModel, st.floats(1e-3, 50.0))
 negbinom_models = st.builds(NegativeBinomialModel, st.floats(0.05, 20.0), st.floats(0.01, 0.95))
@@ -477,6 +484,44 @@ def test_scan_breakpoints_bracket_jumps(model, lo, span, count, eps):
         if a.n in scan.breakpoints:
             jump = math.exp(-model.log_tail_ext(a.m_n + 0.5))
             assert a.n < jump <= b.n, (model, a.n, jump, b.n)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the noisy pmf's tail ratio
+@settings(deadline=None)
+@given(model=st.one_of(anchor_models, st.builds(lambda seed: EmpiricalModel(noisy_halving_pmf(seed)),
+                                                st.integers(0, 2 ** 32 - 1))),
+       logs=st.lists(st.floats(math.log(1e3), math.log(1e40)), min_size=1, max_size=40),
+       eps=log_uniform(1e-13, 1e-9), below=st.booleans())
+def test_scan_rows_equal_cold_profiles(model, logs, eps, below):
+    # a scan row reuses the last row's tail values and predicts its first
+    # bracket step; a cold profile does neither.  The grid has uneven gaps
+    # and one n within eps of the jump n_j = 1/G(j - 1/2) into the last
+    # row's window
+    sigfigs = 6 if model.extension == "asymptotic" else None
+    ns = sorted({math.exp(v) for v in logs})
+    n_j = math.exp(-model.log_tail_ext(profile(model, ns[-1]).m_n - 0.5))
+    ns = sorted(set(ns) | {n_j * (1.0 - eps if below else 1.0 + eps)})
+    for row in scan_oscillation(model, ns, x_sigfigs=sigfigs).rows:
+        assert row == profile(model, row.n, sigfigs), (model, row.n)
+
+
+loglinear_models = st.sampled_from([
+    lambda: PoissonModel(1.0, "loglinear"), lambda: NegativeBinomialModel(2.0, 0.3, "loglinear"),
+    lambda: GeometricModel(0.5, "loglinear"), lambda: DiscreteCauchyModel(),
+    lambda: EmpiricalModel([0.5, 0.25, 0.125, 0.0, 0.0625, 0.0625])])
+
+
+@settings(deadline=None)
+@given(factory=loglinear_models,
+       xs=st.lists(st.builds(lambda k, t: k + t, st.integers(-1, 40),
+                             st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)),
+                   max_size=30))
+def test_loglinear_after_any_calls_equals_fresh(factory, xs):
+    # the model keeps the last interval it interpolated on; no sequence of
+    # calls may change a value
+    model = factory()
+    for x in xs:
+        assert model.log_tail_ext(x) == factory().log_tail_ext(x), (model, xs, x)
 
 
 def tables_rows():
