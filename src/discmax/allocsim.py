@@ -16,7 +16,10 @@ CHUNK_DRAWS variates (at least one trial each), chunk c from the stream
 ``SeedSequence(entropy=seed, spawn_key=(2, c))``, and counts every chunk
 with one kernel, ``trial_counts``; results are bit-identical for a given
 spec.  This is stream version 2, named by the key's first word (a future
-scheme takes a new one), and CHUNK_DRAWS is part of its definition.
+scheme takes a new one), and CHUNK_DRAWS is part of its definition.  A
+trial of more variates draws them in slices of CHUNK_DRAWS, which continue
+the stream of one call.  The chunks run on threads, one stride of them
+each, and the summary does not depend on how many.
 
 numpy is imported inside the functions that draw or tally samples, so
 importing this module (and the package) does not load it.
@@ -25,10 +28,12 @@ importing this module (and the package) does not load it.
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from collections import Counter
 from collections.abc import Iterator
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .extremes import (ExtremalProfile, Regime, limiting_max_pmf, tie_distribution,
                        tie_phase_threshold)
@@ -48,9 +53,12 @@ _LOG_NORMAL_MIN = math.log(sys.float_info.min)
 # it also keeps every chunk index below 2^32, one word of a spawn key
 MAX_BOX_TALLIES = 2_000_000_000
 
-# variates one chunk draws at most (a chunk holds at least one trial);
-# chosen by peak memory: on the allocation benchmark 2^16 raised peak RSS
-# by ~2 % and 2^17 by up to 9 %, 2^14 and 2^15 by under 1 %
+# variates one chunk of several trials draws at most, and one generator
+# call at most (a one-trial chunk that needs more draws it in slices; only a
+# Dirichlet trial's multinomial call is not split).  Chosen by peak memory
+# when the dense benchmark spec drew its 10^6 balls in one 8 MB call: 2^16
+# raised peak RSS by ~2 % and 2^17 by up to 9 %, 2^14 and 2^15 by under
+# 1 %.  Those balls are now drawn in slices and no longer set peak memory.
 CHUNK_DRAWS = 2 ** 14
 
 # tie phase-transition depths ceil(c z_n) checked by merging_report
@@ -110,10 +118,27 @@ def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
             for c, first in enumerate(range(0, spec.trials, size)))
 
 
+def _slices(total: int) -> Iterator[int]:
+    """Sizes of the generator calls that draw `total` variates: CHUNK_DRAWS
+    each, and the rest.
+
+    The slices continue the stream of one call: numpy's gamma keeps no
+    state between calls, and its bounded integers, whose range n_boxes
+    MAX_BOX_TALLIES keeps below 2^32, take 32-bit halves of PCG64's words,
+    the unused half held over to the next call.
+    """
+    return (min(CHUNK_DRAWS, total - first) for first in range(0, total, CHUNK_DRAWS))
+
+
 def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> np.ndarray:
-    """Box counts of one chunk: `trials` trials drawn in one call from the
-    stream (spec.seed, key), one row each; boxes a row does not list are
-    empty.
+    """Box counts of one chunk: `trials` trials drawn from the stream
+    (spec.seed, key), one row each; boxes a row does not list are empty.
+
+    The draws are those of one call, taken by calls of at most CHUNK_DRAWS
+    variates (see `_slices`).  The Dirichlet mixture's multinomial is the
+    exception: its conditional binomials cannot be split without changing
+    the stream, so a trial of more than CHUNK_DRAWS boxes draws them in one
+    call.
 
     Rows list all n_boxes boxes in box order, except for the uniform
     multinomial with fewer balls than boxes: there a row has one entry per
@@ -122,15 +147,29 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> np.ndarray:
     """
     import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
+
+    def in_slices(draw, total: int) -> np.ndarray:
+        if total <= CHUNK_DRAWS:
+            return draw(total)
+        return np.concatenate([draw(size) for size in _slices(total)])
+
     if spec.kind == "dirichlet":
-        weights = rng.gamma(spec.r, 1.0, size=(trials, spec.n_boxes))
+        weights = in_slices(lambda size: rng.gamma(spec.r, 1.0, size),
+                            trials * spec.n_boxes).reshape(trials, spec.n_boxes)
         weights /= weights.sum(axis=1, keepdims=True)
         return rng.multinomial(spec.n_balls, weights)
-    draws = rng.integers(0, spec.n_boxes, size=(trials, spec.n_balls))
+    if spec.n_balls >= spec.n_boxes and spec.n_balls > CHUNK_DRAWS:
+        # each trial (a chunk has one) counted slice by slice into its row,
+        # so the draws stay in cache
+        counts = np.zeros((trials, spec.n_boxes), dtype=np.int64)
+        for row in counts:
+            for size in _slices(spec.n_balls):
+                np.add.at(row, rng.integers(0, spec.n_boxes, size), 1)
+        return counts
+    draws = in_slices(lambda size: rng.integers(0, spec.n_boxes, size),
+                      trials * spec.n_balls).reshape(trials, spec.n_balls)
     if spec.n_balls >= spec.n_boxes:
         # one bincount over the chunk, each trial's boxes at its own offset
-        # (a chunk of one trial, as every spec drawing more than CHUNK_DRAWS
-        # balls has, needs none)
         if trials > 1:
             draws += np.arange(0, trials * spec.n_boxes, spec.n_boxes)[:, None]
         return np.bincount(draws.ravel(), minlength=trials * spec.n_boxes).reshape(
@@ -158,7 +197,16 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
     """Run spec.trials allocations and tally maxima, ties and occupancy.
 
     Each chunk of trials is tallied from its box-count matrix (see
-    `trial_counts`), with no per-trial Python.
+    `trial_counts`), with no per-trial Python.  The chunks run on every
+    usable CPU, W = min(usable CPUs, chunks): the calling thread takes
+    chunks 0, W, 2W, ... and W - 1 threads the other strides, as numpy
+    releases the GIL while it draws, sorts and counts.  A thread holds one
+    chunk at a time, drawn by generator calls of at most CHUNK_DRAWS
+    variates, so memory grows by one chunk per thread.  The tallies are
+    integers, merged once the threads join, so the summary does not depend
+    on W.  An exception in any thread (a KeyboardInterrupt in the calling
+    one too) stops the others at their next chunk and is raised once all
+    have joined.
     """
     import numpy as np
     if spec.n_boxes * spec.trials > MAX_BOX_TALLIES:
@@ -166,23 +214,61 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
             f"n_boxes * trials = {spec.n_boxes * spec.trials} box tallies, "
             f"more than the limit {MAX_BOX_TALLIES}")
     m = prof.m_n
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # one thread per usable CPU, but none without a chunk
+    workers = sum(1 for _ in islice(_chunks(spec), cpus or 1))
+    tallies, failures = [], []
+
+    def tally(first: int) -> None:
+        max_hist, tie_hist, ge_hist = Counter(), Counter(), Counter()
+        top_two_total = 0
+        try:
+            for key, size in islice(_chunks(spec), first, None, workers):
+                if failures:
+                    return
+                counts = trial_counts(spec, key, size)  # the module global: tracers patch it
+                mx = counts.max(axis=1, initial=0)
+                # a maximum of 0 leaves every box empty
+                at_max = np.where(mx > 0, np.count_nonzero(counts == mx[:, None], axis=1),
+                                  spec.n_boxes)
+                ge_anchor = _holding_at_least(counts, m, spec.n_boxes)
+                max_hist.update(mx.tolist())
+                tie_hist.update((at_max - 1).tolist())
+                ge_hist.update(ge_anchor.tolist())
+                # boxes holding m or m + 1 balls
+                top_two_total += int(
+                    (ge_anchor - _holding_at_least(counts, m + 2, spec.n_boxes)).sum())
+                # free the box counts before the next chunk draws: an array held
+                # across chunks fragments the heap and raises peak memory on dense specs
+                del counts
+        except BaseException as exc:
+            failures.append(exc)
+        else:
+            tallies.append((max_hist, tie_hist, ge_hist, top_two_total))
+
+    threads = [threading.Thread(target=tally, args=(first,)) for first in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        tally(0)
+    except BaseException as exc:  # a thread that could not start, or an interrupt
+        failures.append(exc)
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # interrupted while waiting
+                failures.append(exc)
+    if failures:
+        raise failures[0]
+
     max_hist, tie_hist, ge_hist = Counter(), Counter(), Counter()
     top_two_total = 0
-    for key, size in _chunks(spec):
-        counts = trial_counts(spec, key, size)  # the module global: tracers patch it
-        mx = counts.max(axis=1, initial=0)
-        # a maximum of 0 leaves every box empty
-        at_max = np.where(mx > 0, np.count_nonzero(counts == mx[:, None], axis=1), spec.n_boxes)
-        ge_anchor = _holding_at_least(counts, m, spec.n_boxes)
-        max_hist.update(mx.tolist())
-        tie_hist.update((at_max - 1).tolist())
-        ge_hist.update(ge_anchor.tolist())
-        # boxes holding m or m + 1 balls
-        top_two_total += int((ge_anchor - _holding_at_least(counts, m + 2, spec.n_boxes)).sum())
-        # free the box counts before the next chunk draws: an array held
-        # across chunks fragments the heap and raises peak memory on dense specs
-        del counts
-
+    for thread_max, thread_tie, thread_ge, thread_top_two in tallies:
+        max_hist.update(thread_max)
+        tie_hist.update(thread_tie)
+        ge_hist.update(thread_ge)
+        top_two_total += thread_top_two
     return AllocationSummary(
         max_histogram=dict(sorted(max_hist.items())),
         tie_histogram=dict(sorted(tie_hist.items())),

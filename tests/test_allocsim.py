@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -206,10 +208,13 @@ class TestTrialCounts:
 
     @pytest.mark.parametrize("n_boxes,n_balls,kind,r", [
         (50, 20, "multinomial", None), (20, 60, "multinomial", None),
-        (8, 8, "multinomial", None), (10, 0, "multinomial", None), (30, 45, "dirichlet", 0.7)])
+        (8, 8, "multinomial", None), (10, 0, "multinomial", None), (30, 45, "dirichlet", 0.7),
+        # more balls than one generator call draws: counted slice by slice
+        (50, 40000, "multinomial", None), (7, CHUNK_DRAWS + 1, "multinomial", None),
+        (3, 3 * CHUNK_DRAWS, "multinomial", None)])
     def test_matches_per_trial_bincounts(self, n_boxes, n_balls, kind, r):
         # the occupied boxes' counts in box order, and every box where a row
-        # lists them all
+        # lists them all; the reference draws each trial in one call
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1, seed=41,
                               r=r)
         for key, size in (((4,), 1), ((2, 0), 13), ((2, 7), 13)):
@@ -220,6 +225,36 @@ class TestTrialCounts:
                 assert got[got > 0].tolist() == ref[ref > 0].tolist(), key
                 if counts.shape[1] == n_boxes:
                     assert got.tolist() == ref.tolist(), key
+
+    def test_no_generator_call_draws_more_than_chunk_draws(self, monkeypatch):
+        # a trial of more balls or gamma weights than CHUNK_DRAWS is drawn in
+        # slices; only the Dirichlet multinomial over its boxes is one call
+        sizes = []
+        real = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    out = getattr(self.rng, name)(*args, **kwargs)
+                    sizes.append((name, out.size))
+                    return out
+                return draw
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        for n_boxes, n_balls, kind, r in ((20, 3 * CHUNK_DRAWS + 5, "multinomial", None),
+                                          (10 ** 6, CHUNK_DRAWS + 7, "multinomial", None),
+                                          (CHUNK_DRAWS + 9, 100, "dirichlet", 0.5)):
+            spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1,
+                                  seed=2, r=r)
+            sizes.clear()
+            counts = trial_counts(spec, (2, 0), 2)
+            assert (counts.sum(axis=1) == n_balls).all()
+            draws = [size for name, size in sizes if name != "multinomial"]
+            assert max(draws) <= CHUNK_DRAWS and len(draws) > 2, sizes
+            assert sum(draws) == 2 * (n_balls if kind == "multinomial" else n_boxes)
 
     def test_deterministic_per_key(self):
         spec = AllocationSpec(n_boxes=5, n_balls=9, kind="multinomial", trials=1, seed=3)
@@ -264,6 +299,14 @@ PINNED = {
         AllocationSummary(
             max_histogram={0: 20}, tie_histogram={9: 20}, cluster_freq=0.0,
             mean_top_two_occupancy=0.0, ge_anchor_histogram={0: 20}, trials=20)),
+    # each trial's 50000 balls drawn in four slices
+    "sliced": (
+        dict(n_boxes=10000, n_balls=50000, kind="multinomial", trials=6, seed=31337),
+        (10000, 50000),
+        AllocationSummary(
+            max_histogram={14: 1, 15: 4, 16: 1}, tie_histogram={0: 2, 1: 2, 2: 2},
+            cluster_freq=5 / 6, mean_top_two_occupancy=40 / 6,
+            ge_anchor_histogram={2: 2, 6: 1, 8: 1, 9: 1, 14: 1}, trials=6)),
     # anchor m_n = 0: every box counts as holding at least m_n
     "anchor_zero": (
         dict(n_boxes=20, n_balls=3, kind="multinomial", trials=100, seed=5), (20, 1),
@@ -364,9 +407,72 @@ class TestSimulate:
         per_chunk = CHUNK_DRAWS // 160
         want = simulate(spec, asym_profile(16000, 160))
         assert len(calls) == -(-3000 // per_chunk)
-        assert calls == list(_chunks(spec))
+        # threads call the kernel in no fixed order
+        assert sorted(calls) == list(_chunks(spec))
         monkeypatch.setattr(allocsim, "trial_counts", kernel)
         assert simulate(spec, asym_profile(16000, 160)) == want
+
+    @pytest.mark.parametrize("n_boxes,n_balls,kind,r,trials", [
+        (50, 20, "multinomial", None, 2500),   # fewer balls than boxes
+        (20, 60, "multinomial", None, 1500),
+        (30, 45, "dirichlet", 0.7, 800),
+        (20, 40000, "multinomial", None, 7),   # each trial drawn in slices
+    ])
+    def test_summary_does_not_depend_on_the_thread_count(self, monkeypatch, n_boxes, n_balls,
+                                                         kind, r, trials):
+        spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
+                              seed=606, r=r)
+        prof = asym_profile(50, 20)
+        want = reference_summary(spec, prof)
+        chunks = len(list(_chunks(spec)))
+        kernel = allocsim.trial_counts
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often: a lost tally would show
+        try:
+            for cpus in (1, 2, 5):
+                threads = set()
+
+                def recording(spec, key, trials):
+                    threads.add(threading.get_ident())
+                    return kernel(spec, key, trials)
+
+                monkeypatch.setattr(allocsim, "trial_counts", recording)
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                    raising=False)
+                assert simulate(spec, prof) == want, cpus
+                # no more threads than usable CPUs or chunks; one CPU runs on the caller
+                assert 1 <= len(threads) <= min(cpus, chunks)
+                if cpus == 1:
+                    assert threads == {threading.get_ident()}
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing,error", [((2, 3), ValueError("chunk (2, 3)")),
+                                               ((2, 0), KeyboardInterrupt())])
+    def test_a_failing_chunk_stops_every_thread(self, monkeypatch, failing, error):
+        # on two CPUs the calling thread takes the even chunks: (2, 3) fails
+        # in the started thread, (2, 0) in the calling one
+        calls = []
+        kernel = allocsim.trial_counts
+
+        def failing_kernel(spec, key, trials):
+            calls.append(key)
+            if key == failing:
+                raise error
+            time.sleep(0.05)  # the failure lands while the other threads draw
+            return kernel(spec, key, trials)
+
+        monkeypatch.setattr(allocsim, "trial_counts", failing_kernel)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        spec = AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=40 * 819,
+                              seed=3)
+        before = threading.active_count()
+        with pytest.raises(type(error)) as raised:
+            simulate(spec, asym_profile(50, 20))
+        assert raised.value is error
+        assert threading.active_count() == before
+        # the other thread stops at its next chunk, not after its stride of 20
+        assert len(calls) <= 8, calls
 
     def test_import_leaves_numpy_unloaded(self):
         # the traced benchmark patches these five module globals by name

@@ -695,7 +695,7 @@ class TestLazyStdlibImports:
     fresh interpreter, with the results they give here.  Module presence
     is asserted, not start-up time."""
 
-    LAZY = ["dataclasses", "inspect", "fractions", "decimal", "datetime", "csv"]
+    LAZY = ["dataclasses", "inspect", "fractions", "decimal", "datetime", "csv", "concurrent"]
     STAMPS = ["2024-03-01T00:10:00", "2024-03-01T02:59:59+00:00", "2024-03-01T00:00:00"]
 
     def test_cli_import_leaves_them_unloaded(self):
