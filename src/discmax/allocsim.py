@@ -16,10 +16,9 @@ CHUNK_DRAWS variates (at least one trial each), chunk c from the stream
 ``SeedSequence(entropy=seed, spawn_key=(2, c))``, and counts every chunk
 with one kernel, ``trial_counts``; results are bit-identical for a given
 spec.  This is stream version 2, named by the key's first word (a future
-scheme takes a new one), and CHUNK_DRAWS is part of its definition.  A
-trial of more variates draws them in slices of CHUNK_DRAWS, which continue
-the stream of one call.  The chunks run on threads, one stride of them
-each, and the summary does not depend on how many.
+scheme takes a new one), and CHUNK_DRAWS is part of its definition.  The
+chunks run on threads, one stride of them each, and the summary does not
+depend on how many.
 
 numpy is imported inside the functions that draw or tally samples, so
 importing this module (and the package) does not load it.
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 from collections import Counter
 from collections.abc import Iterator
@@ -45,20 +43,15 @@ KINDS = ("multinomial", "dirichlet")
 ENUMERATION_MAX_BOXES = 6
 ENUMERATION_MAX_BALLS = 12
 
-# ln of the least normal float: enumerate_conditional's pmf products below
-# it are taken another way
-_LOG_NORMAL_MIN = math.log(sys.float_info.min)
-
 # simulate refuses specs whose n_boxes x trials box tallies exceed this;
 # it also keeps every chunk index below 2^32, one word of a spawn key
 MAX_BOX_TALLIES = 2_000_000_000
 
-# variates one chunk of several trials draws at most, and one generator
-# call at most (a one-trial chunk that needs more draws it in slices; only a
-# Dirichlet trial's multinomial call is not split).  Chosen by peak memory
-# when the dense benchmark spec drew its 10^6 balls in one 8 MB call: 2^16
-# raised peak RSS by ~2 % and 2^17 by up to 9 %, 2^14 and 2^15 by under
-# 1 %.  Those balls are now drawn in slices and no longer set peak memory.
+# variates one chunk of several trials draws at most, and the slice in
+# which trial_counts counts a trial of more balls than both CHUNK_DRAWS and
+# its boxes.  Chosen by peak memory when the dense benchmark spec drew its
+# 10^6 balls in one 8 MB call: 2^16 raised peak RSS by ~2 % and 2^17 by up
+# to 9 %, 2^14 and 2^15 by under 1 %.
 CHUNK_DRAWS = 2 ** 14
 
 # tie phase-transition depths ceil(c z_n) checked by merging_report
@@ -118,27 +111,14 @@ def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
             for c, first in enumerate(range(0, spec.trials, size)))
 
 
-def _slices(total: int) -> Iterator[int]:
-    """Sizes of the generator calls that draw `total` variates: CHUNK_DRAWS
-    each, and the rest.
-
-    The slices continue the stream of one call: numpy's gamma keeps no
-    state between calls, and its bounded integers, whose range n_boxes
-    MAX_BOX_TALLIES keeps below 2^32, take 32-bit halves of PCG64's words,
-    the unused half held over to the next call.
-    """
-    return (min(CHUNK_DRAWS, total - first) for first in range(0, total, CHUNK_DRAWS))
-
-
 def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> np.ndarray:
     """Box counts of one chunk: `trials` trials drawn from the stream
     (spec.seed, key), one row each; boxes a row does not list are empty.
 
-    The draws are those of one call, taken by calls of at most CHUNK_DRAWS
-    variates (see `_slices`).  The Dirichlet mixture's multinomial is the
-    exception: its conditional binomials cannot be split without changing
-    the stream, so a trial of more than CHUNK_DRAWS boxes draws them in one
-    call.
+    Each array of variates (the balls, or the Dirichlet gamma weights and
+    multinomial) is drawn by one generator call, except the balls of a
+    trial that outnumber both CHUNK_DRAWS and its boxes: those are counted
+    slice by slice, in calls of at most CHUNK_DRAWS.
 
     Rows list all n_boxes boxes in box order, except for the uniform
     multinomial with fewer balls than boxes: there a row has one entry per
@@ -147,27 +127,23 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> np.ndarray:
     """
     import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
-
-    def in_slices(draw, total: int) -> np.ndarray:
-        if total <= CHUNK_DRAWS:
-            return draw(total)
-        return np.concatenate([draw(size) for size in _slices(total)])
-
     if spec.kind == "dirichlet":
-        weights = in_slices(lambda size: rng.gamma(spec.r, 1.0, size),
-                            trials * spec.n_boxes).reshape(trials, spec.n_boxes)
+        weights = rng.gamma(spec.r, 1.0, (trials, spec.n_boxes))
         weights /= weights.sum(axis=1, keepdims=True)
         return rng.multinomial(spec.n_balls, weights)
     if spec.n_balls >= spec.n_boxes and spec.n_balls > CHUNK_DRAWS:
         # each trial (a chunk has one) counted slice by slice into its row,
-        # so the draws stay in cache
+        # so the draws stay in cache.  The slices continue the stream of one
+        # call: numpy's bounded integers, whose range n_boxes MAX_BOX_TALLIES
+        # keeps below 2^32, take 32-bit halves of PCG64's words, the unused
+        # half held over to the next call
         counts = np.zeros((trials, spec.n_boxes), dtype=np.int64)
         for row in counts:
-            for size in _slices(spec.n_balls):
+            for first in range(0, spec.n_balls, CHUNK_DRAWS):
+                size = min(CHUNK_DRAWS, spec.n_balls - first)
                 np.add.at(row, rng.integers(0, spec.n_boxes, size), 1)
         return counts
-    draws = in_slices(lambda size: rng.integers(0, spec.n_boxes, size),
-                      trials * spec.n_balls).reshape(trials, spec.n_balls)
+    draws = rng.integers(0, spec.n_boxes, (trials, spec.n_balls))
     if spec.n_balls >= spec.n_boxes:
         # one bincount over the chunk, each trial's boxes at its own offset
         if trials > 1:
@@ -201,8 +177,8 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
     usable CPU, W = min(usable CPUs, chunks): the calling thread takes
     chunks 0, W, 2W, ... and W - 1 threads the other strides, as numpy
     releases the GIL while it draws, sorts and counts.  A thread holds one
-    chunk at a time, drawn by generator calls of at most CHUNK_DRAWS
-    variates, so memory grows by one chunk per thread.  The tallies are
+    chunk at a time, of at most CHUNK_DRAWS variates or else one trial, so
+    memory grows by one chunk per thread.  The tallies are
     integers, merged once the threads join, so the summary does not depend
     on W.  An exception in any thread (a KeyboardInterrupt in the calling
     one too) stops the others at their next chunk and is raised once all
@@ -306,8 +282,10 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
     The allocation route evaluates the multinomial (or Dirichlet mixture)
     probability as a ratio of exact integers, rounded once; the conditioning
     route evaluates products of i.i.d. pmf values (Poisson(lam), or NB(r, p))
-    normalized by the total mass on the sum.  The two columns must agree:
-    the mixing parameter (lam or p) cancels in the conditional law.
+    normalized by the total mass on the sum, as products of the term ratios
+    pmf(c + 1) / pmf(c) (pmf(0)^n_boxes cancels) summed in logs, over the
+    largest.  The two columns must agree: the mixing parameter (lam or p)
+    cancels in the conditional law.
 
     Both probabilities are symmetric in the boxes, so the walk is over
     partitions (non-increasing count tuples), each weighted by its number
@@ -323,16 +301,18 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
         raise ValueError(f"enumeration supports 0..{ENUMERATION_MAX_BALLS} balls, got {n_balls}")
 
     if kind == "multinomial":
-        model = PoissonModel(lam)
+        PoissonModel(lam)  # refuses a bad lam
+        ratios = [lam / (c + 1) for c in range(n_balls)]
         denom = n_boxes ** n_balls
     else:
-        model = NegativeBinomialModel(r, p)
+        NegativeBinomialModel(r, p)  # refuses a bad r or p
+        ratios = [p * (r + c) / (c + 1) for c in range(n_balls)]
         # r = a/d exactly; the d^c cleared from each (r)_c cancel against the
         # d^k cleared from (n_boxes r)_k, as the counts sum to k = n_balls
         a, d = float(r).as_integer_ratio()
         rising = _rising_factorials(a, d, n_balls)
         denom = _rising_factorials(n_boxes * a, d, n_balls)[-1]
-    log_pmf = [model.log_pmf(c) for c in range(n_balls + 1)]
+    log_term = [0.0, *accumulate(map(math.log, ratios))]  # ln pmf(c) / pmf(0)
 
     fact = [math.factorial(i) for i in range(max(n_balls, n_boxes) + 1)]
     alloc: dict = {}
@@ -351,18 +331,8 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
         alloc[key] = num / denom
         arrangements_of[key] = arrangements
 
-    def log_products(logs: list) -> dict:
-        return {key: math.fsum(logs[c] for c in key) for key in alloc}
-
-    log_weight, shift = log_products(log_pmf), 0.0
-    if max(log_weight.values()) < _LOG_NORMAL_MIN:
-        # every pmf product underflows, as (1 - p)^r does at r = 1e10: take
-        # them over pmf(0)^n_boxes, from the term ratios pmf(c + 1) / pmf(c),
-        # and over the largest, so no digit cancels and nothing underflows
-        ratios = [lam / (c + 1) if kind == "multinomial" else p * (r + c) / (c + 1)
-                  for c in range(n_balls)]
-        log_weight = log_products([0.0, *accumulate(map(math.log, ratios))])
-        shift = max(log_weight.values())
+    log_weight = {key: math.fsum(log_term[c] for c in key) for key in alloc}
+    shift = max(log_weight.values())
     weight = {key: arrangements_of[key] * math.exp(lw - shift) for key, lw in log_weight.items()}
     total_weight = math.fsum(weight.values())
 

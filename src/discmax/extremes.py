@@ -33,6 +33,7 @@ outward by term ratios: the lower tail below the mode, the upper tail
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from .record import Record, check_int
@@ -221,7 +222,7 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
     state where the last row evaluated it at the same point; x_n is the
     midpoint of the same sign-change cell as from a cold start.
     """
-    if not 2 <= n < math.inf:  # also rejects nan
+    if not 2 <= n <= sys.float_info.max:  # also rejects nan, and ints no float holds
         raise ValueError(f"profile requires a finite n >= 2, got {n}")
     if x_sigfigs is not None:
         x_sigfigs = check_int("x_sigfigs", x_sigfigs)
@@ -293,7 +294,7 @@ def limiting_max_pmf(prof: ExtremalProfile, x: int) -> float:
 
 def exact_max_cdf_log(model: DiscreteTailModel, n, x: int) -> float:
     """ln P(max of n i.i.d. samples <= x), exact at finite n; x an integer."""
-    if not 1 <= n < math.inf:  # also rejects nan
+    if not 1 <= n <= sys.float_info.max:  # also rejects nan, and ints no float holds
         raise ValueError(f"exact_max_cdf_log requires a finite n >= 1, got {n}")
     x = check_int("x", x)
     if x < model.support_min:
@@ -313,7 +314,7 @@ def exact_order_stat_cdf_log(model: DiscreteTailModel, n, k: int, x: int) -> flo
     below _NEGLIGIBLE_TERM of it.
     """
     k, x = check_int("k", k), check_int("x", x)
-    if not 0 <= k < n < math.inf:
+    if not 0 <= k < n <= sys.float_info.max:
         raise ValueError(f"order statistic requires 0 <= k < n < inf, got k={k}, n={n}")
     if x < model.support_min:
         return -math.inf

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,16 +98,17 @@ ORACLE_CASES = {
 }
 
 
-def reference_rows(spec, key, size) -> list:
+def reference_rows(spec, key, size) -> Iterator:
     """Reference for trial_counts: the chunk's draws, each trial's counts
-    of all n_boxes boxes by its own bincount or multinomial call."""
+    of all n_boxes boxes by its own bincount or multinomial call, made one
+    row at a time (a 10^6-box row is 8 MB)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
     if spec.kind == "multinomial":
-        return [np.bincount(d, minlength=spec.n_boxes)
-                for d in rng.integers(0, spec.n_boxes, size=(size, spec.n_balls))]
+        return (np.bincount(d, minlength=spec.n_boxes)
+                for d in rng.integers(0, spec.n_boxes, size=(size, spec.n_balls)))
     weights = rng.gamma(spec.r, 1.0, size=(size, spec.n_boxes))
     weights /= weights.sum(axis=1, keepdims=True)
-    return [rng.multinomial(spec.n_balls, w) for w in weights]
+    return (rng.multinomial(spec.n_balls, w) for w in weights)
 
 
 def reference_summary(spec, prof) -> AllocationSummary:
@@ -209,9 +211,12 @@ class TestTrialCounts:
     @pytest.mark.parametrize("n_boxes,n_balls,kind,r", [
         (50, 20, "multinomial", None), (20, 60, "multinomial", None),
         (8, 8, "multinomial", None), (10, 0, "multinomial", None), (30, 45, "dirichlet", 0.7),
-        # more balls than one generator call draws: counted slice by slice
+        # more balls than CHUNK_DRAWS and boxes: counted slice by slice
         (50, 40000, "multinomial", None), (7, CHUNK_DRAWS + 1, "multinomial", None),
-        (3, 3 * CHUNK_DRAWS, "multinomial", None)])
+        (3, 3 * CHUNK_DRAWS, "multinomial", None),
+        # more balls or gamma weights than CHUNK_DRAWS in one call
+        (10 ** 6, CHUNK_DRAWS + 7, "multinomial", None),
+        (CHUNK_DRAWS + 9, 100, "dirichlet", 0.5)])
     def test_matches_per_trial_bincounts(self, n_boxes, n_balls, kind, r):
         # the occupied boxes' counts in box order, and every box where a row
         # lists them all; the reference draws each trial in one call
@@ -226,9 +231,9 @@ class TestTrialCounts:
                 if counts.shape[1] == n_boxes:
                     assert got.tolist() == ref.tolist(), key
 
-    def test_no_generator_call_draws_more_than_chunk_draws(self, monkeypatch):
-        # a trial of more balls or gamma weights than CHUNK_DRAWS is drawn in
-        # slices; only the Dirichlet multinomial over its boxes is one call
+    def test_only_the_dense_loop_slices_its_draws(self, monkeypatch):
+        # balls that outnumber CHUNK_DRAWS and the boxes are drawn in slices
+        # of at most CHUNK_DRAWS; every other array is drawn by one call
         sizes = []
         real = np.random.default_rng
 
@@ -244,17 +249,24 @@ class TestTrialCounts:
                 return draw
 
         monkeypatch.setattr(np.random, "default_rng", Recording)
-        for n_boxes, n_balls, kind, r in ((20, 3 * CHUNK_DRAWS + 5, "multinomial", None),
-                                          (10 ** 6, CHUNK_DRAWS + 7, "multinomial", None),
-                                          (CHUNK_DRAWS + 9, 100, "dirichlet", 0.5)):
+
+        def calls(n_boxes, n_balls, kind, r=None):
             spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1,
                                   seed=2, r=r)
             sizes.clear()
             counts = trial_counts(spec, (2, 0), 2)
             assert (counts.sum(axis=1) == n_balls).all()
-            draws = [size for name, size in sizes if name != "multinomial"]
-            assert max(draws) <= CHUNK_DRAWS and len(draws) > 2, sizes
-            assert sum(draws) == 2 * (n_balls if kind == "multinomial" else n_boxes)
+            return list(sizes)
+
+        dense = calls(20, 3 * CHUNK_DRAWS + 5, "multinomial")
+        assert {name for name, _ in dense} == {"integers"} and len(dense) > 2, dense
+        assert max(size for _, size in dense) <= CHUNK_DRAWS
+        assert sum(size for _, size in dense) == 2 * (3 * CHUNK_DRAWS + 5)
+        sparse = calls(10 ** 6, CHUNK_DRAWS + 7, "multinomial")
+        assert sparse == [("integers", 2 * (CHUNK_DRAWS + 7))]
+        dirichlet = calls(CHUNK_DRAWS + 9, 100, "dirichlet", 0.5)
+        assert dirichlet == [("gamma", 2 * (CHUNK_DRAWS + 9)),
+                             ("multinomial", 2 * (CHUNK_DRAWS + 9))]
 
     def test_deterministic_per_key(self):
         spec = AllocationSpec(n_boxes=5, n_balls=9, kind="multinomial", trials=1, seed=3)
@@ -548,6 +560,19 @@ class TestEnumerateConditional:
         assert math.fsum(c for _, c in law.values()) == pytest.approx(1.0, abs=1e-12)
         for key, (alloc, cond) in law.items():
             assert cond == pytest.approx(alloc, abs=1e-12), key
+
+    @pytest.mark.parametrize("kind, base, others", [
+        ("multinomial", {"lam": 1.0},
+         [{"lam": lam} for lam in (0.3, 2.0, 50.0, 100.0, 115.0, 1e6)]),
+        ("dirichlet", {"r": 50.0, "p": 0.4}, [{"r": 50.0, "p": p} for p in (0.1, 0.9, 0.999)]),
+    ])
+    def test_mixing_parameter_cancels_in_the_conditioned_column(self, kind, base, others):
+        # sums of ln pmf values of size ~600 (lam = 100, p = 0.9) lose ~1e-13 here
+        want = enumerate_conditional(6, 12, kind, **base)
+        for kw in others:
+            law = enumerate_conditional(6, 12, kind, **kw)
+            for key, (_, cond) in law.items():
+                assert cond == pytest.approx(want[key][1], rel=5e-14, abs=0), (kw, key)
 
     @pytest.mark.parametrize("group", sorted(ORACLE_CASES))
     def test_matches_composition_walk(self, group):

@@ -634,3 +634,20 @@ def test_non_integer_sizes(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         call()
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: profile(PoissonModel(1.0), 10 ** 400), "profile requires a finite n >= 2"),
+    (lambda: scan_oscillation(PoissonModel(1.0), [10 ** 400]),
+     "profile requires a finite n >= 2"),
+    (lambda: exact_max_cdf_log(PoissonModel(1.0), 10 ** 400, 3),
+     "exact_max_cdf_log requires a finite n >= 1"),
+    (lambda: exact_order_stat_cdf_log(PoissonModel(1.0), 10 ** 400, 2, 3),
+     "order statistic requires 0 <= k < n < inf"),
+], ids=["profile", "scan", "max_cdf", "order_stat"])
+def test_int_n_past_the_float_range(call, message):
+    # 10**400 < math.inf is True: such an n was accepted and then raised
+    # OverflowError where it was converted to a float
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is ValueError
