@@ -300,19 +300,21 @@ def enumerate_conditional(n_boxes: int, n_balls: int, kind: str,
     if n_balls < 0 or n_balls > ENUMERATION_MAX_BALLS:
         raise ValueError(f"enumeration supports 0..{ENUMERATION_MAX_BALLS} balls, got {n_balls}")
 
+    # ln of each term ratio as a sum of logs: a ratio such as lam / 2 at
+    # lam = 5e-324 rounds to 0, its log does not
     if kind == "multinomial":
         PoissonModel(lam)  # refuses a bad lam
-        ratios = [lam / (c + 1) for c in range(n_balls)]
+        log_ratios = [math.log(lam) - math.log(c + 1) for c in range(n_balls)]
         denom = n_boxes ** n_balls
     else:
         NegativeBinomialModel(r, p)  # refuses a bad r or p
-        ratios = [p * (r + c) / (c + 1) for c in range(n_balls)]
+        log_ratios = [math.log(p) + math.log(r + c) - math.log(c + 1) for c in range(n_balls)]
         # r = a/d exactly; the d^c cleared from each (r)_c cancel against the
         # d^k cleared from (n_boxes r)_k, as the counts sum to k = n_balls
         a, d = float(r).as_integer_ratio()
         rising = _rising_factorials(a, d, n_balls)
         denom = _rising_factorials(n_boxes * a, d, n_balls)[-1]
-    log_term = [0.0, *accumulate(map(math.log, ratios))]  # ln pmf(c) / pmf(0)
+    log_term = [0.0, *accumulate(log_ratios)]  # ln pmf(c) / pmf(0)
 
     fact = [math.factorial(i) for i in range(max(n_balls, n_boxes) + 1)]
     alloc: dict = {}

@@ -561,6 +561,19 @@ class TestEnumerateConditional:
         for key, (alloc, cond) in law.items():
             assert cond == pytest.approx(alloc, abs=1e-12), key
 
+    @pytest.mark.parametrize("kind, kw", [
+        ("multinomial", {"lam": 5e-324}),
+        ("dirichlet", {"r": 5e-324}),
+        ("dirichlet", {"r": 0.5, "p": 5e-324}),
+    ], ids=["lam", "r", "p"])
+    def test_term_ratios_that_underflow(self, kind, kw):
+        # lam / 2, p r or p r / 1 rounds to 0; as a sum of logs it does not,
+        # and the conditioned column still matches the allocation
+        law = enumerate_conditional(3, 4, kind, **kw)
+        assert math.fsum(c for _, c in law.values()) == pytest.approx(1.0, abs=1e-12)
+        for key, (alloc, cond) in law.items():
+            assert cond == pytest.approx(alloc, abs=1e-12), key
+
     @pytest.mark.parametrize("kind, base, others", [
         ("multinomial", {"lam": 1.0},
          [{"lam": lam} for lam in (0.3, 2.0, 50.0, 100.0, 115.0, 1e6)]),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -429,7 +430,8 @@ class TestSimulateDailyMax:
         values, hits = np.unique(hours.max(axis=1), return_counts=True)
         assert dict(zip(values.tolist(), hits.tolist())) == counts
 
-    @pytest.mark.parametrize("draws", [1, 24 * 7, 24 * 1000 + 23])
+    # 2_400_000 is the bound before batches were cache-sized: 3000 blocks in one call
+    @pytest.mark.parametrize("draws", [1, 24 * 7, 24 * 1000 + 23, 2_400_000])
     def test_calls_do_not_define_the_stream(self, monkeypatch, draws):
         monkeypatch.setattr(datafit, "SIMULATION_DRAWS", draws)
         fit = NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True)
@@ -438,8 +440,9 @@ class TestSimulateDailyMax:
 
     def test_long_blocks_bound_each_call(self, monkeypatch):
         stub = _stub_generator(monkeypatch, 0.0)
-        block = 50_000
+        block = datafit.SIMULATION_DRAWS // 5
         per_call = datafit.SIMULATION_DRAWS // block
+        assert per_call >= 5
         got = simulate_daily_max(PoissonModel(1.0), block, trials=2 * per_call + 4, seed=0)
         assert got == {0: 1.0}
         assert stub.shapes == [(per_call, block)] * 2 + [(4, block)]
@@ -447,6 +450,50 @@ class TestSimulateDailyMax:
         stub.shapes.clear()
         simulate_daily_max(PoissonModel(1.0), datafit.SIMULATION_DRAWS + 1, trials=2, seed=0)
         assert stub.shapes == [(1, datafit.SIMULATION_DRAWS + 1)] * 2
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 24, 25, "bound + 1"])
+    def test_block_maximum_is_exact(self, monkeypatch, block):
+        # seeded uniforms with each block's largest moved to a column that
+        # walks left from the last one, so an odd last column holds it too;
+        # the maxima the table search gets equal .max(axis=1) element for element
+        if block == "bound + 1":
+            block = datafit.SIMULATION_DRAWS + 1
+        source = np.random.default_rng(11)
+        drawn, searched, placed = [], [], itertools.count()
+
+        class Uniforms:
+            def random(self, size):
+                u = source.random(size)
+                for row in u:
+                    col = (block - 1 - next(placed)) % block
+                    top = row.argmax()
+                    row[top], row[col] = row[col], row[top]
+                drawn.append(u)
+                return u.copy()
+
+        search = np.searchsorted
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: Uniforms())
+        monkeypatch.setattr(np, "searchsorted", lambda a, v, **kw: searched.append(v.copy())
+                            or search(a, v, **kw))
+        trials = 3 if block > 100 else 1000
+        simulate_daily_max(PoissonModel(1.0), block, trials=trials, seed=0)
+        assert len(searched) == len(drawn)
+        for u, top in zip(drawn, searched):
+            assert np.array_equal(top, u.max(axis=1))
+
+    def test_batches_bound_memory(self):
+        # 10^5 blocks of 24 drew 2.4e6 uniforms (19.2 MB) in one call; now
+        # each batch is at most SIMULATION_DRAWS doubles, its halvings half as many
+        assert datafit.SIMULATION_DRAWS * 8 <= 2 ** 20  # a batch fits in L2
+        fit = NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True)
+        simulate_daily_max(fit, 24, trials=10, seed=1)  # numpy's own first-use allocations
+        tracemalloc.start()
+        try:
+            simulate_daily_max(fit, 24, trials=100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * datafit.SIMULATION_DRAWS * 8, peak
 
     def test_table_ends_below_the_largest_uniform(self, monkeypatch):
         # the zero-heavy fit: its forward pmf sum stops short of 1 - 2^-53,
