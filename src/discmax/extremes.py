@@ -21,10 +21,11 @@ x_n column.
 x_n is the root of ln G(x) + ln n, bracketed by doubling steps and
 narrowed by Illinois (modified regula falsi) steps, each probing a point
 of a 2^-34 grid, to the grid cell that holds it; x_n is the cell's
-midpoint, as a bisection to 1e-10 gives it.  ``scan_oscillation``
-brackets each row from the previous row's x_n, by a first step predicted
-from the last two rows, and hands each row the ln G values the last row
-evaluated at its x_n, m_n and m_n - 1.  The order statistic
+midpoint, as a bisection to 1e-10 gives it, certified by the values at
+the cell's ends.  ``scan_oscillation`` brackets each row from the lower
+end of the previous row's cell, by a first step predicted from the last
+two rows, and hands each row the ln G values the last row evaluated
+there and at its m_n and m_n - 1.  The order statistic
 X_(n-k) sums the binomial count of samples above x from its anchor term
 outward by term ratios: the lower tail below the mode, the upper tail
 (read as log1p(-upper)) from the mode on.
@@ -100,78 +101,75 @@ def _round_sigfigs(x: float, sigfigs: int) -> float:
     return round(x, sigfigs - 1 - math.floor(math.log10(abs(x))))
 
 
-def _grid_above(x: float) -> float:
-    """The next point above x of the grid of multiples of _CELL (every float,
-    where floats are coarser than _CELL)."""
-    return max(math.floor(x / _CELL) * _CELL + _CELL, math.nextafter(x, math.inf))
-
-
-def _grid_below(x: float) -> float:
-    """The last point below x of the same grid."""
-    return min(math.ceil(x / _CELL) * _CELL - _CELL, math.nextafter(x, -math.inf))
-
-
-def _crossing(model: DiscreteTailModel, n, a: float, fa: float, step: float) -> tuple:
-    """(x, m) for the crossing of f(x) = ln G(x) + ln n above a, f(a) = fa >= 0.
+def _crossing(model: DiscreteTailModel, n, log_n: float, a: float, la: float,
+              step: float) -> tuple:
+    """(x, m, a, ln G(a), ln G(b)) for the crossing of f(x) = ln G(x) + ln n
+    above a, ln G(a) = la >= -ln n, and the final bracket [a, b].
 
     Steps of step, 2 step, 4 step, ... from a, the last cut to _TOP, bracket
     the crossing in [a, b], f(a) >= 0 > f(b).  Illinois steps then probe the
     _CELL grid point nearest the regula-falsi root inside (a, b), the value
-    at an end that two steps in a row left in place halved, until [a, b]
-    holds no grid point.  A step bisects where three steps did not halve the
-    bracket, or while f(a) == 0.  x is the midpoint of the cell that holds
-    the crossing, the point a bisection to 1e-10 from integer ends returns,
-    so it is the same nondecreasing function of n, whatever a and step are,
-    wherever ln G is monotone on the grid.  m = floor(c + 1/2), c the cell's
-    left end, is the sign rule below 2^52, where half-integers are grid
-    points.
+    at an end that two steps in a row left in place halved as its secant
+    weight, until [a, b] holds no grid point.  A step bisects where three
+    steps did not halve the bracket, or while f(a) == 0.  x is the midpoint
+    of the cell that holds the crossing, the point a bisection to 1e-10
+    from integer ends returns, so it is the same nondecreasing function of
+    n, whatever a and step are, wherever ln G is monotone on the grid.
+    m = floor(c + 1/2), c the cell's left end, is the sign rule below 2^52,
+    where half-integers are grid points.  ln G at the ends is returned as
+    evaluated, unhalved, for the caller to certify the crossing.
     """
-    log_n = math.log(n)
+    fa = la + log_n
     start = a
-    while (fb := model.log_tail_ext(b := min(start + step, _TOP)) + log_n) >= 0.0:
+    while (fb := (lb := model.log_tail_ext(b := min(start + step, _TOP))) + log_n) >= 0.0:
         if b == _TOP:
             raise RootBracketError(
                 f"extended tail does not drop below 1/n up to x = {b!r} (n={n}): x_n lies "
                 "beyond the solver's range, or the tail is bounded")
-        a, fa = b, fb
+        a, fa, la = b, fb, lb
         step *= 2.0
     side = 0  # the end last replaced
-    widths = [math.inf] * 3  # the bracket's width one, two and three steps back
-    while (above := _grid_above(a)) < b:
-        if b - a > 0.5 * widths[2] or not math.isfinite(fb) or fa == 0.0:
+    # the bracket's width one, two and three steps back
+    width1 = width2 = width3 = math.inf
+    # above and below are the grid points next to a and b inside [a, b]
+    # (every float is one, where floats are coarser than _CELL)
+    while (above := max(math.floor(a / _CELL) * _CELL + _CELL, math.nextafter(a, math.inf))) < b:
+        if b - a > 0.5 * width3 or not math.isfinite(fb) or fa == 0.0:
             # three steps that did not halve the bracket, a tail that ends,
             # or a secant that would return a: bisect
             x = 0.5 * (a + b)
         else:
             x = b - fb * (b - a) / (fb - fa)
-        x = min(max(round(x / _CELL) * _CELL, above), _grid_below(b))
-        widths = [b - a] + widths[:-1]
-        fx = model.log_tail_ext(x) + log_n
+        below = min(math.ceil(b / _CELL) * _CELL - _CELL, math.nextafter(b, -math.inf))
+        x = min(max(round(x / _CELL) * _CELL, above), below)
+        width3, width2, width1 = width2, width1, b - a
+        fx = (lx := model.log_tail_ext(x)) + log_n
         if fx >= 0.0:
-            a, fa = x, fx
+            a, fa, la = x, fx, lx
             if side > 0:
                 fb *= 0.5
             side = 1
         else:
-            b, fb = x, fx
+            b, fb, lb = x, fx, lx
             if side < 0:
                 fa *= 0.5
             side = -1
     c = math.floor(a / _CELL) * _CELL  # the last grid point with f(c) >= 0
-    x = 0.5 * (c + _grid_above(a))  # the cell around [a, b]
+    x = 0.5 * (c + above)  # the cell around [a, b]
     m = math.floor((c if c < 2.0 ** 52 else x) + 0.5)  # from 2^52 on no half-integer is a float
-    return x, m
+    return x, m, a, la, lb
 
 
 class _ScanState:
     """What one scan row leaves to the next row's profile.
 
-    ``log_tails`` maps x to ln G(x) at the points the next row may read
-    again: the last row's raw crossing x (before any rounding), where the
-    next row's start check lands, and m_n and m_n - 1, where theta_n and
-    z_n land for as long as m_n stays.  ``last`` is (ln n, raw x) of the
-    last row, and ``slope`` is dx/d ln n between the last two rows whose
-    crossings differ (0.0 before there are two), which predicts the first
+    ``log_tails`` maps x to ln G(x), as log_tail_ext returned it, at the
+    points the next row may read again: the lower end a of the last row's
+    final bracket, where G is at least 1/n, from which the next row's
+    bracket grows at no start-check evaluation, and m_n and m_n - 1, where
+    theta_n and z_n land for as long as m_n stays.  ``last`` is (ln n, a)
+    of the last row, and ``slope`` is da/d ln n between the last two rows
+    whose ends differ (0.0 before there are two), which predicts the first
     bracket step.  A cold profile starts from an empty state.
     """
 
@@ -190,23 +188,26 @@ class _ScanState:
         return lg
 
     def bracket_start(self, model: DiscreteTailModel, log_n: float, lo: float) -> tuple:
-        """(a, f(a), first step) for _crossing: the last crossing, where G
-        is still at least 1/n there, with the step the slope predicts (1
+        """(a, ln G(a), first step) for _crossing: the last row's end a,
+        where G is still at least 1/n, with the step the slope predicts (1
         while none is known); else the support edge lo, with steps of 1."""
         if self.last is not None and (a := self.last[1]) > lo:
-            fa = self.log_tail(model, a) + log_n
-            if fa >= 0.0:
+            la = self.log_tail(model, a)
+            if la + log_n >= 0.0:
                 step = max(self.slope * (log_n - self.last[0]), _CELL) if self.slope else 1.0
-                return a, fa, step
-        return lo, log_n, 1.0
+                return a, la, step
+        return lo, 0.0, 1.0
 
-    def advance(self, log_n: float, x: float, keep: tuple) -> None:
-        """Take a solved row's ln n and raw crossing x; keep ln G only at x
-        and the points of keep (m_n never falls along a scan)."""
-        if self.last is not None and x > self.last[1] and log_n > self.last[0]:
-            self.slope = (x - self.last[1]) / (log_n - self.last[0])
-        self.last = (log_n, x)
-        self.log_tails = {k: self.log_tails[k] for k in (x, *keep) if k in self.log_tails}
+    def advance(self, log_n: float, a: float, la: float, keep: tuple) -> None:
+        """Take a solved row's ln n and final bracket end a with ln G(a) =
+        la; keep ln G only at a and the points of keep (m_n never falls
+        along a scan)."""
+        if self.last is not None and a > self.last[1] and log_n > self.last[0]:
+            self.slope = (a - self.last[1]) / (log_n - self.last[0])
+        self.last = (log_n, a)
+        tails = self.log_tails
+        self.log_tails = {k: tails[k] for k in keep if k in tails}
+        self.log_tails[a] = la
 
 
 def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
@@ -215,12 +216,15 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
 
     m_n is the sign rule: ln G(m_n - 1/2) + ln n >= 0 > ln G(m_n + 1/2) + ln n
     (floor(x_n + 1/2) from 2^52 on, and of the rounded x_n under ``x_sigfigs``).
+    The crossing is genuine when f = ln G + ln n is within 1e-6 of 0 at
+    both ends of the final bracket, f(a) <= 1e-6 and f(b) >= -1e-6, read
+    from the solve's own evaluations; else RootBracketError.
 
     ``_scan`` is for scan_oscillation: the _ScanState its previous rows
     left, which this row updates.  The bracket then grows from the last
-    row's crossing by a predicted first step, and ln G is read from the
-    state where the last row evaluated it at the same point; x_n is the
-    midpoint of the same sign-change cell as from a cold start.
+    row's final end a by a predicted first step, and ln G is read from
+    the state where the last row evaluated it at the same point; x_n is
+    the midpoint of the same sign-change cell as from a cold start.
     """
     if not 2 <= n <= sys.float_info.max:  # also rejects nan, and ints no float holds
         raise ValueError(f"profile requires a finite n >= 2, got {n}")
@@ -232,9 +236,8 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
     log_n = math.log(n)
     lo = float(model.support_min - 1)
     scan = _ScanState() if _scan is None else _scan
-    raw, m = _crossing(model, n, *scan.bracket_start(model, log_n, lo))
-    residual = scan.log_tail(model, raw) + log_n
-    if not math.isfinite(residual) or abs(residual) > 1e-6:
+    raw, m, a, la, lb = _crossing(model, n, log_n, *scan.bracket_start(model, log_n, lo))
+    if not (la + log_n <= 1e-6 and lb + log_n >= -1e-6):  # also refuses f(b) = -inf or nan
         raise RootBracketError(
             f"no genuine crossing of 1/n at x={raw} (discontinuous tail extension); "
             "the tail is bounded or n is too small")
@@ -261,7 +264,7 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
         theta = math.exp(log_n + scan.log_tail(model, float(m)))
     below = max(m - 1.0, lo)
     z = math.exp(log_n + scan.log_tail(model, below))
-    scan.advance(log_n, raw, (float(m), below))
+    scan.advance(log_n, a, la, (float(m), below))
     return ExtremalProfile(
         n=float(n), gamma=gamma, x_n=x, m_n=m, theta_n=theta,
         p_n=math.exp(-theta), z_n=z, regime=regime)
@@ -409,10 +412,10 @@ def anderson_cluster_bound(model: DiscreteTailModel, prof: ExtremalProfile) -> f
 
 def briggs_approximation(lam: float, n) -> float:
     """Closed-form Lambert-W refinement of the crossing point x_n (Poisson)."""
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if n < 3:
-        raise ValueError(f"briggs_approximation requires n >= 3, got {n}")
+    if not 0.0 < lam < math.inf:  # also rejects nan
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    if not 3 <= n <= sys.float_info.max:  # also rejects nan, and ints no float holds
+        raise ValueError(f"briggs_approximation requires a finite n >= 3, got {n}")
     log_n = math.log(n)
     z = log_n / (lam * math.e)
     if z < math.inf:
@@ -437,9 +440,10 @@ def scan_oscillation(model: DiscreteTailModel, n_values, x_sigfigs: int | None =
     """Profiles over an increasing n grid, with cluster-jump breakpoints.
 
     Each row equals ``profile(model, n, x_sigfigs)``, solved from the
-    state one row leaves to the next: ln G at the last row's raw x_n, m_n
-    and m_n - 1, which the next row's start check, theta_n and z_n read,
-    and the slope of x_n in ln n, which predicts its first bracket step.
+    state one row leaves to the next: ln G at the lower end of the last
+    row's final bracket, m_n and m_n - 1, which the next row's start
+    check, theta_n and z_n read, and the slope of that end in ln n, which
+    predicts its first bracket step.
     A breakpoint records the last n of a constant-m_n window: the next
     grid point has a strictly larger anchor.
     """

@@ -95,7 +95,11 @@ def _stirlerr(n: float) -> float:
     # Stirling series above 15, reached from below by the recurrence
     # stirlerr(n) = stirlerr(n + 1) + (n + 1/2) ln(1 + 1/n) - 1, each step
     # rounding by ~1e-16 absolute; below 1, ln(1 + 1/n) is log1p(n) - ln n,
-    # because 1/n overflows at subnormal n
+    # because 1/n overflows at subnormal n.  The half-integers up to 15,
+    # the small counts and shapes of the pmfs, are read from
+    # _STIRLERR_HALVES, which holds this recurrence's value at each
+    if n <= 15.0 and (value := _STIRLERR_HALVES.get(n)) is not None:
+        return value
     shift = 0.0
     while n <= 15.0:
         step = math.log1p(1.0 / n) if n >= 1.0 else math.log1p(n) - math.log(n)
@@ -104,6 +108,12 @@ def _stirlerr(n: float) -> float:
     r = 1.0 / (n * n)
     return shift + (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0
                                                                              - r / 1188.0)))) / n
+
+
+# stirlerr at n = 0.5, 1, ..., 15 (Loader 2000 tabulates the same points),
+# each evaluated once by the recurrence above while the table is still empty
+_STIRLERR_HALVES: dict = {}
+_STIRLERR_HALVES.update({k / 2.0: _stirlerr(k / 2.0) for k in range(1, 31)})
 
 
 # ln(1 + u) - u = 2 atanh(s) - 2s/(1 - s) = -2 s^2 sum_{j>=0} c_j s^j with

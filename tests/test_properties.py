@@ -18,6 +18,10 @@ The same models under the natural and the loglinear extension:
 - log_tail_ext is non-increasing, and equals log_tail at integers;
 - the crossing point solves ln G(x_n) = -ln n within 1e-6.
 
+The same holds, evaluated at x_n itself, for every profile and scan row
+of the root-solve models below, whose crossing profile certifies from
+the values at its last bracket's ends.
+
 The two limiting laws of a profile against mpmath, over theta_n
 log-uniform in [1e-12, 700]:
 
@@ -84,7 +88,8 @@ random arguments:
   [e^-800, 1) or within a factor e^0.5 of k / n (worst 1.2e-14, beyond
   2^53, and 9.4e-15 below);
 - the Stirling remainder on both sides of 15, at subnormal arguments and
-  at the half-integers (worst 1.2e-15; 3.5e-16 at the half-integers).
+  at the half-integers, which are read from a table (worst 1.2e-15;
+  3.5e-16 at the half-integers).
 """
 
 import math
@@ -201,6 +206,9 @@ def test_binomial_pmf_vs_mpmath(n, frac, near, shift, log_p):
                    st.integers(1, 30).map(lambda i: i / 2)))
 @example(n=5e-324)  # 1/n overflows: the first recurrence step must not form it
 @example(n=14.10111626316651)  # 9.6e-15 off through lgamma(n + 1) - (n + 1/2) ln n + n
+@example(n=15.0)  # the last half-integer read from the table
+@example(n=15.5)  # the first one above it, from the series
+@example(n=7.25)  # below 15 but no half-integer: the recurrence
 def test_stirlerr_vs_mpmath(n):
     with mp.workdps(40):
         x = mp.mpf(n)
@@ -425,6 +433,26 @@ def test_root_solve_vs_bisection(model, n, factor):
         rows = scan_oscillation(model, ns).rows
         for row, ref in zip(rows, refs):
             assert_same_crossing(model, row.n, row.x_n, ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the noisy pmf's tail ratio
+@settings(deadline=None)
+@given(model=solver_models, n=log_uniform(1e3, 1e50), factor=log_uniform(1.01, 1e3))
+def test_certified_crossing_residual(model, n, factor):
+    # profile certifies x_n from the values at its last bracket's ends and
+    # does not evaluate ln G at x_n itself; evaluated here, the residual
+    # is within 1e-6, in cold profiles and in the rows of a scan
+    ns = [n, n * factor]
+    rows = []
+    for m in ns:
+        try:
+            rows.append(profile(model, m))
+        except RootBracketError:  # refusals: test_root_solve_vs_bisection
+            pass
+    if len(rows) == 2:
+        rows += scan_oscillation(model, ns).rows
+    for row in rows:
+        assert abs(model.log_tail_ext(row.x_n) + math.log(row.n)) <= 1e-6, (model, row.n, row.x_n)
 
 
 def assert_same_crossing(model, n, x, ref):
