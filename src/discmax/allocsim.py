@@ -27,12 +27,11 @@ importing this module (and the package) does not load it.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections import Counter
 from collections.abc import Iterator
 from itertools import accumulate, islice
 
+from ._strided import run_strided, usable_cpus
 from .extremes import (ExtremalProfile, Regime, limiting_max_pmf, tie_distribution,
                        tie_phase_threshold)
 from .record import Record, check_int
@@ -174,7 +173,8 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
 
     Each chunk of trials is tallied from its box-count matrix (see
     `trial_counts`), with no per-trial Python.  The chunks run on every
-    usable CPU, W = min(usable CPUs, chunks): the calling thread takes
+    usable CPU, W = min(usable CPUs, chunks), through _strided.run_strided,
+    the thread route simulate_daily_max shares: the calling thread takes
     chunks 0, W, 2W, ... and W - 1 threads the other strides, as numpy
     releases the GIL while it draws, sorts and counts.  A thread holds one
     chunk at a time, of at most CHUNK_DRAWS variates or else one trial, so
@@ -190,66 +190,38 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
             f"n_boxes * trials = {spec.n_boxes * spec.trials} box tallies, "
             f"more than the limit {MAX_BOX_TALLIES}")
     m = prof.m_n
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # one thread per usable CPU, but none without a chunk
-    workers = sum(1 for _ in islice(_chunks(spec), cpus or 1))
-    tallies, failures = [], []
+    workers = sum(1 for _ in islice(_chunks(spec), usable_cpus()))
 
-    def tally(first: int) -> None:
+    def tally(chunks) -> tuple:
         max_hist, tie_hist, ge_hist = Counter(), Counter(), Counter()
         top_two_total = 0
-        try:
-            for key, size in islice(_chunks(spec), first, None, workers):
-                if failures:
-                    return
-                counts = trial_counts(spec, key, size)  # the module global: tracers patch it
-                mx = counts.max(axis=1, initial=0)
-                # a maximum of 0 leaves every box empty
-                at_max = np.where(mx > 0, np.count_nonzero(counts == mx[:, None], axis=1),
-                                  spec.n_boxes)
-                ge_anchor = _holding_at_least(counts, m, spec.n_boxes)
-                max_hist.update(mx.tolist())
-                tie_hist.update((at_max - 1).tolist())
-                ge_hist.update(ge_anchor.tolist())
-                # boxes holding m or m + 1 balls
-                top_two_total += int(
-                    (ge_anchor - _holding_at_least(counts, m + 2, spec.n_boxes)).sum())
-                # free the box counts before the next chunk draws: an array held
-                # across chunks fragments the heap and raises peak memory on dense specs
-                del counts
-        except BaseException as exc:
-            failures.append(exc)
-        else:
-            tallies.append((max_hist, tie_hist, ge_hist, top_two_total))
+        for key, size in chunks:
+            counts = trial_counts(spec, key, size)  # the module global: tracers patch it
+            mx = counts.max(axis=1, initial=0)
+            # a maximum of 0 leaves every box empty
+            at_max = np.where(mx > 0, np.count_nonzero(counts == mx[:, None], axis=1),
+                              spec.n_boxes)
+            ge_anchor = _holding_at_least(counts, m, spec.n_boxes)
+            max_hist.update(mx.tolist())
+            tie_hist.update((at_max - 1).tolist())
+            ge_hist.update(ge_anchor.tolist())
+            # boxes holding m or m + 1 balls
+            top_two_total += int(
+                (ge_anchor - _holding_at_least(counts, m + 2, spec.n_boxes)).sum())
+            # free the box counts before the next chunk draws: an array held
+            # across chunks fragments the heap and raises peak memory on dense specs
+            del counts
+        return max_hist, tie_hist, ge_hist, top_two_total
 
-    threads = [threading.Thread(target=tally, args=(first,)) for first in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        tally(0)
-    except BaseException as exc:  # a thread that could not start, or an interrupt
-        failures.append(exc)
-    for thread in threads:
-        while thread.is_alive():
-            try:
-                thread.join()
-            except BaseException as exc:  # interrupted while waiting
-                failures.append(exc)
-    if failures:
-        raise failures[0]
-
-    max_hist, tie_hist, ge_hist = Counter(), Counter(), Counter()
-    top_two_total = 0
-    for thread_max, thread_tie, thread_ge, thread_top_two in tallies:
-        max_hist.update(thread_max)
-        tie_hist.update(thread_tie)
-        ge_hist.update(thread_ge)
-        top_two_total += thread_top_two
+    *hists, top_two = zip(*run_strided(workers, lambda: _chunks(spec), tally))
+    # the threads' counts are positive, so Counter sums keep every value
+    max_hist, tie_hist, ge_hist = (sum(parts, Counter()) for parts in hists)
     return AllocationSummary(
         max_histogram=dict(sorted(max_hist.items())),
         tie_histogram=dict(sorted(tie_hist.items())),
         cluster_freq=(max_hist[m] + max_hist[m + 1]) / spec.trials,
-        mean_top_two_occupancy=top_two_total / spec.trials,
+        mean_top_two_occupancy=sum(top_two) / spec.trials,
         ge_anchor_histogram=dict(sorted(ge_hist.items())),
         trials=spec.trials,
     )

@@ -12,7 +12,9 @@ one search per block.  The table grows as far as the largest uniform
 drawn, and ends where a pmf term no longer changes the sum and
 P(X > v) < 2^-53.  The exact law shares these sums below its median, so
 the simulation checks its steps, upper half and end row, not log_pmf.  Its
-uniforms are block-maximum stream version 2, SeedSequence(entropy=seed, spawn_key=(2,)).
+uniforms are block-maximum stream version 2, SeedSequence(entropy=seed, spawn_key=(2,)),
+drawn on every usable CPU, each thread jumping its own copy of the stream
+to its batches, so the seeded result does not depend on the thread count.
 
 numpy is imported inside simulate_daily_max only: importing this module,
 ingesting, fitting and listing laws leave it unloaded.
@@ -27,6 +29,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
 
+from ._strided import run_strided, usable_cpus
 from .extremes import exact_max_cdf_log
 from .record import Record, check_int
 from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
@@ -37,10 +40,11 @@ from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
 LAW_TAIL_MASS = 1e-9
 MAX_LAW_VALUES = 100_000
 
-# uniforms simulate_daily_max draws per call (at least one block).  It bounds
-# memory only; the seeded stream is the same however the draws are split into
-# calls.  2^16 doubles are 512 KB, a batch that stays in a 2 MB L2 cache while
-# its rows are halved to their maxima.  Chosen by measurement on the two
+# uniforms simulate_daily_max draws per call on one thread, and holds at once
+# over all its threads (at least one block each).  It bounds memory only; the
+# seeded stream is the same however the draws are split into calls.  2^16
+# doubles are 512 KB, a batch that stays in a 2 MB L2 cache while its rows are
+# halved to their maxima.  Chosen by measurement on the two
 # benchmark fits, 10^5 blocks of 24 each (medians of 15 passes in three runs,
 # 2-core Xeon, 2 MB L2): 2.4e6 draws in one call with .max(axis=1) took
 # 40-43 ms, 2^16 with .max(axis=1) 37-38 ms, and with halving 2^14 32-35,
@@ -117,6 +121,8 @@ def ingest(lines, block_size: int, label: str = "series", bin_by: str | None = N
     tallied into consecutive hourly bins spanning the observed range by
     their hour since the epoch, floored: exact for any date.  A range of
     more than MAX_HOURLY_BINS hours raises DataError before any bin is made.
+    Each distinct line is parsed once, so a series that repeats a few dozen
+    counts costs a dictionary lookup per line.
     """
     if isinstance(lines, (str, os.PathLike)):
         try:
@@ -139,17 +145,20 @@ def ingest(lines, block_size: int, label: str = "series", bin_by: str | None = N
     else:
         raise DataError(f"unsupported binning {bin_by!r}, expected 'hour'")
 
-    values = []
+    values, seen = [], {}  # a line's value, parsed once per distinct line
     for i, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            value = read(text)
-        except ValueError:
-            raise DataError(f"line {i}: not {what}: {text!r}") from None
-        if value < 0 and bin_by is None:
-            raise DataError(f"line {i}: negative count {value}")
+        value = seen.get(raw)
+        if value is None:
+            text = raw.strip()
+            if not text:
+                continue
+            try:
+                value = read(text)
+            except ValueError:
+                raise DataError(f"line {i}: not {what}: {text!r}") from None
+            if value < 0 and bin_by is None:
+                raise DataError(f"line {i}: negative count {value}")
+            seen[raw] = value
         values.append(value)
     if not values:
         raise DataError(f"no {'counts' if bin_by is None else 'timestamps'} found in input")
@@ -268,12 +277,15 @@ def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:
 
     Block-maximum stream version 2: the uniforms come from the single
     stream SeedSequence(entropy=seed, spawn_key=(2,)), in batches of whole
-    blocks of at most SIMULATION_DRAWS = 2^16 uniforms (or one block): 512 KB,
-    which stay in L2 while each block's maximum is taken by halving its
-    columns.  Each double takes one PCG64 word, so the seeded result does
-    not depend on how the draws are split.  The batches bound memory: the
-    benchmark's two series of 10^5 blocks of 24 peak at 47 MB of RSS in
-    process, against 65 MB when each drew its 2.4e6 uniforms in one call.
+    blocks, each block's maximum taken by halving its columns.  W =
+    min(usable CPUs, batches of SIMULATION_DRAWS, blocks within it) workers
+    run the batches by _strided.run_strided, each of about SIMULATION_DRAWS / W
+    uniforms, so at most SIMULATION_DRAWS = 2^16 doubles (512 KB, in L2) are
+    in flight, or one block where a block is longer.  Each double takes one
+    PCG64 word: a worker advances its own generator over the other workers'
+    batches, and grows its own table and integer tally, summed once the
+    threads join.  So the seeded result depends neither on W nor on how the
+    draws are split; one worker starts no thread and never advances.
     """
     import numpy as np
 
@@ -293,22 +305,36 @@ def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
     model, block_size = _law_model(fit, block_size)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-    rows = _cdf_rows(model)
-    cdf = [next(rows)]
-    tally = np.zeros(0, dtype=np.int64)
+    # one thread per usable CPU, but none without a batch of SIMULATION_DRAWS,
+    # and no more than hold a block each within that bound, which they share
     per_call = max(1, SIMULATION_DRAWS // block_size)
-    remaining = trials
-    while remaining > 0:
-        size = min(per_call, remaining)
-        top = block_maxima(rng.random((size, block_size)))
-        largest = top.max()
-        while cdf[-1] <= largest and (row := next(rows, None)) is not None:
-            cdf.append(row)
-        found = np.searchsorted(cdf, top, side="right")
-        np.minimum(found, len(cdf) - 1, out=found)  # past the last row: the last row
-        hits = np.bincount(found, minlength=len(cdf))
-        hits[:len(tally)] += tally
-        tally = hits
-        remaining -= size
-    return {model.support_min + int(i): int(tally[i]) / trials for i in np.flatnonzero(tally)}
+    workers = min(usable_cpus(), -(-trials // per_call), per_call)
+    per_batch = max(1, SIMULATION_DRAWS // workers // block_size)
+
+    def count(batches) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
+        rows = _cdf_rows(model)
+        cdf = [next(rows)]
+        # F(v) below the last row: a uniform past the last row takes the last row
+        inner, tally = np.zeros(0), np.zeros(0, dtype=np.int64)
+        at = 0  # words of the stream drawn or skipped: one per uniform
+        for first in batches:
+            if first * block_size > at:  # another worker's batches lie between
+                rng.bit_generator.advance(first * block_size - at)
+            size = min(per_batch, trials - first)
+            at = (first + size) * block_size
+            top = block_maxima(rng.random((size, block_size)))
+            if cdf[-1] <= (largest := top.max()):
+                while cdf[-1] <= largest and (row := next(rows, None)) is not None:
+                    cdf.append(row)
+                inner = np.array(cdf[:-1])
+            hits = np.bincount(np.searchsorted(inner, top, side="right"), minlength=len(cdf))
+            hits[:len(tally)] += tally
+            tally = hits
+        return tally
+
+    tallies = run_strided(workers, lambda: range(0, trials, per_batch), count)
+    total = np.zeros(max(map(len, tallies)), dtype=np.int64)
+    for tally in tallies:
+        total[:len(tally)] += tally
+    return {model.support_min + int(i): int(total[i]) / trials for i in np.flatnonzero(total)}

@@ -439,7 +439,10 @@ def briggs_approximation(lam: float, n) -> float:
 def scan_oscillation(model: DiscreteTailModel, n_values, x_sigfigs: int | None = None) -> OscillationScan:
     """Profiles over an increasing n grid, with cluster-jump breakpoints.
 
-    Each row equals ``profile(model, n, x_sigfigs)``, solved from the
+    Each row equals ``profile(model, n, x_sigfigs)`` wherever ln G is
+    monotone on the 2^-34 grid; where it is flat within its rounding over
+    many cells, as for NB(2, 0.99999) at x ~ 1e6 and the discrete Cauchy
+    model, a row can land in a neighbouring cell.  Rows are solved from the
     state one row leaves to the next: ln G at the lower end of the last
     row's final bracket, m_n and m_n - 1, which the next row's start
     check, theta_n and z_n read, and the slope of that end in ln n, which

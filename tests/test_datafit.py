@@ -1,10 +1,16 @@
 import itertools
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discmax import datafit
 from discmax.datafit import (
@@ -25,6 +31,14 @@ from discmax.tailmodel import (
     NegativeBinomialModel,
     PoissonModel,
 )
+
+
+_LINE_CHARS = "0123456789+-_ \t\x1c\x85\u3000\u0663x"
+_SPACE = st.sampled_from(["", " ", "\t", "\x1c", "\x85", "\u3000"])
+# mostly integers, some negative, some with misplaced underscores
+_COUNT_LINE = st.builds("".join, st.tuples(_SPACE, st.sampled_from(["", "+", "-"]),
+                                           st.text("0123456789_\u0663", min_size=1, max_size=3),
+                                           _SPACE))
 
 
 class TestIngest:
@@ -144,6 +158,46 @@ class TestIngest:
         with pytest.raises(ValueError, match="block_size must be >= 1") as exc:
             CountSeries(counts=(1, 2, 3), block_size=block_size)
         assert not isinstance(exc.value, DataError)
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(_COUNT_LINE, st.sampled_from(["", " ", "7", "-0"])), max_size=30),
+           st.lists(st.text(_LINE_CHARS, max_size=4), max_size=2), st.integers(0, 30))
+    def test_memoised_parse_matches_the_line_loop(self, lines, junk, at):
+        # each distinct line is parsed once; the counts and the error are
+        # those of int(line.strip()) line by line, blanks skipped
+        lines[at:at] = junk
+        want = []
+        try:
+            for i, line in enumerate(lines, start=1):
+                if not (text := line.strip()):
+                    continue
+                try:
+                    value = int(text)
+                except ValueError:
+                    raise DataError(f"line {i}: not an integer count: {text!r}") from None
+                if value < 0:
+                    raise DataError(f"line {i}: negative count {value}")
+                want.append(value)
+            if not want:
+                raise DataError("no counts found in input")
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                ingest(lines, 1)
+            assert str(got.value) == str(exc)
+        else:
+            assert ingest(lines, 1).counts == tuple(want)
+
+    def test_lines_that_are_not_str(self):
+        with pytest.raises(AttributeError):
+            ingest(["1", 2.5], 1)
+        with pytest.raises(DataError, match="^line 1: not an integer count: 'x'$"):
+            ingest(["x", 2.5], 1)
+        assert ingest([b"1", b" 2 ", "3", b""], 1).counts == (1, 2, 3)
+        lines = (line for line in ["4", "", "5", "4"])
+        assert ingest(lines, 1).counts == (4, 5, 4)
+        assert next(lines, None) is None
+        with pytest.raises(DataError, match="^line 3: negative count -1$"):
+            ingest(iter(["1", "2", "-1", "y"]), 1)
 
 
 class TestCountSeries:
@@ -412,6 +466,12 @@ def _stub_generator(monkeypatch, value: float) -> _ConstantUniforms:
     return stub
 
 
+def _one_worker(monkeypatch) -> None:
+    """One usable CPU: the calling thread draws every batch in stream order
+    and never advances its generator, so a stub generator sees each call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 class TestSimulateDailyMax:
     @pytest.mark.parametrize("fit, counts", PINNED_FITS, ids=["negbinom", "poisson"])
     def test_pinned_draws(self, fit, counts):
@@ -439,6 +499,7 @@ class TestSimulateDailyMax:
         assert got == {v: c / 3000 for v, c in PINNED_NB_COUNTS.items()}
 
     def test_long_blocks_bound_each_call(self, monkeypatch):
+        _one_worker(monkeypatch)
         stub = _stub_generator(monkeypatch, 0.0)
         block = datafit.SIMULATION_DRAWS // 5
         per_call = datafit.SIMULATION_DRAWS // block
@@ -458,6 +519,7 @@ class TestSimulateDailyMax:
         # the maxima the table search gets equal .max(axis=1) element for element
         if block == "bound + 1":
             block = datafit.SIMULATION_DRAWS + 1
+        _one_worker(monkeypatch)
         source = np.random.default_rng(11)
         drawn, searched, placed = [], [], itertools.count()
 
@@ -481,19 +543,101 @@ class TestSimulateDailyMax:
         for u, top in zip(drawn, searched):
             assert np.array_equal(top, u.max(axis=1))
 
-    def test_batches_bound_memory(self):
+    @pytest.mark.parametrize("draws", [24 * 7, 24 * 1000 + 23])
+    def test_result_does_not_depend_on_the_thread_count(self, monkeypatch, draws):
+        cases = [(fit, 24, 3000, {v: c / 3000 for v, c in counts.items()})
+                 for fit, counts in PINNED_FITS]
+        # trials that are not a multiple of a batch, at each thread count
+        cases += [(PINNED_FITS[0][0], 7, 10001, None), (PINNED_FITS[1][0], 25, 3001, None)]
+        monkeypatch.setattr(datafit, "SIMULATION_DRAWS", draws)
+        rows = datafit._cdf_rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often: a lost tally would show
+        try:
+            for fit, block, trials, want in cases:
+                batches = -(-trials // max(1, draws // block))
+                assert batches > 1
+                for cpus in (1, 2, 3, 5):
+                    workers = []  # each worker grows its own table
+
+                    def recording(model):
+                        workers.append(threading.get_ident())
+                        return rows(model)
+
+                    monkeypatch.setattr(datafit, "_cdf_rows", recording)
+                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                        raising=False)
+                    got = simulate_daily_max(fit, block, trials=trials, seed=2024)
+                    if want is None:  # the one-CPU result
+                        want = got
+                    assert got == want, (block, cpus)
+                    # no more threads than usable CPUs or batches; one CPU runs on the caller
+                    assert 1 <= len(workers) <= min(cpus, batches)
+                    if cpus == 1:
+                        assert workers == [threading.get_ident()]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("in_caller,error", [(False, ValueError("log_pmf")),
+                                                 (True, KeyboardInterrupt())])
+    def test_a_failing_worker_stops_every_thread(self, monkeypatch, in_caller, error):
+        # on two CPUs log_pmf fails as the started worker, or the calling
+        # one, grows its first table row
+        caller, searched = threading.get_ident(), []
+        log_pmf, search = PoissonModel.log_pmf, np.searchsorted
+
+        def failing(self, v):
+            if (threading.get_ident() == caller) == in_caller:
+                raise error
+            return log_pmf(self, v)
+
+        def slow_search(a, v, **kw):
+            searched.append(v.size)
+            time.sleep(0.05)  # the failure lands while the other worker draws
+            return search(a, v, **kw)
+
+        monkeypatch.setattr(PoissonModel, "log_pmf", failing)
+        monkeypatch.setattr(np, "searchsorted", slow_search)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(datafit, "SIMULATION_DRAWS", 24 * 7)
+        before = threading.active_count()
+        with pytest.raises(type(error)) as raised:
+            simulate_daily_max(PoissonModel(1.2), 24, trials=3000, seed=1)
+        assert raised.value is error
+        assert threading.active_count() == before
+        # the other worker stops at its next batch, not after its 214
+        assert len(searched) <= 4, searched
+
+    @pytest.mark.parametrize("cpus", [None, 4])
+    def test_batches_bound_memory(self, monkeypatch, cpus):
         # 10^5 blocks of 24 drew 2.4e6 uniforms (19.2 MB) in one call; now
-        # each batch is at most SIMULATION_DRAWS doubles, its halvings half as many
+        # each batch is at most SIMULATION_DRAWS doubles, its halvings half as
+        # many, and the workers share that bound
         assert datafit.SIMULATION_DRAWS * 8 <= 2 ** 20  # a batch fits in L2
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
         fit = NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True)
         simulate_daily_max(fit, 24, trials=10, seed=1)  # numpy's own first-use allocations
-        tracemalloc.start()
-        try:
-            simulate_daily_max(fit, 24, trials=100_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * datafit.SIMULATION_DRAWS * 8, peak
+        rows, workers = datafit._cdf_rows, []
+
+        def recording(model):  # each worker grows its own table
+            workers.append(threading.get_ident())
+            return rows(model)
+
+        monkeypatch.setattr(datafit, "_cdf_rows", recording)
+        # a block longer than the bound runs on one worker, however many CPUs
+        for block, trials, most in [(24, 100_000, cpus or os.cpu_count()),
+                                    (datafit.SIMULATION_DRAWS + 1, 4, 1)]:
+            workers.clear()
+            tracemalloc.start()
+            try:
+                simulate_daily_max(fit, block, trials=trials, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * datafit.SIMULATION_DRAWS * 8, (block, peak)
+            assert 1 <= len(workers) <= most, block
 
     def test_table_ends_below_the_largest_uniform(self, monkeypatch):
         # the zero-heavy fit: its forward pmf sum stops short of 1 - 2^-53,
