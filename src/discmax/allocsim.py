@@ -27,11 +27,12 @@ importing this module (and the package) does not load it.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import Counter
 from collections.abc import Iterator
-from itertools import accumulate, islice
+from itertools import accumulate, islice, takewhile
 
-from ._strided import run_strided, usable_cpus
 from .extremes import (ExtremalProfile, Regime, limiting_max_pmf, tie_distribution,
                        tie_phase_threshold)
 from .record import Record, check_int
@@ -168,14 +169,51 @@ def _holding_at_least(counts: np.ndarray, v: int, n_boxes: int) -> np.ndarray:
     return np.count_nonzero(counts >= v, axis=1)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def run_strided(workers: int, units, work) -> list:
+    """[work(stride 0), ..., work(stride workers - 1)], stride w being units()
+    at w, w + workers, ...: the calling thread works stride 0, workers - 1
+    threads the others.  After any failure (an interrupt while joining too)
+    every stride ends at its next unit; the first is raised once all join."""
+    results, failures = [None] * workers, []
+
+    def run(first: int) -> None:
+        try:
+            stride = islice(units(), first, None, workers)
+            results[first] = work(takewhile(lambda _: not failures, stride))
+        except BaseException as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=run, args=(first,)) for first in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    except BaseException as exc:  # a thread that could not start, or an interrupt
+        failures.append(exc)
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # interrupted while waiting
+                failures.append(exc)
+    if failures:
+        raise failures[0]
+    return results
+
+
 def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
     """Run spec.trials allocations and tally maxima, ties and occupancy.
 
     Each chunk of trials is tallied from its box-count matrix (see
     `trial_counts`), with no per-trial Python.  The chunks run on every
-    usable CPU, W = min(usable CPUs, chunks), through _strided.run_strided,
-    the thread route simulate_daily_max shares: the calling thread takes
-    chunks 0, W, 2W, ... and W - 1 threads the other strides, as numpy
+    usable CPU, W = min(usable CPUs, chunks), through run_strided: the
+    calling thread takes chunks 0, W, 2W, ... and W - 1 threads the other
+    strides, as numpy
     releases the GIL while it draws, sorts and counts.  A thread holds one
     chunk at a time, of at most CHUNK_DRAWS variates or else one trial, so
     memory grows by one chunk per thread.  The tallies are

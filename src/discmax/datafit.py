@@ -5,16 +5,14 @@ negative binomial by method of moments, compute the exact distribution of
 the per-block (e.g. per-day) maximum from the model's tail, and compare it
 against the block maxima observed in the data and against simulation.
 
-The simulation draws one uniform per hour and inverts it by a search in
-a table of forward pmf sums, F(v) = f(support_min) + ... + f(v); the
-inversion is monotone, so a block's largest uniform gives its maximum,
-one search per block.  The table grows as far as the largest uniform
-drawn, and ends where a pmf term no longer changes the sum and
-P(X > v) < 2^-53.  The exact law shares these sums below its median, so
-the simulation checks its steps, upper half and end row, not log_pmf.  Its
-uniforms are block-maximum stream version 2, SeedSequence(entropy=seed, spawn_key=(2,)),
-drawn on every usable CPU, each thread jumping its own copy of the stream
-to its batches, so the seeded result does not depend on the thread count.
+The simulation draws each block's maximum directly, by inversion of its
+law F(v)^B: one uniform per block, looked up in a table of the powers of
+the forward pmf sums, F(v) = f(support_min) + ... + f(v).  The table grows
+as far as the largest uniform drawn, and ends where a pmf term no longer
+changes the sum and P(X > v) < 2^-53.  The exact law shares these sums
+below its median, so the simulation checks its steps, upper half and end
+row, not log_pmf.  Its uniforms are block-maximum stream version 3,
+SeedSequence(entropy=seed, spawn_key=(3,)), drawn on the calling thread.
 
 numpy is imported inside simulate_daily_max only: importing this module,
 ingesting, fitting and listing laws leave it unloaded.
@@ -29,7 +27,6 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
 
-from ._strided import run_strided, usable_cpus
 from .extremes import exact_max_cdf_log
 from .record import Record, check_int
 from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
@@ -40,16 +37,12 @@ from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
 LAW_TAIL_MASS = 1e-9
 MAX_LAW_VALUES = 100_000
 
-# uniforms simulate_daily_max draws per call on one thread, and holds at once
-# over all its threads (at least one block each).  It bounds memory only; the
-# seeded stream is the same however the draws are split into calls.  2^16
-# doubles are 512 KB, a batch that stays in a 2 MB L2 cache while its rows are
-# halved to their maxima.  Chosen by measurement on the two
-# benchmark fits, 10^5 blocks of 24 each (medians of 15 passes in three runs,
-# 2-core Xeon, 2 MB L2): 2.4e6 draws in one call with .max(axis=1) took
-# 40-43 ms, 2^16 with .max(axis=1) 37-38 ms, and with halving 2^14 32-35,
-# 2^15 31-34, 2^16 30-31, 2^17 30-34 and 2^18 30-34 ms; in-process peak RSS
-# fell from 65.2 to 47.0 MB, the same from 2^14 to 2^17.
+# blocks simulate_daily_max draws per call, one uniform each.  It bounds
+# memory only (a call holds ~16 bytes a block); the seeded stream is the same
+# however the blocks are split into calls.  Measured on the two benchmark
+# fits, 10^5 blocks of 24 each (best-worst of 5 medians of 10 calls, 2-core
+# Xeon): 2^12 took 3.2-3.4 ms (zero-heavy) and 2.3-2.5 ms (busy), 2^14 to
+# 2^17 3.0-3.3 and 2.2-2.3 ms; the traced peak is 1.05 MB at 2^16.
 SIMULATION_DRAWS = 2 ** 16
 
 # simulate_daily_max's table of F(v) ends where P(X > v) < 2^-53, the gap
@@ -241,8 +234,10 @@ def daily_max_law(fit, block_size: int) -> dict:
 
 def empirical_daily_max(series: CountSeries) -> dict:
     """Relative frequencies of the per-block maxima (complete blocks only)."""
-    b, nb = series.block_size, series.n_blocks
-    maxima = Counter(max(series.counts[i * b:(i + 1) * b]) for i in range(nb))
+    nb = series.n_blocks
+    # block_size references to one iterator: zip takes consecutive blocks
+    # and stops before an incomplete last one
+    maxima = Counter(map(max, zip(*[iter(series.counts)] * series.block_size)))
     return {v: c / nb for v, c in sorted(maxima.items())}
 
 
@@ -262,79 +257,45 @@ def _cdf_rows(model: DiscreteTailModel):
 
 def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:
     """Monte Carlo block maxima from a fitted model, reproducible for a given
-    (trials, seed).  Refuses, with ValueError and before any draw, what
-    daily_max_law refuses, by _law_model's one tail evaluation; only
-    daily_max_law bisects for the law's end row.
+    (fit, block_size, trials, seed).  Refuses, with ValueError and before
+    any draw, what daily_max_law refuses, by _law_model's one tail
+    evaluation; only daily_max_law bisects for the law's end row.
 
-    Each hour is drawn by inversion: one uniform u, and the value v with
-    F(v - 1) <= u < F(v), found by a search in the table of forward pmf sums
-    F(v) from support_min.  The search is monotone in u, so a block's
-    maximum is the value of its largest uniform: one lookup per block.  The
-    table grows only as far as the largest uniform drawn so far, and ends
-    where a pmf term no longer changes the sum and P(X > v) < 2^-53; a
-    uniform past its last row takes the last row's value.  Per hour this
-    misplaces at most the rounding of the pmf sum (~1e-14 of probability).
+    A block's maximum M has P(M <= v) = F(v)^B, B = block_size, F(v) the
+    forward pmf sums from support_min.  Each block is drawn by inversion of
+    that law: one uniform u, and the value v with F(v - 1)^B <= u < F(v)^B,
+    found by a search in the table of those powers.  This is the law of the
+    largest of B uniforms looked up in F, drawn with one uniform instead of
+    B, so the cost of a block does not grow with B.  The table grows only as
+    far as the largest uniform drawn so far, and ends where a pmf term no
+    longer changes the sum and P(X > v) < 2^-53; a uniform past its last row
+    takes the last row's value.  Per block this misplaces at most B times
+    the rounding of the pmf sum (~1e-14 of probability per unit of B).
 
-    Block-maximum stream version 2: the uniforms come from the single
-    stream SeedSequence(entropy=seed, spawn_key=(2,)), in batches of whole
-    blocks, each block's maximum taken by halving its columns.  W =
-    min(usable CPUs, batches of SIMULATION_DRAWS, blocks within it) workers
-    run the batches by _strided.run_strided, each of about SIMULATION_DRAWS / W
-    uniforms, so at most SIMULATION_DRAWS = 2^16 doubles (512 KB, in L2) are
-    in flight, or one block where a block is longer.  Each double takes one
-    PCG64 word: a worker advances its own generator over the other workers'
-    batches, and grows its own table and integer tally, summed once the
-    threads join.  So the seeded result depends neither on W nor on how the
-    draws are split; one worker starts no thread and never advances.
+    Block-maximum stream version 3: the uniforms come from the single
+    stream SeedSequence(entropy=seed, spawn_key=(3,)), one per block, in
+    calls of at most SIMULATION_DRAWS blocks on the calling thread.  Each
+    double takes one PCG64 word, so the seeded result does not depend on
+    how the blocks are split into calls.
     """
     import numpy as np
-
-    def block_maxima(u):
-        # each row's largest uniform: halve the columns until one is left,
-        # an odd last column folded into the first; log2(width) vectorised
-        # calls, where .max(axis=1) reduces one short row at a time
-        while (width := u.shape[1]) > 1:
-            half = width // 2
-            head = np.maximum(u[:, :half], u[:, half:2 * half])
-            if width % 2:
-                np.maximum(head[:, 0], u[:, -1], out=head[:, 0])
-            u = head
-        return u[:, 0]
 
     trials = check_int("trials", trials, 1)
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
     model, block_size = _law_model(fit, block_size)
-    # one thread per usable CPU, but none without a batch of SIMULATION_DRAWS,
-    # and no more than hold a block each within that bound, which they share
-    per_call = max(1, SIMULATION_DRAWS // block_size)
-    workers = min(usable_cpus(), -(-trials // per_call), per_call)
-    per_batch = max(1, SIMULATION_DRAWS // workers // block_size)
-
-    def count(batches) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-        rows = _cdf_rows(model)
-        cdf = [next(rows)]
-        # F(v) below the last row: a uniform past the last row takes the last row
-        inner, tally = np.zeros(0), np.zeros(0, dtype=np.int64)
-        at = 0  # words of the stream drawn or skipped: one per uniform
-        for first in batches:
-            if first * block_size > at:  # another worker's batches lie between
-                rng.bit_generator.advance(first * block_size - at)
-            size = min(per_batch, trials - first)
-            at = (first + size) * block_size
-            top = block_maxima(rng.random((size, block_size)))
-            if cdf[-1] <= (largest := top.max()):
-                while cdf[-1] <= largest and (row := next(rows, None)) is not None:
-                    cdf.append(row)
-                inner = np.array(cdf[:-1])
-            hits = np.bincount(np.searchsorted(inner, top, side="right"), minlength=len(cdf))
-            hits[:len(tally)] += tally
-            tally = hits
-        return tally
-
-    tallies = run_strided(workers, lambda: range(0, trials, per_batch), count)
-    total = np.zeros(max(map(len, tallies)), dtype=np.int64)
-    for tally in tallies:
-        total[:len(tally)] += tally
-    return {model.support_min + int(i): int(total[i]) / trials for i in np.flatnonzero(total)}
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
+    rows = _cdf_rows(model)
+    steps = [next(rows) ** block_size]  # F(v)^B
+    # F(v)^B below the last row: a uniform past the last row takes the last row
+    inner, tally = np.zeros(0), np.zeros(0, dtype=np.int64)
+    for done in range(0, trials, SIMULATION_DRAWS):
+        u = rng.random(min(SIMULATION_DRAWS, trials - done))
+        if steps[-1] <= (largest := u.max()):
+            while steps[-1] <= largest and (row := next(rows, None)) is not None:
+                steps.append(row ** block_size)
+            inner = np.array(steps[:-1])
+        hits = np.bincount(np.searchsorted(inner, u, side="right"), minlength=len(steps))
+        hits[:len(tally)] += tally
+        tally = hits
+    return {model.support_min + int(i): int(tally[i]) / trials for i in np.flatnonzero(tally)}

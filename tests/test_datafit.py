@@ -1,10 +1,7 @@
-import itertools
 import math
-import os
-import sys
 import threading
-import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -433,14 +430,26 @@ class TestEmpiricalDailyMax:
         out = empirical_daily_max(series)
         assert out == {0: 0.5, 1: 0.5}
 
+    @pytest.mark.parametrize("block", [1, 2, 24, "all"])
+    def test_blocks_are_the_slices(self, block):
+        # 24 * 41 + 17 counts: blocks of 2 and of 24 leave a partial last block
+        rng = np.random.default_rng(5)
+        counts = tuple(rng.negative_binomial(0.5, 0.4, size=24 * 41 + 17).tolist())
+        b = len(counts) if block == "all" else block
+        nb = len(counts) // b
+        maxima = Counter(max(counts[i * b:(i + 1) * b]) for i in range(nb))
+        want = {v: c / nb for v, c in sorted(maxima.items())}
+        got = empirical_daily_max(CountSeries(counts=counts, block_size=b))
+        assert list(got.items()) == list(want.items())
+
 
 # block-maximum counts out of 3000 blocks of 24 with seed 2024, under
-# block-maximum stream version 2 (uniforms from SeedSequence(2024,
-# spawn_key=(2,)), one per hour), so a change in how the draws are made
+# block-maximum stream version 3 (uniforms from SeedSequence(2024,
+# spawn_key=(3,)), one per block), so a change in how the draws are made
 # shows here
-PINNED_NB_COUNTS = {0: 1, 1: 153, 2: 701, 3: 858, 4: 618, 5: 356, 6: 155, 7: 76, 8: 50,
-                    9: 17, 10: 9, 11: 3, 12: 2, 13: 1}
-PINNED_POISSON_COUNTS = {2: 130, 3: 1151, 4: 1200, 5: 406, 6: 98, 7: 12, 8: 3}
+PINNED_NB_COUNTS = {0: 1, 1: 134, 2: 712, 3: 893, 4: 618, 5: 335, 6: 159, 7: 78, 8: 37,
+                    9: 19, 10: 10, 11: 2, 12: 2}
+PINNED_POISSON_COUNTS = {1: 1, 2: 116, 3: 1195, 4: 1201, 5: 388, 6: 85, 7: 13, 8: 1}
 PINNED_FITS = [
     (NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True), PINNED_NB_COUNTS),
     (NBFit(mean=1.2, variance=1.0, r=None, p=None, overdispersed=False), PINNED_POISSON_COUNTS),
@@ -456,20 +465,15 @@ class _ConstantUniforms:
         self.shapes = []
 
     def random(self, size):
-        self.shapes.append(size)
-        return np.broadcast_to(np.float64(self.value), size)
+        u = np.broadcast_to(np.float64(self.value), size)
+        self.shapes.append(u.shape)
+        return u
 
 
 def _stub_generator(monkeypatch, value: float) -> _ConstantUniforms:
     stub = _ConstantUniforms(value)
     monkeypatch.setattr(np.random, "default_rng", lambda *args: stub)
     return stub
-
-
-def _one_worker(monkeypatch) -> None:
-    """One usable CPU: the calling thread draws every batch in stream order
-    and never advances its generator, so a stub generator sees each call."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 class TestSimulateDailyMax:
@@ -479,178 +483,81 @@ class TestSimulateDailyMax:
         assert got == {v: c / 3000 for v, c in counts.items()}
 
     @pytest.mark.parametrize("fit, counts", PINNED_FITS, ids=["negbinom", "poisson"])
-    def test_pins_are_a_per_hour_lookup_on_scipy(self, fit, counts):
-        # each hour looked up on its own in scipy's CDF, then the maximum
-        # taken: the same histogram, count for count
+    def test_pins_are_a_per_block_lookup_on_scipy(self, fit, counts):
+        # each block's uniform looked up in scipy's CDF raised to the block
+        # size, P(max <= v) = F(v)^24: the same histogram, count for count
         stats = pytest.importorskip("scipy.stats")
         dist = (stats.nbinom(fit.r, 1.0 - fit.p) if fit.overdispersed  # scipy's p is our 1 - p
                 else stats.poisson(fit.mean))
-        rng = np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(2,)))
-        hours = np.searchsorted(dist.cdf(np.arange(100)), rng.random((3000, 24)), side="right")
-        values, hits = np.unique(hours.max(axis=1), return_counts=True)
+        rng = np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(3,)))
+        blocks = np.searchsorted(dist.cdf(np.arange(100)) ** 24, rng.random(3000), side="right")
+        values, hits = np.unique(blocks, return_counts=True)
         assert dict(zip(values.tolist(), hits.tolist())) == counts
 
-    # 2_400_000 is the bound before batches were cache-sized: 3000 blocks in one call
-    @pytest.mark.parametrize("draws", [1, 24 * 7, 24 * 1000 + 23, 2_400_000])
+    # blocks per call; 3000 draws every block in one call
+    @pytest.mark.parametrize("draws", [1, 7, 1000 + 23, 3000])
     def test_calls_do_not_define_the_stream(self, monkeypatch, draws):
         monkeypatch.setattr(datafit, "SIMULATION_DRAWS", draws)
         fit = NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True)
         got = simulate_daily_max(fit, 24, trials=3000, seed=2024)
         assert got == {v: c / 3000 for v, c in PINNED_NB_COUNTS.items()}
 
-    def test_long_blocks_bound_each_call(self, monkeypatch):
-        _one_worker(monkeypatch)
+    @pytest.mark.parametrize("block", [1, 24, 10 ** 6])
+    def test_calls_hold_at_most_the_bound(self, monkeypatch, block):
+        # one uniform per block, SIMULATION_DRAWS blocks a call, whatever the block size
         stub = _stub_generator(monkeypatch, 0.0)
-        block = datafit.SIMULATION_DRAWS // 5
-        per_call = datafit.SIMULATION_DRAWS // block
-        assert per_call >= 5
-        got = simulate_daily_max(PoissonModel(1.0), block, trials=2 * per_call + 4, seed=0)
-        assert got == {0: 1.0}
-        assert stub.shapes == [(per_call, block)] * 2 + [(4, block)]
-        # a block longer than the bound still goes one block per call
-        stub.shapes.clear()
-        simulate_daily_max(PoissonModel(1.0), datafit.SIMULATION_DRAWS + 1, trials=2, seed=0)
-        assert stub.shapes == [(1, datafit.SIMULATION_DRAWS + 1)] * 2
+        draws = datafit.SIMULATION_DRAWS
+        got = simulate_daily_max(PoissonModel(1.0), block, trials=2 * draws + 4, seed=0)
+        assert list(got.values()) == [1.0]  # every block takes the first row of F^block > 0
+        assert stub.shapes == [(draws,)] * 2 + [(4,)]
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 24, 25, "bound + 1"])
-    def test_block_maximum_is_exact(self, monkeypatch, block):
-        # seeded uniforms with each block's largest moved to a column that
-        # walks left from the last one, so an odd last column holds it too;
-        # the maxima the table search gets equal .max(axis=1) element for element
-        if block == "bound + 1":
-            block = datafit.SIMULATION_DRAWS + 1
-        _one_worker(monkeypatch)
-        source = np.random.default_rng(11)
-        drawn, searched, placed = [], [], itertools.count()
-
-        class Uniforms:
-            def random(self, size):
-                u = source.random(size)
-                for row in u:
-                    col = (block - 1 - next(placed)) % block
-                    top = row.argmax()
-                    row[top], row[col] = row[col], row[top]
-                drawn.append(u)
-                return u.copy()
-
-        search = np.searchsorted
-        monkeypatch.setattr(np.random, "default_rng", lambda *args: Uniforms())
-        monkeypatch.setattr(np, "searchsorted", lambda a, v, **kw: searched.append(v.copy())
-                            or search(a, v, **kw))
-        trials = 3 if block > 100 else 1000
-        simulate_daily_max(PoissonModel(1.0), block, trials=trials, seed=0)
-        assert len(searched) == len(drawn)
-        for u, top in zip(drawn, searched):
-            assert np.array_equal(top, u.max(axis=1))
-
-    @pytest.mark.parametrize("draws", [24 * 7, 24 * 1000 + 23])
-    def test_result_does_not_depend_on_the_thread_count(self, monkeypatch, draws):
-        cases = [(fit, 24, 3000, {v: c / 3000 for v, c in counts.items()})
-                 for fit, counts in PINNED_FITS]
-        # trials that are not a multiple of a batch, at each thread count
-        cases += [(PINNED_FITS[0][0], 7, 10001, None), (PINNED_FITS[1][0], 25, 3001, None)]
-        monkeypatch.setattr(datafit, "SIMULATION_DRAWS", draws)
-        rows = datafit._cdf_rows
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # threads switch often: a lost tally would show
-        try:
-            for fit, block, trials, want in cases:
-                batches = -(-trials // max(1, draws // block))
-                assert batches > 1
-                for cpus in (1, 2, 3, 5):
-                    workers = []  # each worker grows its own table
-
-                    def recording(model):
-                        workers.append(threading.get_ident())
-                        return rows(model)
-
-                    monkeypatch.setattr(datafit, "_cdf_rows", recording)
-                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                        raising=False)
-                    got = simulate_daily_max(fit, block, trials=trials, seed=2024)
-                    if want is None:  # the one-CPU result
-                        want = got
-                    assert got == want, (block, cpus)
-                    # no more threads than usable CPUs or batches; one CPU runs on the caller
-                    assert 1 <= len(workers) <= min(cpus, batches)
-                    if cpus == 1:
-                        assert workers == [threading.get_ident()]
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("in_caller,error", [(False, ValueError("log_pmf")),
-                                                 (True, KeyboardInterrupt())])
-    def test_a_failing_worker_stops_every_thread(self, monkeypatch, in_caller, error):
-        # on two CPUs log_pmf fails as the started worker, or the calling
-        # one, grows its first table row
-        caller, searched = threading.get_ident(), []
-        log_pmf, search = PoissonModel.log_pmf, np.searchsorted
-
-        def failing(self, v):
-            if (threading.get_ident() == caller) == in_caller:
-                raise error
-            return log_pmf(self, v)
-
-        def slow_search(a, v, **kw):
-            searched.append(v.size)
-            time.sleep(0.05)  # the failure lands while the other worker draws
-            return search(a, v, **kw)
-
-        monkeypatch.setattr(PoissonModel, "log_pmf", failing)
-        monkeypatch.setattr(np, "searchsorted", slow_search)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(datafit, "SIMULATION_DRAWS", 24 * 7)
-        before = threading.active_count()
-        with pytest.raises(type(error)) as raised:
-            simulate_daily_max(PoissonModel(1.2), 24, trials=3000, seed=1)
-        assert raised.value is error
-        assert threading.active_count() == before
-        # the other worker stops at its next batch, not after its 214
-        assert len(searched) <= 4, searched
-
-    @pytest.mark.parametrize("cpus", [None, 4])
-    def test_batches_bound_memory(self, monkeypatch, cpus):
-        # 10^5 blocks of 24 drew 2.4e6 uniforms (19.2 MB) in one call; now
-        # each batch is at most SIMULATION_DRAWS doubles, its halvings half as
-        # many, and the workers share that bound
-        assert datafit.SIMULATION_DRAWS * 8 <= 2 ** 20  # a batch fits in L2
-        if cpus is not None:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
+    @pytest.mark.parametrize("block", [24, 10 ** 6])
+    def test_calls_bound_memory(self, block):
+        # a call holds SIMULATION_DRAWS uniforms and their table indices,
+        # whatever the block size: a block's 10^6 hourly doubles are 8 MB
         fit = NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True)
         simulate_daily_max(fit, 24, trials=10, seed=1)  # numpy's own first-use allocations
-        rows, workers = datafit._cdf_rows, []
+        tracemalloc.start()
+        try:
+            simulate_daily_max(fit, block, trials=100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * datafit.SIMULATION_DRAWS * 8, peak
 
-        def recording(model):  # each worker grows its own table
-            workers.append(threading.get_ident())
-            return rows(model)
+    def test_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        fit = NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True)
+        simulate_daily_max(fit, 24, trials=100_000, seed=1)
+        assert started == []
 
-        monkeypatch.setattr(datafit, "_cdf_rows", recording)
-        # a block longer than the bound runs on one worker, however many CPUs
-        for block, trials, most in [(24, 100_000, cpus or os.cpu_count()),
-                                    (datafit.SIMULATION_DRAWS + 1, 4, 1)]:
-            workers.clear()
-            tracemalloc.start()
-            try:
-                simulate_daily_max(fit, block, trials=trials, seed=1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 * datafit.SIMULATION_DRAWS * 8, (block, peak)
-            assert 1 <= len(workers) <= most, block
-
-    def test_table_ends_below_the_largest_uniform(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 24, 10 ** 6])
+    def test_table_ends_below_the_largest_uniform(self, monkeypatch, block):
         # the zero-heavy fit: its forward pmf sum stops short of 1 - 2^-53,
-        # so a block of such uniforms takes the table's last row
+        # so a block whose uniform is the largest one takes the table's last row
         model = NegativeBinomialModel(0.0012, 0.975)
         *_, last_sum = datafit._cdf_rows(model)
         assert last_sum < 1.0 - 2.0 ** -53
         _stub_generator(monkeypatch, 1.0 - 2.0 ** -53)
-        got = simulate_daily_max(model, 24, trials=5, seed=0)
+        got = simulate_daily_max(model, block, trials=5, seed=0)
         [(v, share)] = got.items()
         assert share == 1.0
         # the rows end where the tail falls below 2^-53, one value past v
         assert model.log_tail(v + 1) < -53 * math.log(2.0) <= model.log_tail(v)
+
+    @pytest.mark.parametrize("model", [GeometricModel(0.3), NegativeBinomialModel(2.0, 0.3)],
+                             ids=["geometric", "busy"])
+    def test_million_hour_blocks(self, model):
+        # a block of 10^6 costs one uniform, as a block of 24 does
+        law = daily_max_law(model, 10 ** 6)
+        sim = simulate_daily_max(model, 10 ** 6, trials=20000, seed=7)
+        assert math.fsum(sim.values()) == pytest.approx(1.0, abs=1e-12)
+        cells = [(v, pr) for v, pr in law.items() if pr > 0.01]
+        assert len(cells) >= 3
+        for v, pr in cells:
+            sigma = math.sqrt(pr * (1 - pr) / 20000)
+            assert abs(sim.get(v, 0.0) - pr) <= 5 * sigma, v
 
     def test_geometric_simulates(self):
         model = GeometricModel(0.3)
@@ -709,10 +616,10 @@ class TestSimulateDailyMax:
         with pytest.raises(ValueError, match=f"^{message}$"):
             simulate_daily_max(PoissonModel(1.2), block_size, trials=trials, seed=0)
         assert stub.shapes == []
-        # numpy integers are integers; an int8 block size overflowed in
-        # SIMULATION_DRAWS // block_size
+        # numpy integers are integers, taken as Python ints: an int8 block
+        # size cannot overflow in the sampler's arithmetic
         simulate_daily_max(PoissonModel(1.2), np.int8(24), trials=np.int64(10), seed=0)
-        assert stub.shapes == [(10, 24)]
+        assert stub.shapes == [(10,)]
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_refuses_seed_not_a_nonnegative_int(self, monkeypatch, seed):
@@ -722,7 +629,7 @@ class TestSimulateDailyMax:
         assert stub.shapes == []
         # the stub does see the draws of a valid seed
         simulate_daily_max(PoissonModel(1.2), 24, trials=10, seed=0)
-        assert stub.shapes == [(10, 24)]
+        assert stub.shapes == [(10,)]
 
     def test_reproducible(self):
         fit = NBFit(mean=0.5, variance=1.0, r=0.5, p=0.5, overdispersed=True)
