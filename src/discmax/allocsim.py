@@ -11,14 +11,17 @@ one source of every theory cell set against a simulation: the limiting
 law of the matched model, gamma = 0 (Poisson) for the multinomial and
 0 < gamma < 1 (negative binomial) for the Dirichlet mixture.
 
-Reproducibility: ``simulate`` draws its trials in chunks of at most
-CHUNK_DRAWS variates (at least one trial each), chunk c from the stream
-``SeedSequence(entropy=seed, spawn_key=(2, c))``, and counts every chunk
-with one kernel, ``trial_counts``; results are bit-identical for a given
-spec.  This is stream version 2, named by the key's first word (a future
-scheme takes a new one), and CHUNK_DRAWS is part of its definition.  The
-chunks run on threads, one stride of them each, and the summary does not
-depend on how many.
+Reproducibility: ``simulate`` draws chunk c of its trials from the stream
+``SeedSequence(entropy=seed, spawn_key=(version, c))`` and counts it into
+occupancy histograms with one kernel, ``trial_counts``; a spec's results
+are bit-identical whatever the thread count, and a scheme's constants are
+part of it.  The multinomial is stream version 3, the Poissonization
+(Devroye 1986) of the representation above: a trial draws the histogram of
+n Poisson(lambda') counts, lambda' = max(0, k - POISSON_MARGIN sqrt(k)) / n,
+again while their sum S exceeds k, and adds k - S uniform balls; with the
+tails beyond 2^-53 folded into its table's end classes, it is within
+n 2^-50 of the multinomial in total variation.  The Dirichlet mixture stays
+on version 2.
 
 numpy is imported inside the functions that draw or tally samples, so
 importing this module (and the package) does not load it.
@@ -26,9 +29,12 @@ importing this module (and the package) does not load it.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import threading
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
 from itertools import accumulate, islice, takewhile
@@ -36,6 +42,7 @@ from itertools import accumulate, islice, takewhile
 from .extremes import (ExtremalProfile, Regime, limiting_max_pmf, tie_distribution,
                        tie_phase_threshold)
 from .record import Record, check_int
+from .specfun import reg_gamma_q_log
 from .tailmodel import NegativeBinomialModel, PoissonModel
 
 KINDS = ("multinomial", "dirichlet")
@@ -47,12 +54,18 @@ ENUMERATION_MAX_BALLS = 12
 # it also keeps every chunk index below 2^32, one word of a spawn key
 MAX_BOX_TALLIES = 2_000_000_000
 
-# variates one chunk of several trials draws at most, and the slice in
-# which trial_counts counts a trial of more balls than both CHUNK_DRAWS and
-# its boxes.  Chosen by peak memory when the dense benchmark spec drew its
-# 10^6 balls in one 8 MB call: 2^16 raised peak RSS by ~2 % and 2^17 by up
-# to 9 %, 2^14 and 2^15 by under 1 %.
+# variates one chunk of several trials draws at most.  Chosen by peak memory
+# when the dense benchmark spec drew its 10^6 balls in one 8 MB call: 2^16
+# raised peak RSS by ~2 % and 2^17 by up to 9 %, 2^14 and 2^15 by under 1 %.
 CHUNK_DRAWS = 2 ** 14
+
+# a multinomial trial starts from Poisson box counts of total mean
+# k - POISSON_MARGIN sqrt(k), POISSON_MARGIN standard deviations below k:
+# ~16 % of rows are drawn again, and ~1.3 sqrt(k) balls are thrown per row
+POISSON_MARGIN = 1.0
+
+# the Poisson table's window ends where each tail is below 2^-53
+_LOG_TABLE_TAIL = -53 * math.log(2.0)
 
 # tie phase-transition depths ceil(c z_n) checked by merging_report
 PHASE_CS = (0.5, 2.0)
@@ -71,7 +84,7 @@ class AllocationSpec(Record):
     r: float | None = None
 
     def __post_init__(self) -> None:
-        # kept as Python ints: a numpy uint8 n_balls overflows CHUNK_DRAWS // n_balls
+        # kept as Python ints: a numpy uint8 n_boxes overflows 2 * n_boxes in _chunks
         for name, least in (("n_boxes", 1), ("n_balls", 0), ("trials", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), least))
         if self.kind not in KINDS:
@@ -101,77 +114,85 @@ class AllocationSummary(Record):
     trials: int
 
 
+def _poisson_rate(spec: AllocationSpec) -> float:
+    """lambda' = max(0, k - POISSON_MARGIN sqrt(k)) / n."""
+    return max(0.0, spec.n_balls - POISSON_MARGIN * math.sqrt(spec.n_balls)) / spec.n_boxes
+
+
+@functools.lru_cache(maxsize=1)
+def _poisson_table(lam: float) -> tuple:
+    """(first, pvals): Poisson(lam) probabilities of the classes first..last,
+    the largest first and smallest last >= lam with P(X < first) and
+    P(X > last) below 2^-53 (~17 sqrt(lam) classes), their end classes
+    absorbing the tails, 2^-52 from Poisson(lam) in total variation.  A
+    class is pmf(first) times the term ratios lam / v, each rounding by
+    under 2^-52."""
+    if lam == 0.0:
+        return 0, (1.0,)
+    model = PoissonModel(lam)
+    mode = math.floor(lam)
+    # the number of v in 1..mode with P(X < v) = Q(v, lam) below the end
+    first = bisect_left(range(1, mode + 1), True,
+                        key=lambda v: reg_gamma_q_log(v, lam) >= _LOG_TABLE_TAIL)
+    # P(X > 2 lam + 64) < e^-72 by Bennett's inequality, so last <= 2 mode + 66
+    last = mode + bisect_left(range(mode, 2 * mode + 66), True,
+                              key=lambda v: model.log_tail(v) < _LOG_TABLE_TAIL)
+    pvals = list(accumulate((lam / v for v in range(first + 1, last + 1)), operator.mul,
+                            initial=math.exp(model.log_pmf(first))))
+    pvals[0] = math.exp(reg_gamma_q_log(first + 1, lam))  # P(X <= first)
+    pvals[-1] = math.exp(model.log_tail(last - 1))  # P(X >= last)
+    return first, tuple(pvals)
+
+
 def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
     """(spawn key, trials) of each chunk, in trial order."""
-    # variates per trial: one integer per ball, or one gamma weight and
-    # one binomial per box
-    per_trial = spec.n_balls if spec.kind == "multinomial" else 2 * spec.n_boxes
-    size = max(1, CHUNK_DRAWS // max(per_trial, 1))
-    return (((2, c), min(size, spec.trials - first))
+    # a multinomial trial throws ~1.3 sqrt(k) balls; a Dirichlet trial draws
+    # one gamma weight and one binomial per box
+    if spec.kind == "multinomial":
+        version, per_trial = 3, math.isqrt(spec.n_balls) + 1
+    else:
+        version, per_trial = 2, 2 * spec.n_boxes
+    size = max(1, CHUNK_DRAWS // per_trial)
+    return (((version, c), min(size, spec.trials - first))
             for c, first in enumerate(range(0, spec.trials, size)))
 
 
-def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> np.ndarray:
-    """Box counts of one chunk: `trials` trials drawn from the stream
-    (spec.seed, key), one row each; boxes a row does not list are empty.
-
-    Each array of variates (the balls, or the Dirichlet gamma weights and
-    multinomial) is drawn by one generator call, except the balls of a
-    trial that outnumber both CHUNK_DRAWS and its boxes: those are counted
-    slice by slice, in calls of at most CHUNK_DRAWS.
-
-    Rows list all n_boxes boxes in box order, except for the uniform
-    multinomial with fewer balls than boxes: there a row has one entry per
-    ball, the count of each occupied box at its first ball and zeros
-    elsewhere, so no array is as wide as the mostly empty boxes.
-    """
+def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> tuple:
+    """Occupancy histograms of one chunk, `trials` trials drawn from the
+    stream (spec.seed, key): (first, rows), rows[t, j] being the number of
+    boxes of trial t holding first + j balls.  A multinomial row is a
+    multinomial over the Poisson table's classes, drawn again while its
+    balls exceed n_balls; its missing balls hit uniform boxes, which, as
+    boxes are exchangeable, are numbered class by class.  A Dirichlet
+    chunk draws its weights and counts by one call each."""
     import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
     if spec.kind == "dirichlet":
         weights = rng.gamma(spec.r, 1.0, (trials, spec.n_boxes))
         weights /= weights.sum(axis=1, keepdims=True)
-        return rng.multinomial(spec.n_balls, weights)
-    if spec.n_balls >= spec.n_boxes and spec.n_balls > CHUNK_DRAWS:
-        # each trial (a chunk has one) counted slice by slice into its row,
-        # so the draws stay in cache.  The slices continue the stream of one
-        # call: numpy's bounded integers, whose range n_boxes MAX_BOX_TALLIES
-        # keeps below 2^32, take 32-bit halves of PCG64's words, the unused
-        # half held over to the next call
-        counts = np.zeros((trials, spec.n_boxes), dtype=np.int64)
-        for row in counts:
-            for first in range(0, spec.n_balls, CHUNK_DRAWS):
-                size = min(CHUNK_DRAWS, spec.n_balls - first)
-                np.add.at(row, rng.integers(0, spec.n_boxes, size), 1)
-        return counts
-    draws = rng.integers(0, spec.n_boxes, (trials, spec.n_balls))
-    if spec.n_balls >= spec.n_boxes:
-        # one bincount over the chunk, each trial's boxes at its own offset
-        if trials > 1:
-            draws += np.arange(0, trials * spec.n_boxes, spec.n_boxes)[:, None]
-        return np.bincount(draws.ravel(), minlength=trials * spec.n_boxes).reshape(
-            trials, spec.n_boxes)
-    # run lengths of each trial's sorted draws
-    draws.sort(axis=1)
-    run_start = np.ones(draws.shape, dtype=bool)
-    np.not_equal(draws[:, 1:], draws[:, :-1], out=run_start[:, 1:])
-    starts = run_start.ravel().nonzero()[0]
-    counts = np.zeros(draws.size, dtype=np.int64)
-    counts[starts] = np.diff(starts, append=draws.size)
-    return counts.reshape(draws.shape)
-
-
-def _holding_at_least(counts: np.ndarray, v: int, n_boxes: int) -> np.ndarray:
-    """Boxes of each trial (row) holding at least v balls; a box the row
-    does not list holds 0."""
-    import numpy as np
-    if v <= 0:
-        return np.full(counts.shape[0], n_boxes)
-    return np.count_nonzero(counts >= v, axis=1)
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        counts = rng.multinomial(spec.n_balls, weights)
+        # one bincount over the chunk, each trial's counts at its own offset
+        width = int(counts.max()) + 1
+        counts += np.arange(0, trials * width, width)[:, None]
+        return 0, np.bincount(counts.ravel(), minlength=trials * width).reshape(trials, width)
+    first, pvals = _poisson_table(_poisson_rate(spec))
+    balls_at = np.arange(first, first + len(pvals))
+    rows, draw = np.empty((trials, len(pvals)), dtype=np.int64), np.arange(trials)
+    while draw.size:  # rows holding more than n_balls balls are drawn again
+        rows[draw] = rng.multinomial(spec.n_boxes, pvals, size=draw.size)
+        draw = draw[rows[draw] @ balls_at > spec.n_balls]
+    missing = spec.n_balls - rows @ balls_at
+    # the boxes of trial t are t n, ..., t n + n - 1
+    hits = rng.integers(0, spec.n_boxes, int(missing.sum()))
+    hits += np.repeat(np.arange(0, trials * spec.n_boxes, spec.n_boxes), missing)
+    boxes, extra = np.unique(hits, return_counts=True)
+    hist = np.pad(rows, ((0, 0), (0, int(extra.max(initial=0)))))
+    flat = hist.ravel()
+    # each row's boxes sum to n, so over the whole chunk the boxes of the
+    # flat class i are numbered from cumsum[i - 1]
+    at = np.searchsorted(flat.cumsum(), boxes, side="right")
+    flat += np.bincount(at + extra, minlength=flat.size) - np.bincount(at, minlength=flat.size)
+    return first, hist
 
 
 def run_strided(workers: int, units, work) -> list:
@@ -209,18 +230,16 @@ def run_strided(workers: int, units, work) -> list:
 def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
     """Run spec.trials allocations and tally maxima, ties and occupancy.
 
-    Each chunk of trials is tallied from its box-count matrix (see
+    Each chunk of trials is tallied from its occupancy histograms (see
     `trial_counts`), with no per-trial Python.  The chunks run on every
     usable CPU, W = min(usable CPUs, chunks), through run_strided: the
     calling thread takes chunks 0, W, 2W, ... and W - 1 threads the other
-    strides, as numpy
-    releases the GIL while it draws, sorts and counts.  A thread holds one
-    chunk at a time, of at most CHUNK_DRAWS variates or else one trial, so
-    memory grows by one chunk per thread.  The tallies are
-    integers, merged once the threads join, so the summary does not depend
-    on W.  An exception in any thread (a KeyboardInterrupt in the calling
-    one too) stops the others at their next chunk and is raised once all
-    have joined.
+    strides, as numpy releases the GIL while it draws, sorts and counts.
+    A thread holds one chunk at a time, so memory grows by one chunk per
+    thread.  The tallies are integers, merged once the threads join, so the
+    summary does not depend on W.  An exception in any thread (a
+    KeyboardInterrupt in the calling one too) stops the others at their
+    next chunk and is raised once all have joined.
     """
     import numpy as np
     if spec.n_boxes * spec.trials > MAX_BOX_TALLIES:
@@ -228,28 +247,24 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
             f"n_boxes * trials = {spec.n_boxes * spec.trials} box tallies, "
             f"more than the limit {MAX_BOX_TALLIES}")
     m = prof.m_n
+    if spec.kind == "multinomial":
+        _poisson_table(_poisson_rate(spec))  # built once, before any thread reads it
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # one thread per usable CPU, but none without a chunk
-    workers = sum(1 for _ in islice(_chunks(spec), usable_cpus()))
+    workers = sum(1 for _ in islice(_chunks(spec), cpus or 1))
 
     def tally(chunks) -> tuple:
         max_hist, tie_hist, ge_hist = Counter(), Counter(), Counter()
         top_two_total = 0
         for key, size in chunks:
-            counts = trial_counts(spec, key, size)  # the module global: tracers patch it
-            mx = counts.max(axis=1, initial=0)
-            # a maximum of 0 leaves every box empty
-            at_max = np.where(mx > 0, np.count_nonzero(counts == mx[:, None], axis=1),
-                              spec.n_boxes)
-            ge_anchor = _holding_at_least(counts, m, spec.n_boxes)
-            max_hist.update(mx.tolist())
-            tie_hist.update((at_max - 1).tolist())
-            ge_hist.update(ge_anchor.tolist())
+            first, hist = trial_counts(spec, key, size)  # the module global: tracers patch it
+            # each row's last occupied class, and its boxes
+            top = hist.shape[1] - 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
+            max_hist.update((first + top).tolist())
+            tie_hist.update((hist[np.arange(size), top] - 1).tolist())
+            ge_hist.update(hist[:, max(m - first, 0):].sum(axis=1).tolist())
             # boxes holding m or m + 1 balls
-            top_two_total += int(
-                (ge_anchor - _holding_at_least(counts, m + 2, spec.n_boxes)).sum())
-            # free the box counts before the next chunk draws: an array held
-            # across chunks fragments the heap and raises peak memory on dense specs
-            del counts
+            top_two_total += int(hist[:, max(m - first, 0):max(m + 2 - first, 0)].sum())
         return max_hist, tie_hist, ge_hist, top_two_total
 
     *hists, top_two = zip(*run_strided(workers, lambda: _chunks(spec), tally))

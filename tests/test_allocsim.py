@@ -1,10 +1,11 @@
+import functools
 import math
 import os
 import subprocess
 import sys
 import threading
 import time
-from collections.abc import Iterator
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from discmax import allocsim
 from discmax.allocsim import (
     CHUNK_DRAWS,
     KINDS,
+    POISSON_MARGIN,
     AllocationSpec,
     AllocationSummary,
     MemoryBudgetError,
@@ -29,6 +31,7 @@ from discmax.allocsim import (
     trial_counts,
 )
 from discmax.extremes import limiting_max_pmf, profile, tie_distribution
+from discmax.specfun import reg_gamma_q_log
 from discmax.tailmodel import NegativeBinomialModel, PoissonModel
 
 
@@ -98,22 +101,49 @@ ORACLE_CASES = {
 }
 
 
-def reference_rows(spec, key, size) -> Iterator:
-    """Reference for trial_counts: the chunk's draws, each trial's counts
-    of all n_boxes boxes by its own bincount or multinomial call, made one
-    row at a time (a 10^6-box row is 8 MB)."""
+def reference_rows(spec, key, size) -> list:
+    """Reference for trial_counts: each trial's box counts, drawn from the
+    chunk's stream in plain Python, one trial at a time.  A multinomial
+    trial (stream version 3) takes the histogram of its Poisson counts,
+    drawn again, in the kernel's rounds, while it holds more than n_balls
+    balls; writes it out as boxes in class order; and adds its missing
+    balls to those boxes one by one."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
-    if spec.kind == "multinomial":
-        return (np.bincount(d, minlength=spec.n_boxes)
-                for d in rng.integers(0, spec.n_boxes, size=(size, spec.n_balls)))
-    weights = rng.gamma(spec.r, 1.0, size=(size, spec.n_boxes))
-    weights /= weights.sum(axis=1, keepdims=True)
-    return (rng.multinomial(spec.n_balls, w) for w in weights)
+    if spec.kind == "dirichlet":
+        weights = rng.gamma(spec.r, 1.0, size=(size, spec.n_boxes))
+        weights /= weights.sum(axis=1, keepdims=True)
+        return [rng.multinomial(spec.n_balls, w).tolist() for w in weights]
+    first, pvals = allocsim._poisson_table(allocsim._poisson_rate(spec))
+
+    def draw() -> list:
+        return rng.multinomial(spec.n_boxes, pvals).tolist()
+
+    def balls(row) -> int:
+        return sum((first + j) * c for j, c in enumerate(row))
+
+    rows = [draw() for _ in range(size)]
+    over = [t for t in range(size) if balls(rows[t]) > spec.n_balls]
+    while over:
+        for t in over:
+            rows[t] = draw()
+        over = [t for t in over if balls(rows[t]) > spec.n_balls]
+    trials = []
+    for row in rows:
+        boxes = [first + j for j, c in enumerate(row) for _ in range(c)]
+        for box in rng.integers(0, spec.n_boxes, spec.n_balls - balls(row)).tolist():
+            boxes[box] += 1
+        trials.append(boxes)
+    return trials
+
+
+def occupancy(first: int, row) -> dict:
+    """{balls: boxes holding them} of one trial_counts row."""
+    return {first + j: int(c) for j, c in enumerate(row) if c}
 
 
 def reference_summary(spec, prof) -> AllocationSummary:
     """Reference for simulate: the same chunks and draws, tallied in Python
-    one trial at a time from its occupancy list, as before chunking."""
+    one trial at a time from its box counts."""
     m = prof.m_n
     max_hist, tie_hist, ge_hist = {}, {}, {}
     cluster = top_two_total = 0
@@ -134,6 +164,66 @@ def reference_summary(spec, prof) -> AllocationSummary:
         mean_top_two_occupancy=top_two_total / spec.trials,
         ge_anchor_histogram=dict(sorted(ge_hist.items())),
         trials=spec.trials)
+
+
+def exact_max_tie_law(n_boxes: int, n_balls: int) -> dict:
+    """{(max, tie count): probability} of the uniform multinomial, from
+    exact integers: k!/n^k [z^k] (sum_{j<=x} z^j/j!)^n is P(max <= x), and
+    P(max = x, t + 1 boxes at x) = k!/n^k C(n, t+1)/(x!)^(t+1)
+    [z^(k-(t+1)x)] A_(x-1)(z)^(n-t-1), A_x(z) = sum_{j<=x} z^j/j!.
+    r! [z^r] A_x(z)^m counts the ways to put r labelled balls in m boxes of
+    at most x balls each."""
+    @functools.lru_cache(maxsize=None)
+    def ways(boxes: int, balls: int, cap: int) -> int:
+        if boxes == 0:
+            return int(balls == 0)
+        return sum(math.comb(balls, j) * ways(boxes - 1, balls - j, cap)
+                   for j in range(min(cap, balls) + 1))
+
+    k, n = n_balls, n_boxes
+    law = {}
+    for x in range(k + 1):
+        for t in range(n):
+            rest = k - (t + 1) * x
+            if rest < 0:
+                break
+            # k! / ((x!)^(t+1) rest!) orders the balls of the boxes at x
+            count = (math.comb(n, t + 1) * math.factorial(k)
+                     // (math.factorial(x) ** (t + 1) * math.factorial(rest))
+                     * ways(n - t - 1, rest, x - 1))
+            if count:
+                law[(x, t)] = count / n ** k
+    return law
+
+
+def record_draws(monkeypatch) -> list:
+    """(method, shape) of every draw from the generators made from now on."""
+    calls = []
+    real = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def __getattr__(self, name):
+            def draw(*args, **kwargs):
+                out = getattr(self.rng, name)(*args, **kwargs)
+                calls.append((name, out.shape))
+                return out
+            return draw
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    return calls
+
+
+def assert_law_within_5_sigma(histogram: dict, law: dict, trials: int) -> None:
+    """Every value's frequency within 5 binomial sigma of its exact
+    probability, sigma taken at an expected count of at least 5."""
+    assert set(histogram) <= set(law), set(histogram) - set(law)
+    for value, prob in law.items():
+        f = histogram.get(value, 0) / trials
+        sigma = math.sqrt(max(prob, 5.0 / trials) * (1.0 - prob) / trials)
+        assert abs(f - prob) <= 5.0 * sigma, (value, f, prob)
 
 
 class TestAllocationSpec:
@@ -181,121 +271,165 @@ class TestAllocationSpec:
 
 class TestChunks:
     @pytest.mark.parametrize("n_boxes,n_balls,kind,r,trials", [
-        (50, 20, "multinomial", None, 5000), (20, 60, "multinomial", None, 1),
+        (50, 20, "multinomial", None, 10000), (20, 60, "multinomial", None, 1),
         (10, 0, "multinomial", None, 20000), (30, 45, "dirichlet", 0.7, 999),
-        (100_000, 10 ** 6, "multinomial", None, 3),
-        (50, 20, "multinomial", None, 1638)])   # exactly 2 full chunks
-    def test_version_2_plan(self, n_boxes, n_balls, kind, r, trials):
+        (100_000, 10 ** 6, "multinomial", None, 40),
+        (2, 10 ** 9, "multinomial", None, 3),
+        (50, 20, "dirichlet", 1.0, 328)])   # exactly 2 full chunks
+    def test_plans(self, n_boxes, n_balls, kind, r, trials):
+        # the multinomial is stream version 3, about sqrt(k) draws a trial;
+        # the Dirichlet mixture keeps version 2, two draws a box
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
                               seed=0, r=r)
         plan = list(_chunks(spec))
-        assert [key for key, _ in plan] == [(2, c) for c in range(len(plan))]
+        version = 3 if kind == "multinomial" else 2
+        assert [key for key, _ in plan] == [(version, c) for c in range(len(plan))]
         assert sum(size for _, size in plan) == trials
-        draws = n_balls if kind == "multinomial" else 2 * n_boxes
-        full = max(1, CHUNK_DRAWS // max(draws, 1))
+        draws = math.isqrt(n_balls) + 1 if kind == "multinomial" else 2 * n_boxes
+        full = max(1, CHUNK_DRAWS // draws)
         assert all(size == full for _, size in plan[:-1]) and 1 <= plan[-1][1] <= full
+
+
+class TestPoissonTable:
+    @pytest.mark.parametrize("lam", [1e-300, 0.0076, 1.0, 10.0, 36.0, 1e4, 5e8])
+    def test_window_ends_where_each_tail_falls_below_2_to_the_minus_53(self, lam):
+        first, pvals = allocsim._poisson_table(lam)
+        last = first + len(pvals) - 1
+        end = -53 * math.log(2.0)
+        model = PoissonModel(lam)
+        # P(X < first) < 2^-53 <= P(X < first + 1), and P(X > last) < 2^-53 <=
+        # P(X > last - 1), unless the window reaches 0 or the mode
+        assert first == 0 or reg_gamma_q_log(first, lam) < end <= reg_gamma_q_log(first + 1, lam)
+        assert model.log_tail(last) < end
+        assert last == math.floor(lam) or model.log_tail(last - 1) >= end
+        assert len(pvals) < 20 * math.sqrt(lam) + 20  # not every class from 0
+        assert math.fsum(pvals) == pytest.approx(1.0, abs=1e-12)
+        # the end classes absorb the tails; the others are the pmf
+        lower, upper = reg_gamma_q_log(first + 1, lam), model.log_tail(last - 1)
+        assert pvals[0] == pytest.approx(math.exp(lower), rel=1e-13, abs=0)
+        assert pvals[-1] == pytest.approx(math.exp(upper), rel=1e-13, abs=0)
+        inner = range(first + 1, last, max(1, (last - first) // 200))
+        for v in inner:
+            assert pvals[v - first] == pytest.approx(math.exp(model.log_pmf(v)), rel=1e-9, abs=0), v
+        assert isinstance(pvals, tuple)  # the cache shares it
+
+    def test_rate_zero_is_one_empty_class(self):
+        first, pvals = allocsim._poisson_table(0.0)
+        assert (first, pvals) == (0, (1.0,))
+
+    def test_rate(self):
+        spec = AllocationSpec(n_boxes=100_000, n_balls=10 ** 6, kind="multinomial", trials=1,
+                              seed=0)
+        assert allocsim._poisson_rate(spec) == (10 ** 6 - POISSON_MARGIN * 1000) / 100_000
+        # below POISSON_MARGIN^2 balls every ball is thrown
+        spec = AllocationSpec(n_boxes=3, n_balls=1, kind="multinomial", trials=1, seed=0)
+        assert POISSON_MARGIN >= 1.0 and allocsim._poisson_rate(spec) == 0.0
 
 
 class TestTrialCounts:
     @pytest.mark.parametrize("n_boxes,n_balls,kind,r", [
         (7, 23, "multinomial", None), (50, 20, "multinomial", None), (8, 8, "multinomial", None),
-        (10, 0, "multinomial", None), (7, 23, "dirichlet", 1.5), (10, 0, "dirichlet", 1.5)])
-    def test_rows_conserve_balls(self, n_boxes, n_balls, kind, r):
+        (10, 0, "multinomial", None), (3, 1, "multinomial", None),
+        (50, 40000, "multinomial", None), (7, 23, "dirichlet", 1.5), (10, 0, "dirichlet", 1.5)])
+    def test_rows_conserve_boxes_and_balls(self, n_boxes, n_balls, kind, r):
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1, seed=11,
                               r=r)
-        counts = trial_counts(spec, (2, 3), 25)
-        width = n_balls if kind == "multinomial" and n_balls < n_boxes else n_boxes
-        assert counts.shape == (25, width)
-        assert (counts.sum(axis=1) == n_balls).all() and (counts >= 0).all()
+        first, hist = trial_counts(spec, (3, 3) if kind == "multinomial" else (2, 3), 25)
+        assert hist.shape[0] == 25 and (hist >= 0).all()
+        assert (hist.sum(axis=1) == n_boxes).all()
+        assert (hist @ np.arange(first, first + hist.shape[1]) == n_balls).all()
 
     @pytest.mark.parametrize("n_boxes,n_balls,kind,r", [
         (50, 20, "multinomial", None), (20, 60, "multinomial", None),
         (8, 8, "multinomial", None), (10, 0, "multinomial", None), (30, 45, "dirichlet", 0.7),
-        # more balls than CHUNK_DRAWS and boxes: counted slice by slice
-        (50, 40000, "multinomial", None), (7, CHUNK_DRAWS + 1, "multinomial", None),
-        (3, 3 * CHUNK_DRAWS, "multinomial", None),
-        # more balls or gamma weights than CHUNK_DRAWS in one call
-        (10 ** 6, CHUNK_DRAWS + 7, "multinomial", None),
+        # Poisson windows that start above class 0
+        (50, 40000, "multinomial", None), (3, 3 * CHUNK_DRAWS, "multinomial", None),
+        (2000, 200_000, "multinomial", None),
+        # more gamma weights than CHUNK_DRAWS in one call
         (CHUNK_DRAWS + 9, 100, "dirichlet", 0.5)])
-    def test_matches_per_trial_bincounts(self, n_boxes, n_balls, kind, r):
-        # the occupied boxes' counts in box order, and every box where a row
-        # lists them all; the reference draws each trial in one call
+    def test_matches_per_trial_reference(self, n_boxes, n_balls, kind, r):
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1, seed=41,
                               r=r)
-        for key, size in (((4,), 1), ((2, 0), 13), ((2, 7), 13)):
+        version = 3 if kind == "multinomial" else 2
+        for key, size in (((4,), 1), ((version, 0), 13), ((version, 7), 13)):
+            first, hist = trial_counts(spec, key, size)
             rows = reference_rows(spec, key, size)
-            counts = trial_counts(spec, key, size)
-            assert counts.shape[0] == size
-            for got, ref in zip(counts, rows):
-                assert got[got > 0].tolist() == ref[ref > 0].tolist(), key
-                if counts.shape[1] == n_boxes:
-                    assert got.tolist() == ref.tolist(), key
+            assert len(hist) == len(rows) == size
+            for got, ref in zip(hist, rows):
+                assert occupancy(first, got) == dict(sorted(Counter(ref).items())), key
 
-    def test_only_the_dense_loop_slices_its_draws(self, monkeypatch):
-        # balls that outnumber CHUNK_DRAWS and the boxes are drawn in slices
-        # of at most CHUNK_DRAWS; every other array is drawn by one call
-        sizes = []
-        real = np.random.default_rng
+    def test_generator_calls(self, monkeypatch):
+        # a multinomial chunk draws its histograms by one multinomial call,
+        # its redrawn rows by one call a round, and its missing balls by one
+        # integers call; a Dirichlet chunk its weights and counts by one each
+        calls = record_draws(monkeypatch)
 
-        class Recording:
-            def __init__(self, seed):
-                self.rng = real(seed)
-
-            def __getattr__(self, name):
-                def draw(*args, **kwargs):
-                    out = getattr(self.rng, name)(*args, **kwargs)
-                    sizes.append((name, out.size))
-                    return out
-                return draw
-
-        monkeypatch.setattr(np.random, "default_rng", Recording)
-
-        def calls(n_boxes, n_balls, kind, r=None):
+        def record(n_boxes, n_balls, kind, trials, r=None):
             spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1,
                                   seed=2, r=r)
-            sizes.clear()
-            counts = trial_counts(spec, (2, 0), 2)
-            assert (counts.sum(axis=1) == n_balls).all()
-            return list(sizes)
+            calls.clear()
+            first, hist = trial_counts(spec, (3 if kind == "multinomial" else 2, 0), trials)
+            assert (hist @ np.arange(first, first + hist.shape[1]) == n_balls).all()
+            return list(calls)
 
-        dense = calls(20, 3 * CHUNK_DRAWS + 5, "multinomial")
-        assert {name for name, _ in dense} == {"integers"} and len(dense) > 2, dense
-        assert max(size for _, size in dense) <= CHUNK_DRAWS
-        assert sum(size for _, size in dense) == 2 * (3 * CHUNK_DRAWS + 5)
-        sparse = calls(10 ** 6, CHUNK_DRAWS + 7, "multinomial")
-        assert sparse == [("integers", 2 * (CHUNK_DRAWS + 7))]
-        dirichlet = calls(CHUNK_DRAWS + 9, 100, "dirichlet", 0.5)
-        assert dirichlet == [("gamma", 2 * (CHUNK_DRAWS + 9)),
-                             ("multinomial", 2 * (CHUNK_DRAWS + 9))]
+        for n_boxes, n_balls in ((20, 3 * CHUNK_DRAWS + 5), (10 ** 6, CHUNK_DRAWS + 7),
+                                 (2, 10 ** 9)):
+            width = len(allocsim._poisson_table(allocsim._poisson_rate(AllocationSpec(
+                n_boxes=n_boxes, n_balls=n_balls, kind="multinomial", trials=1, seed=0)))[1])
+            made = record(n_boxes, n_balls, "multinomial", 8)
+            *draws, (last, thrown) = made
+            assert draws[0] == ("multinomial", (8, width)), made
+            assert all(name == "multinomial" and shape[0] < 8 for name, shape in draws[1:]), made
+            # no call grows with k: the thrown balls are a few sqrt(k) a trial
+            assert last == "integers" and thrown[0] <= 8 * 6 * math.isqrt(n_balls), made
+        dirichlet = record(CHUNK_DRAWS + 9, 100, "dirichlet", 2, 0.5)
+        assert dirichlet == [("gamma", (2, CHUNK_DRAWS + 9)),
+                             ("multinomial", (2, CHUNK_DRAWS + 9))]
+
+    def test_two_boxes_a_billion_balls(self):
+        # the cost follows the table's width and sqrt(k), not k
+        spec = AllocationSpec(n_boxes=2, n_balls=10 ** 9, kind="multinomial", trials=3, seed=8)
+        t0 = time.perf_counter()
+        first, hist = trial_counts(spec, (3, 0), 3)
+        assert time.perf_counter() - t0 < 1.0
+        assert first > 4 * 10 ** 8
+        assert (hist.sum(axis=1) == 2).all()
+        assert (hist @ np.arange(first, first + hist.shape[1]) == 10 ** 9).all()
+        s = simulate(spec, asym_profile(50, 20))
+        assert s.trials == 3 and min(s.max_histogram) >= 5 * 10 ** 8
 
     def test_deterministic_per_key(self):
         spec = AllocationSpec(n_boxes=5, n_balls=9, kind="multinomial", trials=1, seed=3)
-        a = trial_counts(spec, (2, 4), 10)
-        assert (a == trial_counts(spec, (2, 4), 10)).all()
-        c = trial_counts(spec, (2, 5), 10)
-        assert a.shape != c.shape or not (a == c).all()
+
+        def occupancies(key):
+            first, hist = trial_counts(spec, key, 10)
+            return [occupancy(first, row) for row in hist]
+
+        a = occupancies((3, 4))
+        assert a == occupancies((3, 4))
+        assert a != occupancies((3, 5))
         # a two-word key is not the one-word key of the same index
-        d = trial_counts(spec, (4,), 10)
-        assert a.shape != d.shape or not (a == d).all()
+        assert a != occupancies((4,))
 
 
-# (spec, anchor (n_boxes, n_balls), summary) pinned on stream version 2
+# (spec, anchor (n_boxes, n_balls), summary) pinned on multinomial stream
+# version 3 and Dirichlet stream version 2
 PINNED = {
     "multinomial_sparse": (
         dict(n_boxes=50, n_balls=20, kind="multinomial", trials=200, seed=12345), (50, 20),
         AllocationSummary(
-            max_histogram={1: 3, 2: 145, 3: 45, 4: 7},
-            tie_histogram={0: 67, 1: 43, 2: 48, 3: 29, 4: 6, 5: 4, 19: 3},
-            cluster_freq=0.95, mean_top_two_occupancy=2.89,
-            ge_anchor_histogram={0: 3, 1: 29, 2: 39, 3: 64, 4: 44, 5: 16, 6: 5},
+            max_histogram={1: 3, 2: 140, 3: 53, 4: 4},
+            tie_histogram={0: 67, 1: 45, 2: 40, 3: 34, 4: 10, 5: 1, 19: 3},
+            cluster_freq=0.965, mean_top_two_occupancy=2.91,
+            ge_anchor_histogram={0: 3, 1: 17, 2: 54, 3: 61, 4: 49, 5: 14, 6: 2},
             trials=200)),
     "multinomial_dense": (
         dict(n_boxes=20, n_balls=60, kind="multinomial", trials=200, seed=2024), (20, 60),
         AllocationSummary(
-            max_histogram={4: 1, 5: 24, 6: 81, 7: 53, 8: 28, 9: 7, 10: 6},
-            tie_histogram={0: 129, 1: 44, 2: 16, 3: 6, 4: 3, 5: 2},
-            cluster_freq=0.525, mean_top_two_occupancy=3.1,
-            ge_anchor_histogram={0: 1, 1: 5, 2: 23, 3: 58, 4: 72, 5: 28, 6: 12, 7: 1},
+            max_histogram={5: 29, 6: 71, 7: 55, 8: 33, 9: 10, 10: 2},
+            tie_histogram={0: 137, 1: 38, 2: 12, 3: 6, 4: 6, 5: 1},
+            cluster_freq=0.5, mean_top_two_occupancy=2.98,
+            ge_anchor_histogram={1: 8, 2: 24, 3: 65, 4: 56, 5: 38, 6: 9},
             trials=200)),
     "dirichlet": (
         dict(n_boxes=30, n_balls=45, kind="dirichlet", trials=150, seed=77, r=0.7), (30, 45),
@@ -311,20 +445,20 @@ PINNED = {
         AllocationSummary(
             max_histogram={0: 20}, tie_histogram={9: 20}, cluster_freq=0.0,
             mean_top_two_occupancy=0.0, ge_anchor_histogram={0: 20}, trials=20)),
-    # each trial's 50000 balls drawn in four slices
-    "sliced": (
-        dict(n_boxes=10000, n_balls=50000, kind="multinomial", trials=6, seed=31337),
+    # a Poisson window from class 750: every box holds more than m_n = 14
+    "windowed": (
+        dict(n_boxes=200, n_balls=200_000, kind="multinomial", trials=6, seed=31337),
         (10000, 50000),
         AllocationSummary(
-            max_histogram={14: 1, 15: 4, 16: 1}, tie_histogram={0: 2, 1: 2, 2: 2},
-            cluster_freq=5 / 6, mean_top_two_occupancy=40 / 6,
-            ge_anchor_histogram={2: 2, 6: 1, 8: 1, 9: 1, 14: 1}, trials=6)),
+            max_histogram={1068: 1, 1079: 1, 1082: 1, 1095: 1, 1096: 1, 1097: 1},
+            tie_histogram={0: 5, 1: 1}, cluster_freq=0.0, mean_top_two_occupancy=0.0,
+            ge_anchor_histogram={200: 6}, trials=6)),
     # anchor m_n = 0: every box counts as holding at least m_n
     "anchor_zero": (
         dict(n_boxes=20, n_balls=3, kind="multinomial", trials=100, seed=5), (20, 1),
         AllocationSummary(
-            max_histogram={1: 78, 2: 21, 3: 1}, tie_histogram={0: 22, 2: 78}, cluster_freq=0.78,
-            mean_top_two_occupancy=19.78, ge_anchor_histogram={20: 100}, trials=100)),
+            max_histogram={1: 85, 2: 15}, tie_histogram={0: 15, 2: 85}, cluster_freq=0.85,
+            mean_top_two_occupancy=19.85, ge_anchor_histogram={20: 100}, trials=100)),
 }
 
 
@@ -363,15 +497,21 @@ class TestSimulate:
         spec, anchor, want = PINNED[name]
         assert simulate(AllocationSpec(**spec), asym_profile(*anchor)) == want
 
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_pin_matches_per_trial_reference(self, name):
+        spec, anchor, want = PINNED[name]
+        assert reference_summary(AllocationSpec(**spec), asym_profile(*anchor)) == want
+
     @pytest.mark.parametrize("n_boxes,n_balls,kind,r,trials", [
-        (50, 20, "multinomial", None, 2500),   # fewer balls than boxes, 3 chunks
+        (50, 20, "multinomial", None, 7000),   # fewer balls than boxes, 3 chunks
         (20, 20, "multinomial", None, 1000),   # as many balls as boxes
         (20, 60, "multinomial", None, 300),
         (10, 0, "multinomial", None, 30),
         (30, 45, "dirichlet", 0.7, 200),
         (400, 4, "multinomial", None, 1),
         (12, 40, "dirichlet", 2.0, 1),
-        (20, 20000, "multinomial", None, 3),   # 3 chunks of one trial, more balls than boxes
+        (3, 2, "multinomial", None, 50),       # fewer balls than POISSON_MARGIN^2: all thrown
+        (20, 20000, "multinomial", None, 300),  # 3 chunks, a window from class 746
     ])
     def test_matches_per_trial_reference(self, n_boxes, n_balls, kind, r, trials):
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
@@ -380,13 +520,14 @@ class TestSimulate:
             prof = asym_profile(*anchor)
             assert simulate(spec, prof) == reference_summary(spec, prof), anchor
 
-    @pytest.mark.parametrize("kind,r", [("multinomial", None), ("dirichlet", 1.0)])
-    def test_version_2_max_law_at_4_boxes_8_balls(self, kind, r):
+    @pytest.mark.parametrize("kind,r,chunks", [("multinomial", None, [5000]),
+                                               ("dirichlet", 1.0, [2048, 2048, 904])])
+    def test_max_law_at_4_boxes_8_balls(self, kind, r, chunks):
         # every max value's frequency within 5 binomial sigma of the exact
-        # law; 5000 trials are 2 full chunks of 2048 and one of 904
+        # law, from one chunk (version 3) or three (version 2)
         trials = 5000
         spec = AllocationSpec(n_boxes=4, n_balls=8, kind=kind, trials=trials, seed=2718, r=r)
-        assert [size for _, size in _chunks(spec)] == [2048, 2048, 904]
+        assert [size for _, size in _chunks(spec)] == chunks
         law: dict = {}
         for key, (prob, _) in enumerate_conditional(4, 8, kind, r=r or 1.0).items():
             law[key[0]] = law.get(key[0], 0.0) + prob
@@ -396,6 +537,41 @@ class TestSimulate:
             f = s.max_histogram.get(value, 0) / trials
             sigma = math.sqrt(prob * (1.0 - prob) / trials)
             assert abs(f - prob) <= 5.0 * sigma, (value, f, prob)
+
+    @pytest.mark.parametrize("n_boxes,n_balls", [(3, 60), (4, 100), (5, 40)])
+    def test_version_3_max_and_tie_laws_are_exact(self, n_boxes, n_balls):
+        # k > POISSON_MARGIN^2, so most balls come from the Poisson rows
+        assert allocsim._poisson_rate(AllocationSpec(
+            n_boxes=n_boxes, n_balls=n_balls, kind="multinomial", trials=1, seed=0)) > 0
+        trials = 20000
+        spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind="multinomial",
+                              trials=trials, seed=1978)
+        s = simulate(spec, asym_profile(50, 20))
+        law = exact_max_tie_law(n_boxes, n_balls)
+        max_law, tie_law = Counter(), Counter()
+        for (x, t), prob in law.items():
+            max_law[x] += prob
+            tie_law[t] += prob
+        assert_law_within_5_sigma(s.max_histogram, max_law, trials)
+        assert_law_within_5_sigma(s.tie_histogram, tie_law, trials)
+
+    def test_rejected_rows_keep_the_law(self, monkeypatch):
+        # with no margin the Poisson rows hold k balls on average, and about
+        # half of them hold more and are drawn again
+        monkeypatch.setattr(allocsim, "POISSON_MARGIN", 0.0)
+        calls = record_draws(monkeypatch)
+        trials = 20000
+        spec = AllocationSpec(n_boxes=4, n_balls=100, kind="multinomial", trials=trials,
+                              seed=1986)
+        assert allocsim._poisson_rate(spec) == 25.0
+        s = simulate(spec, asym_profile(50, 20))
+        rows = sum(shape[0] for name, shape in calls if name == "multinomial")
+        assert 1.6 * trials < rows < 2.4 * trials, rows
+        law = exact_max_tie_law(4, 100)
+        max_law = Counter()
+        for (x, _), prob in law.items():
+            max_law[x] += prob
+        assert_law_within_5_sigma(s.max_histogram, max_law, trials)
 
     def test_single_trial(self):
         for kind, r in (("multinomial", None), ("dirichlet", 1.0)):
@@ -416,7 +592,7 @@ class TestSimulate:
         monkeypatch.setattr(allocsim, "trial_counts", counting)
         spec = AllocationSpec(n_boxes=16000, n_balls=160, kind="multinomial", trials=3000,
                               seed=8)
-        per_chunk = CHUNK_DRAWS // 160
+        per_chunk = CHUNK_DRAWS // (math.isqrt(160) + 1)
         want = simulate(spec, asym_profile(16000, 160))
         assert len(calls) == -(-3000 // per_chunk)
         # threads call the kernel in no fixed order
@@ -425,10 +601,10 @@ class TestSimulate:
         assert simulate(spec, asym_profile(16000, 160)) == want
 
     @pytest.mark.parametrize("n_boxes,n_balls,kind,r,trials", [
-        (50, 20, "multinomial", None, 2500),   # fewer balls than boxes
-        (20, 60, "multinomial", None, 1500),
+        (50, 20, "multinomial", None, 8000),   # fewer balls than boxes
+        (20, 60, "multinomial", None, 5000),
         (30, 45, "dirichlet", 0.7, 800),
-        (20, 40000, "multinomial", None, 7),   # each trial drawn in slices
+        (20, 40000, "multinomial", None, 200),  # a window from class 1635
     ])
     def test_summary_does_not_depend_on_the_thread_count(self, monkeypatch, n_boxes, n_balls,
                                                          kind, r, trials):
@@ -459,11 +635,11 @@ class TestSimulate:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("failing,error", [((2, 3), ValueError("chunk (2, 3)")),
-                                               ((2, 0), KeyboardInterrupt())])
+    @pytest.mark.parametrize("failing,error", [((3, 3), ValueError("chunk (3, 3)")),
+                                               ((3, 0), KeyboardInterrupt())])
     def test_a_failing_chunk_stops_every_thread(self, monkeypatch, failing, error):
-        # on two CPUs the calling thread takes the even chunks: (2, 3) fails
-        # in the started thread, (2, 0) in the calling one
+        # on two CPUs the calling thread takes the even chunks: (3, 3) fails
+        # in the started thread, (3, 0) in the calling one
         calls = []
         kernel = allocsim.trial_counts
 
@@ -476,7 +652,7 @@ class TestSimulate:
 
         monkeypatch.setattr(allocsim, "trial_counts", failing_kernel)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        spec = AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=40 * 819,
+        spec = AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=40 * 3276,
                               seed=3)
         before = threading.active_count()
         with pytest.raises(type(error)) as raised:
