@@ -12,16 +12,14 @@ law of the matched model, gamma = 0 (Poisson) for the multinomial and
 0 < gamma < 1 (negative binomial) for the Dirichlet mixture.
 
 Reproducibility: ``simulate`` draws chunk c of its trials from the stream
-``SeedSequence(entropy=seed, spawn_key=(version, c))`` and counts it into
-occupancy histograms with one kernel, ``trial_counts``; a spec's results
-are bit-identical whatever the thread count, and a scheme's constants are
-part of it.  The multinomial is stream version 3, the Poissonization
-(Devroye 1986) of the representation above: a trial draws the histogram of
-n Poisson(lambda') counts, lambda' = max(0, k - POISSON_MARGIN sqrt(k)) / n,
-again while their sum S exceeds k, and adds k - S uniform balls; with the
-tails beyond 2^-53 folded into its table's end classes, it is within
-n 2^-50 of the multinomial in total variation.  The Dirichlet mixture stays
-on version 2.
+``SeedSequence(entropy=seed, spawn_key=(version, c))`` by ``trial_counts``,
+bit-identically whatever the thread count; a scheme's constants are part of
+it.  The multinomial is version 3, the Poissonization (Devroye 1986) of the
+representation above: the occupancy histogram of n Poisson(lambda') counts,
+lambda' = max(0, k - POISSON_MARGIN sqrt(k)) / n, drawn again while their
+sum S exceeds k, plus k - S uniform balls; its table's end classes absorb
+the tails beyond 2^-53, so a trial is within n 2^-50 of the multinomial in
+total variation.  The Dirichlet mixture stays on version 2.
 
 numpy is imported inside the functions that draw or tally samples, so
 importing this module (and the package) does not load it.
@@ -114,23 +112,16 @@ class AllocationSummary(Record):
     trials: int
 
 
-def _poisson_rate(spec: AllocationSpec) -> float:
-    """lambda' = max(0, k - POISSON_MARGIN sqrt(k)) / n."""
-    return max(0.0, spec.n_balls - POISSON_MARGIN * math.sqrt(spec.n_balls)) / spec.n_boxes
-
-
+# one table per spec; threads that miss the cache together build equal tables
 @functools.lru_cache(maxsize=1)
 def _poisson_table(lam: float) -> tuple:
-    """(first, pvals): Poisson(lam) probabilities of the classes first..last,
-    the largest first and smallest last >= lam with P(X < first) and
-    P(X > last) below 2^-53 (~17 sqrt(lam) classes), their end classes
-    absorbing the tails, 2^-52 from Poisson(lam) in total variation.  A
-    class is pmf(first) times the term ratios lam / v, each rounding by
-    under 2^-52."""
+    """(first, pvals): Poisson(lam) probabilities of the ~17 sqrt(lam) classes
+    from the largest first to the smallest last >= lam whose outer tails are
+    below 2^-53, which the end classes absorb (2^-52 in total variation); inner
+    classes are pmf(first) times the ratios lam / v, each rounding by < 2^-52."""
     if lam == 0.0:
         return 0, (1.0,)
-    model = PoissonModel(lam)
-    mode = math.floor(lam)
+    model, mode = PoissonModel(lam), math.floor(lam)
     # the number of v in 1..mode with P(X < v) = Q(v, lam) below the end
     first = bisect_left(range(1, mode + 1), True,
                         key=lambda v: reg_gamma_q_log(v, lam) >= _LOG_TABLE_TAIL)
@@ -148,41 +139,35 @@ def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
     """(spawn key, trials) of each chunk, in trial order."""
     # a multinomial trial throws ~1.3 sqrt(k) balls; a Dirichlet trial draws
     # one gamma weight and one binomial per box
-    if spec.kind == "multinomial":
-        version, per_trial = 3, math.isqrt(spec.n_balls) + 1
-    else:
-        version, per_trial = 2, 2 * spec.n_boxes
+    version, per_trial = ((3, math.isqrt(spec.n_balls) + 1) if spec.kind == "multinomial"
+                          else (2, 2 * spec.n_boxes))
     size = max(1, CHUNK_DRAWS // per_trial)
     return (((version, c), min(size, spec.trials - first))
             for c, first in enumerate(range(0, spec.trials, size)))
 
 
 def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> tuple:
-    """Occupancy histograms of one chunk, `trials` trials drawn from the
-    stream (spec.seed, key): (first, rows), rows[t, j] being the number of
-    boxes of trial t holding first + j balls.  A multinomial row is a
-    multinomial over the Poisson table's classes, drawn again while its
-    balls exceed n_balls; its missing balls hit uniform boxes, which, as
-    boxes are exchangeable, are numbered class by class.  A Dirichlet
-    chunk draws its weights and counts by one call each."""
+    """One chunk, `trials` trials drawn from the stream (spec.seed, key): a
+    Dirichlet chunk's box counts, one row per trial, or a multinomial chunk's
+    (first, rows), rows[t, j] boxes of trial t holding first + j balls, drawn
+    over the Poisson table's classes again while its balls exceed n_balls,
+    the missing balls then hitting uniform boxes numbered class by class."""
     import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
     if spec.kind == "dirichlet":
         weights = rng.gamma(spec.r, 1.0, (trials, spec.n_boxes))
         weights /= weights.sum(axis=1, keepdims=True)
-        counts = rng.multinomial(spec.n_balls, weights)
-        # one bincount over the chunk, each trial's counts at its own offset
-        width = int(counts.max()) + 1
-        counts += np.arange(0, trials * width, width)[:, None]
-        return 0, np.bincount(counts.ravel(), minlength=trials * width).reshape(trials, width)
-    first, pvals = _poisson_table(_poisson_rate(spec))
+        return rng.multinomial(spec.n_balls, weights)
+    lam = max(0.0, spec.n_balls - POISSON_MARGIN * math.sqrt(spec.n_balls)) / spec.n_boxes
+    first, pvals = _poisson_table(lam)
     balls_at = np.arange(first, first + len(pvals))
     rows, draw = np.empty((trials, len(pvals)), dtype=np.int64), np.arange(trials)
     while draw.size:  # rows holding more than n_balls balls are drawn again
         rows[draw] = rng.multinomial(spec.n_boxes, pvals, size=draw.size)
         draw = draw[rows[draw] @ balls_at > spec.n_balls]
     missing = spec.n_balls - rows @ balls_at
-    # the boxes of trial t are t n, ..., t n + n - 1
+    # boxes are exchangeable, so those of trial t are t n, ..., t n + n - 1 in
+    # class order
     hits = rng.integers(0, spec.n_boxes, int(missing.sum()))
     hits += np.repeat(np.arange(0, trials * spec.n_boxes, spec.n_boxes), missing)
     boxes, extra = np.unique(hits, return_counts=True)
@@ -230,16 +215,11 @@ def run_strided(workers: int, units, work) -> list:
 def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
     """Run spec.trials allocations and tally maxima, ties and occupancy.
 
-    Each chunk of trials is tallied from its occupancy histograms (see
-    `trial_counts`), with no per-trial Python.  The chunks run on every
-    usable CPU, W = min(usable CPUs, chunks), through run_strided: the
-    calling thread takes chunks 0, W, 2W, ... and W - 1 threads the other
-    strides, as numpy releases the GIL while it draws, sorts and counts.
-    A thread holds one chunk at a time, so memory grows by one chunk per
-    thread.  The tallies are integers, merged once the threads join, so the
-    summary does not depend on W.  An exception in any thread (a
-    KeyboardInterrupt in the calling one too) stops the others at their
-    next chunk and is raised once all have joined.
+    Chunks are tallied as `trial_counts` returns them, with no per-trial
+    Python, one at a time on each of W = min(usable CPUs, chunks) threads
+    through run_strided, which stops them all at the first failure.  The
+    tallies are integers, merged once the threads join, so the summary does
+    not depend on W.
     """
     import numpy as np
     if spec.n_boxes * spec.trials > MAX_BOX_TALLIES:
@@ -247,25 +227,27 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
             f"n_boxes * trials = {spec.n_boxes * spec.trials} box tallies, "
             f"more than the limit {MAX_BOX_TALLIES}")
     m = prof.m_n
-    if spec.kind == "multinomial":
-        _poisson_table(_poisson_rate(spec))  # built once, before any thread reads it
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # one thread per usable CPU, but none without a chunk
     workers = sum(1 for _ in islice(_chunks(spec), cpus or 1))
 
     def tally(chunks) -> tuple:
-        max_hist, tie_hist, ge_hist = Counter(), Counter(), Counter()
-        top_two_total = 0
+        counters, top_two_total = (Counter(), Counter(), Counter()), 0
         for key, size in chunks:
-            first, hist = trial_counts(spec, key, size)  # the module global: tracers patch it
-            # each row's last occupied class, and its boxes
-            top = hist.shape[1] - 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
-            max_hist.update((first + top).tolist())
-            tie_hist.update((hist[np.arange(size), top] - 1).tolist())
-            ge_hist.update(hist[:, max(m - first, 0):].sum(axis=1).tolist())
-            # boxes holding m or m + 1 balls
-            top_two_total += int(hist[:, max(m - first, 0):max(m + 2 - first, 0)].sum())
-        return max_hist, tie_hist, ge_hist, top_two_total
+            drawn = trial_counts(spec, key, size)  # the module global: tracers patch it
+            # per trial: the maximum, the boxes holding it, at least m and at least m + 2
+            if spec.kind == "dirichlet":  # box counts
+                mx = drawn.max(axis=1)
+                at_max, ge, ge2 = (np.count_nonzero(drawn >= v, 1) for v in (mx[:, None], m, m + 2))
+            else:  # occupancy histograms; the maximum is a row's last occupied class
+                first, hist = drawn
+                top = hist.shape[1] - 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
+                mx, at_max = first + top, hist[np.arange(size), top]
+                ge, ge2 = (hist[:, max(v - first, 0):].sum(axis=1) for v in (m, m + 2))
+            for counter, values in zip(counters, (mx, at_max - 1, ge)):  # max, ties, ge_anchor
+                counter.update(values.tolist())
+            top_two_total += int((ge - ge2).sum())  # boxes holding m or m + 1 balls
+        return *counters, top_two_total
 
     *hists, top_two = zip(*run_strided(workers, lambda: _chunks(spec), tally))
     # the threads' counts are positive, so Counter sums keep every value

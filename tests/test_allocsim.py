@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -101,6 +102,21 @@ ORACLE_CASES = {
 }
 
 
+def poisson_rate(spec) -> float:
+    """lambda' = max(0, k - POISSON_MARGIN sqrt(k)) / n, the rate of a
+    multinomial trial's Poisson table (see TestPoissonTable.test_rate)."""
+    return max(0.0, spec.n_balls - allocsim.POISSON_MARGIN * math.sqrt(spec.n_balls)) / spec.n_boxes
+
+
+def histograms(spec, drawn) -> tuple:
+    """(first, occupancy rows) of a trial_counts chunk: a multinomial chunk
+    as it comes, a Dirichlet chunk's box counts histogrammed row by row."""
+    if spec.kind == "multinomial":
+        return drawn
+    width = int(drawn.max(initial=0)) + 1
+    return 0, np.array([np.bincount(row, minlength=width) for row in drawn])
+
+
 def reference_rows(spec, key, size) -> list:
     """Reference for trial_counts: each trial's box counts, drawn from the
     chunk's stream in plain Python, one trial at a time.  A multinomial
@@ -113,7 +129,7 @@ def reference_rows(spec, key, size) -> list:
         weights = rng.gamma(spec.r, 1.0, size=(size, spec.n_boxes))
         weights /= weights.sum(axis=1, keepdims=True)
         return [rng.multinomial(spec.n_balls, w).tolist() for w in weights]
-    first, pvals = allocsim._poisson_table(allocsim._poisson_rate(spec))
+    first, pvals = allocsim._poisson_table(poisson_rate(spec))
 
     def draw() -> list:
         return rng.multinomial(spec.n_boxes, pvals).tolist()
@@ -317,13 +333,18 @@ class TestPoissonTable:
         first, pvals = allocsim._poisson_table(0.0)
         assert (first, pvals) == (0, (1.0,))
 
-    def test_rate(self):
-        spec = AllocationSpec(n_boxes=100_000, n_balls=10 ** 6, kind="multinomial", trials=1,
-                              seed=0)
-        assert allocsim._poisson_rate(spec) == (10 ** 6 - POISSON_MARGIN * 1000) / 100_000
+    def test_rate(self, monkeypatch):
+        # the rate trial_counts builds its table at, and the tests' poisson_rate
+        rates, table = [], allocsim._poisson_table
+        monkeypatch.setattr(allocsim, "_poisson_table", lambda lam: rates.append(lam) or table(lam))
+        specs = [AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind="multinomial", trials=1,
+                                seed=0) for n_boxes, n_balls in ((100_000, 10 ** 6), (3, 1))]
+        for spec in specs:
+            trial_counts(spec, (3, 0), 1)
         # below POISSON_MARGIN^2 balls every ball is thrown
-        spec = AllocationSpec(n_boxes=3, n_balls=1, kind="multinomial", trials=1, seed=0)
-        assert POISSON_MARGIN >= 1.0 and allocsim._poisson_rate(spec) == 0.0
+        assert POISSON_MARGIN >= 1.0
+        assert rates == [(10 ** 6 - POISSON_MARGIN * 1000) / 100_000, 0.0]
+        assert rates == [poisson_rate(spec) for spec in specs]
 
 
 class TestTrialCounts:
@@ -334,7 +355,10 @@ class TestTrialCounts:
     def test_rows_conserve_boxes_and_balls(self, n_boxes, n_balls, kind, r):
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1, seed=11,
                               r=r)
-        first, hist = trial_counts(spec, (3, 3) if kind == "multinomial" else (2, 3), 25)
+        drawn = trial_counts(spec, (3, 3) if kind == "multinomial" else (2, 3), 25)
+        if kind == "dirichlet":  # box counts, one row of n_boxes per trial
+            assert drawn.shape == (25, n_boxes) and (drawn.sum(axis=1) == n_balls).all()
+        first, hist = histograms(spec, drawn)
         assert hist.shape[0] == 25 and (hist >= 0).all()
         assert (hist.sum(axis=1) == n_boxes).all()
         assert (hist @ np.arange(first, first + hist.shape[1]) == n_balls).all()
@@ -352,7 +376,7 @@ class TestTrialCounts:
                               r=r)
         version = 3 if kind == "multinomial" else 2
         for key, size in (((4,), 1), ((version, 0), 13), ((version, 7), 13)):
-            first, hist = trial_counts(spec, key, size)
+            first, hist = histograms(spec, trial_counts(spec, key, size))
             rows = reference_rows(spec, key, size)
             assert len(hist) == len(rows) == size
             for got, ref in zip(hist, rows):
@@ -368,13 +392,14 @@ class TestTrialCounts:
             spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1,
                                   seed=2, r=r)
             calls.clear()
-            first, hist = trial_counts(spec, (3 if kind == "multinomial" else 2, 0), trials)
+            first, hist = histograms(
+                spec, trial_counts(spec, (3 if kind == "multinomial" else 2, 0), trials))
             assert (hist @ np.arange(first, first + hist.shape[1]) == n_balls).all()
             return list(calls)
 
         for n_boxes, n_balls in ((20, 3 * CHUNK_DRAWS + 5), (10 ** 6, CHUNK_DRAWS + 7),
                                  (2, 10 ** 9)):
-            width = len(allocsim._poisson_table(allocsim._poisson_rate(AllocationSpec(
+            width = len(allocsim._poisson_table(poisson_rate(AllocationSpec(
                 n_boxes=n_boxes, n_balls=n_balls, kind="multinomial", trials=1, seed=0)))[1])
             made = record(n_boxes, n_balls, "multinomial", 8)
             *draws, (last, thrown) = made
@@ -541,7 +566,7 @@ class TestSimulate:
     @pytest.mark.parametrize("n_boxes,n_balls", [(3, 60), (4, 100), (5, 40)])
     def test_version_3_max_and_tie_laws_are_exact(self, n_boxes, n_balls):
         # k > POISSON_MARGIN^2, so most balls come from the Poisson rows
-        assert allocsim._poisson_rate(AllocationSpec(
+        assert poisson_rate(AllocationSpec(
             n_boxes=n_boxes, n_balls=n_balls, kind="multinomial", trials=1, seed=0)) > 0
         trials = 20000
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind="multinomial",
@@ -563,7 +588,7 @@ class TestSimulate:
         trials = 20000
         spec = AllocationSpec(n_boxes=4, n_balls=100, kind="multinomial", trials=trials,
                               seed=1986)
-        assert allocsim._poisson_rate(spec) == 25.0
+        assert poisson_rate(spec) == 25.0
         s = simulate(spec, asym_profile(50, 20))
         rows = sum(shape[0] for name, shape in calls if name == "multinomial")
         assert 1.6 * trials < rows < 2.4 * trials, rows
@@ -572,6 +597,23 @@ class TestSimulate:
         for (x, _), prob in law.items():
             max_law[x] += prob
         assert_law_within_5_sigma(s.max_histogram, max_law, trials)
+
+    def test_dirichlet_memory_follows_the_boxes_not_the_balls(self):
+        # a Dirichlet chunk is tallied from its box counts, 2 a trial here;
+        # an occupancy histogram would be as wide as the fullest box
+        spec = AllocationSpec(n_boxes=2, n_balls=10 ** 7, kind="dirichlet", trials=1000,
+                              seed=5, r=1.0)
+        tracemalloc.start()
+        try:
+            counts = trial_counts(spec, *next(_chunks(spec)))
+            s = simulate(spec, asym_profile(50, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (1000, 2) and (counts.sum(axis=1) == 10 ** 7).all()
+        assert s.trials == sum(s.max_histogram.values()) == 1000
+        assert min(s.max_histogram) >= 5 * 10 ** 6
+        assert peak < 16 * 2 ** 20, peak
 
     def test_single_trial(self):
         for kind, r in (("multinomial", None), ("dirichlet", 1.0)):
