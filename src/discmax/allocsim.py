@@ -17,9 +17,10 @@ bit-identically whatever the thread count; a scheme's constants are part of
 it.  The multinomial is version 3, the Poissonization (Devroye 1986) of the
 representation above: the occupancy histogram of n Poisson(lambda') counts,
 lambda' = max(0, k - POISSON_MARGIN sqrt(k)) / n, drawn again while their
-sum S exceeds k, plus k - S uniform balls; its table's end classes absorb
-the tails beyond 2^-53, so a trial is within n 2^-50 of the multinomial in
-total variation.  The Dirichlet mixture stays on version 2.
+sum S exceeds k, plus k - S uniform balls; its table, from the model's pmf
+run, absorbs the tails beyond 2^-53 in its end classes, so a trial is within
+n 2^-50 of the multinomial in total variation.  The Dirichlet mixture stays
+on version 2.  A spec holds fewer than 2^32 trials (its chunk indices).
 
 numpy is imported inside the functions that draw or tally samples, so
 importing this module (and the package) does not load it.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import threading
 from bisect import bisect_left
@@ -48,10 +48,6 @@ KINDS = ("multinomial", "dirichlet")
 ENUMERATION_MAX_BOXES = 6
 ENUMERATION_MAX_BALLS = 12
 
-# simulate refuses specs whose n_boxes x trials box tallies exceed this;
-# it also keeps every chunk index below 2^32, one word of a spawn key
-MAX_BOX_TALLIES = 2_000_000_000
-
 # variates one chunk of several trials draws at most.  Chosen by peak memory
 # when the dense benchmark spec drew its 10^6 balls in one 8 MB call: 2^16
 # raised peak RSS by ~2 % and 2^17 by up to 9 %, 2^14 and 2^15 by under 1 %.
@@ -69,10 +65,6 @@ _LOG_TABLE_TAIL = -53 * math.log(2.0)
 PHASE_CS = (0.5, 2.0)
 
 
-class MemoryBudgetError(RuntimeError):
-    """n_boxes * trials box tallies exceed MAX_BOX_TALLIES (a bound on work, not memory)."""
-
-
 class AllocationSpec(Record):
     n_boxes: int
     n_balls: int
@@ -85,6 +77,8 @@ class AllocationSpec(Record):
         # kept as Python ints: a numpy uint8 n_boxes overflows 2 * n_boxes in _chunks
         for name, least in (("n_boxes", 1), ("n_balls", 0), ("trials", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), least))
+        if self.trials >= 2 ** 32:  # a chunk's index is one 32-bit word of its spawn key
+            raise ValueError(f"trials must be below 2^32, got {self.trials}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "dirichlet":
@@ -118,7 +112,7 @@ def _poisson_table(lam: float) -> tuple:
     """(first, pvals): Poisson(lam) probabilities of the ~17 sqrt(lam) classes
     from the largest first to the smallest last >= lam whose outer tails are
     below 2^-53, which the end classes absorb (2^-52 in total variation); inner
-    classes are pmf(first) times the ratios lam / v, each rounding by < 2^-52."""
+    classes are read from the model's pmf run."""
     if lam == 0.0:
         return 0, (1.0,)
     model, mode = PoissonModel(lam), math.floor(lam)
@@ -128,8 +122,7 @@ def _poisson_table(lam: float) -> tuple:
     # P(X > 2 lam + 64) < e^-72 by Bennett's inequality, so last <= 2 mode + 66
     last = mode + bisect_left(range(mode, 2 * mode + 66), True,
                               key=lambda v: model.log_tail(v) < _LOG_TABLE_TAIL)
-    pvals = list(accumulate((lam / v for v in range(first + 1, last + 1)), operator.mul,
-                            initial=math.exp(model.log_pmf(first))))
+    pvals = list(islice(model.pmf_from(first), last - first + 1))
     pvals[0] = math.exp(reg_gamma_q_log(first + 1, lam))  # P(X <= first)
     pvals[-1] = math.exp(model.log_tail(last - 1))  # P(X >= last)
     return first, tuple(pvals)
@@ -222,10 +215,6 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
     not depend on W.
     """
     import numpy as np
-    if spec.n_boxes * spec.trials > MAX_BOX_TALLIES:
-        raise MemoryBudgetError(
-            f"n_boxes * trials = {spec.n_boxes * spec.trials} box tallies, "
-            f"more than the limit {MAX_BOX_TALLIES}")
     m = prof.m_n
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # one thread per usable CPU, but none without a chunk

@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     except datafit.DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError, allocsim.MemoryBudgetError) as exc:
+    except (ValueError, OSError) as exc:
         # OSError: an --input or --out path that cannot be opened; writes to
         # stdout happen below, outside the handler
         print(f"usage error: {exc}", file=sys.stderr)

@@ -7,11 +7,12 @@ against the block maxima observed in the data and against simulation.
 
 The simulation draws each block's maximum directly, by inversion of its
 law F(v)^B: one uniform per block, looked up in a table of the powers of
-the forward pmf sums, F(v) = f(support_min) + ... + f(v).  The table grows
-as far as the largest uniform drawn, and ends where a pmf term no longer
-changes the sum and P(X > v) < 2^-53.  The exact law shares these sums
-below its median, so the simulation checks its steps, upper half and end
-row, not log_pmf.  Its uniforms are block-maximum stream version 3,
+the forward sums of the model's pmf run (``pmf_from``), F(v) =
+f(support_min) + ... + f(v).  The table grows as far as the largest
+uniform drawn, and ends where a pmf term no longer changes the sum and
+P(X > v) < 2^-53.  The exact law shares these sums below its median, so
+the simulation checks its steps, upper half and end row, not the pmf run.
+Its uniforms are block-maximum stream version 3,
 SeedSequence(entropy=seed, spawn_key=(3,)), drawn on the calling thread.
 
 numpy is imported inside simulate_daily_max only: importing this module,
@@ -25,7 +26,7 @@ import operator
 import os
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .extremes import exact_max_cdf_log
 from .record import Record, check_int
@@ -208,7 +209,7 @@ def daily_max_law(fit, block_size: int) -> dict:
     Rows run from support_min to end, the first v with P(max > v) below
     LAW_TAIL_MASS, found here by bisection once _law_model has refused, with
     ValueError, a bad block_size and a law of more than MAX_LAW_VALUES rows.
-    With f = exp(log_pmf), F(v) is the forward sum of f below the median and
+    With f the pmf run, F(v) is the forward sum of f below the median and
     1 - G(v) above, G summed down from G(end), one tail evaluation: nothing
     cancels in F(v)^B (1 - (1 - f(v)/F(v))^B).  Takes an NBFit or any model.
     """
@@ -219,7 +220,7 @@ def daily_max_law(fit, block_size: int) -> dict:
     end = first + bisect_left(range(first, first + MAX_LAW_VALUES - 1), True, key=lambda v:
                               -math.expm1(exact_max_cdf_log(model, block_size, v)) < LAW_TAIL_MASS)
     values = range(first, end + 1)
-    pmf = [math.exp(model.log_pmf(v)) for v in values]
+    pmf = list(islice(model.pmf_from(first), len(values)))
     tails = list(accumulate(reversed(pmf[1:]), initial=math.exp(model.log_tail(end))))[::-1]
     law = {}
     for v, f, forward, g in zip(values, pmf, accumulate(pmf), tails):
@@ -243,16 +244,15 @@ def empirical_daily_max(series: CountSeries) -> dict:
 
 def _cdf_rows(model: DiscreteTailModel):
     """F(v) for v = support_min, support_min + 1, ...: forward sums of the
-    pmf.  The rows end before the first v whose pmf no longer changes the
-    sum and whose tail ln P(X > v) is below _LOG_HOUR_TAIL_END; every model
-    with a proper tail gets there."""
-    total, v = 0.0, model.support_min
-    while True:
-        before, total = total, total + math.exp(model.log_pmf(v))
+    model's pmf run, ending before the first v whose pmf no longer changes
+    the sum and whose tail ln P(X > v) is below _LOG_HOUR_TAIL_END; every
+    model with a proper tail gets there."""
+    total = 0.0
+    for v, f in enumerate(model.pmf_from(model.support_min), model.support_min):
+        before, total = total, total + f
         if total == before and model.log_tail(v) < _LOG_HOUR_TAIL_END:
             return
         yield total
-        v += 1
 
 
 def simulate_daily_max(fit, block_size: int, trials: int, seed: int) -> dict:

@@ -7,23 +7,26 @@ the sample maximum.  All values are handled as logarithms.
 
 Protocol
 --------
-A subclass implements ``log_pmf(k)``, ``_log_tail(k)`` for the interior
-of the support (k >= support_min), ``tail_ratio_gamma()`` and, where
-they exist, ``_log_tail_natural(x)`` / ``_log_tail_asymptotic(x)``.  An
-extension is the model's ``_log_tail_<name>`` method, looked up once
+A subclass implements ``_log_pmf(k)`` and ``_log_tail(k)`` for the
+interior of the support (k >= support_min), ``tail_ratio_gamma()`` and,
+where they exist, ``_log_tail_natural(x)`` / ``_log_tail_asymptotic(x)``.
+An extension is the model's ``_log_tail_<name>`` method, looked up once
 when the model is built, and a model without one refuses the extension
 with ValueError: the base class gives every model ``loglinear`` and
 ``natural``, and ``asymptotic`` exists where a model defines it.  The
-base class also owns the support edge: ``log_tail`` and ``log_tail_ext``
-raise ValueError below support_min - 1 and give 0.0 at it, for every
-extension.  A closed-form ``_log_tail`` that also holds at real x serves
-as the natural extension as it is.  The loglinear extension keeps the
-last integer interval it interpolated on as one tuple on the model,
-(k, ln F(k), ln F(k + 1)): the probes of a root solve inside [k, k + 1]
-make no ``log_tail`` call, and every value is the one a fresh model
-gives, so a subclass must not change its tail after it is built.
-Models have no sampler: ``datafit`` draws any model by inverting the
-forward sums of its ``log_pmf``.
+base class owns the support edge: ``log_pmf`` raises ValueError below
+support_min, ``log_tail`` and ``log_tail_ext`` below support_min - 1, and
+the tails are 0.0 at it, for every extension.  A closed-form
+``_log_tail`` that also holds at real x serves as the natural extension
+as it is.  The loglinear extension keeps the last integer interval it
+interpolated on as one tuple on the model, (k, ln F(k), ln F(k + 1)):
+the probes of a root solve inside [k, k + 1] make no ``log_tail`` call,
+and every value is the one a fresh model gives, so a subclass must not
+change its tail after it is built.  Tables of pmf values read the run
+``pmf_from(first)``: exp(log_pmf) at every PMF_ANCHOR_STRIDE-th class and
+after any value below the normal floats, else the last value times
+``_term_ratio(v)`` = pmf(v + 1) / pmf(v), which only Poisson has; its two
+roundings a class add under 1.4e-14 relative to the anchor's error.
 
 Extensions
 ----------
@@ -51,8 +54,9 @@ Extensions
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from itertools import accumulate
+from itertools import accumulate, count
 
 from .record import Record, check_int
 from .specfun import log_negbinom_pmf, log_poisson_pmf, reg_beta_log, reg_gamma_p_log
@@ -61,6 +65,9 @@ EXTENSIONS = ("natural", "loglinear", "asymptotic")
 
 # every float is an integer multiple of 1 / _FLOAT_UNITS, the least subnormal
 _FLOAT_UNITS = 2 ** 1074
+
+# pmf_from takes exp(log_pmf) at every PMF_ANCHOR_STRIDE-th class
+PMF_ANCHOR_STRIDE = 64
 
 
 class GammaDiagnostic(Record):
@@ -97,7 +104,25 @@ class DiscreteTailModel:
         return {}
 
     def log_pmf(self, k: int) -> float:
+        """ln P(X = k) for integer k >= support_min."""
+        if k < self.support_min:
+            raise ValueError(f"{self.name} support starts at {self.support_min}, got k={k}")
+        return self._log_pmf(k)
+
+    def _log_pmf(self, k: int) -> float:
         raise NotImplementedError
+
+    # pmf(v + 1) / pmf(v) as a method of v, or None: pmf_from then takes
+    # exp(log_pmf) at every class
+    _term_ratio = None
+
+    def pmf_from(self, first: int):
+        """pmf(first), pmf(first + 1), ... without end; see the module docstring."""
+        ratio, f, least_normal = self._term_ratio, 0.0, sys.float_info.min
+        for v in count(first):
+            anchor = not ratio or f < least_normal or (v - first) % PMF_ANCHOR_STRIDE == 0
+            f = math.exp(self.log_pmf(v)) if anchor else f * ratio(v - 1)
+            yield f
 
     def log_tail(self, k: int) -> float:
         """ln P(X > k) for integer k >= support_min - 1."""
@@ -138,6 +163,11 @@ class DiscreteTailModel:
 
     _log_tail_natural = _log_tail_loglinear
 
+    def __init_subclass__(cls) -> None:
+        # log_pmf in each model class's own namespace, where per-class
+        # tracers (perfbench/spans.py) patch it
+        cls.log_pmf = DiscreteTailModel.log_pmf
+
     def __repr__(self) -> str:
         ps = [f"{k}={v}" for k, v in self.params.items()] + [f"extension={self.extension!r}"]
         return f"{type(self).__name__}({', '.join(ps)})"
@@ -158,10 +188,11 @@ class PoissonModel(DiscreteTailModel):
     def params(self) -> dict:
         return {"lam": self.lam}
 
-    def log_pmf(self, k: int) -> float:
-        if k < 0:
-            raise ValueError(f"poisson support starts at 0, got k={k}")
+    def _log_pmf(self, k: int) -> float:
         return log_poisson_pmf(k, self.lam)
+
+    def _term_ratio(self, v: int) -> float:
+        return self.lam / (v + 1)
 
     def _log_tail(self, x: float) -> float:
         # P(X > k) = P(lower gamma)(k+1, lam), which is also the natural
@@ -195,9 +226,7 @@ class NegativeBinomialModel(DiscreteTailModel):
     def params(self) -> dict:
         return {"r": self.r, "p": self.p}
 
-    def log_pmf(self, k: int) -> float:
-        if k < 0:
-            raise ValueError(f"negative binomial support starts at 0, got k={k}")
+    def _log_pmf(self, k: int) -> float:
         return log_negbinom_pmf(k, self.r, self.p)
 
     def _log_tail(self, x: float) -> float:
@@ -225,9 +254,7 @@ class GeometricModel(DiscreteTailModel):
     def params(self) -> dict:
         return {"q": self.q}
 
-    def log_pmf(self, k: int) -> float:
-        if k < 0:
-            raise ValueError(f"geometric support starts at 0, got k={k}")
+    def _log_pmf(self, k: int) -> float:
         return math.log1p(-self.q) + k * math.log(self.q)
 
     def _log_tail(self, x: float) -> float:
@@ -274,9 +301,7 @@ class DiscreteCauchyModel(DiscreteTailModel):
         head = math.fsum(1.0 / (1.0 + j * j) for j in range(m, cls._EM_CUTOFF))
         return head + cls._em_tail(float(cls._EM_CUTOFF))
 
-    def log_pmf(self, k: int) -> float:
-        if k < 0:
-            raise ValueError(f"discrete Cauchy support starts at 0, got k={k}")
+    def _log_pmf(self, k: int) -> float:
         return self._log_norm - math.log1p(float(k) * k)
 
     def _log_tail(self, k: int) -> float:
@@ -321,9 +346,7 @@ class EmpiricalModel(DiscreteTailModel):
     def params(self) -> dict:
         return {"support_min": self.support_min, "n_atoms": len(self.probabilities)}
 
-    def log_pmf(self, k: int) -> float:
-        if k < self.support_min:
-            raise ValueError(f"support starts at {self.support_min}, got k={k}")
+    def _log_pmf(self, k: int) -> float:
         i = k - self.support_min
         if i >= len(self.probabilities) or self.probabilities[i] == 0.0:
             return -math.inf

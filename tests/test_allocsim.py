@@ -22,7 +22,6 @@ from discmax.allocsim import (
     POISSON_MARGIN,
     AllocationSpec,
     AllocationSummary,
-    MemoryBudgetError,
     _chunks,
     comparison_tables,
     enumerate_conditional,
@@ -718,11 +717,17 @@ class TestSimulate:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0, proc.stderr
 
-    def test_memory_budget(self):
-        spec = AllocationSpec(n_boxes=10 ** 6, n_balls=1, kind="multinomial",
-                              trials=10 ** 6, seed=0)
-        with pytest.raises(MemoryBudgetError):
-            simulate(spec, asym_profile(100, 10))
+    def test_only_the_spawn_key_bounds_trials(self):
+        # a chunk index is one 32-bit word of its spawn key: 2^32 trials are
+        # refused by the spec, so before any draw
+        for kind, r in (("multinomial", None), ("dirichlet", 1.0)):
+            with pytest.raises(ValueError, match="below 2\\^32"):
+                AllocationSpec(n_boxes=1, n_balls=1, kind=kind, trials=2 ** 32, seed=0, r=r)
+        # 10^6 boxes x 2001 trials, once refused as 2.001e9 box tallies, now runs
+        spec = AllocationSpec(n_boxes=10 ** 6, n_balls=10 ** 6, kind="multinomial",
+                              trials=2001, seed=0)
+        summary = simulate(spec, asym_profile(10 ** 6, 10 ** 6))
+        assert sum(summary.max_histogram.values()) == 2001
 
     def test_cluster_split_within_4_sigma_small_rate(self):
         # lam = 0.1, n = 1e5: the cluster probabilities are approximated

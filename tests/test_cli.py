@@ -456,6 +456,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "usage error: multinomial allocations take no r, got 5.0\n"
 
+    def test_trials_past_the_spawn_key_usage_error(self, capsys):
+        code = main(["simulate", "--boxes", "10", "--balls", "5", "--trials", str(2 ** 32)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "usage error: trials must be below 2^32, got 4294967296\n"
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--boxes", "10", "--balls", "5", "--trials", "5"],
         ["simulate", "--kind", "dirichlet", "--r", "1", "--boxes", "10", "--balls", "5",

@@ -1,8 +1,10 @@
 import math
+import sys
 import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from discmax.datafit import (
 )
 from discmax.extremes import exact_max_cdf_log
 from discmax.tailmodel import (
+    PMF_ANCHOR_STRIDE,
     DiscreteCauchyModel,
     EmpiricalModel,
     GeometricModel,
@@ -387,6 +390,32 @@ class TestDailyMaxLaw:
         law = daily_max_law(NegativeBinomialModel(0.00116, 43.0 / 44.0), 24)
         assert len(law) > 500
         assert len(calls) <= 20
+
+    @pytest.mark.parametrize("model,every_row", [
+        (PoissonModel(60.0), False),
+        (PoissonModel(800.0), False),  # e^-800 underflows: the rows below v = 21 are re-anchored
+        (NegativeBinomialModel(300.0, 0.6), True),
+    ], ids=["poisson", "poisson_underflow", "negbinom"])
+    def test_log_pmf_calls(self, monkeypatch, model, every_row):
+        # the law's rows and the simulation's rows (with the one that ends
+        # them) read the pmf run: a Poisson fit takes one log_pmf per 64 rows
+        # and one after each value below the normal floats (2 and 37 calls
+        # for the two Poisson laws, not 118 and 991); other models one a row
+        rows = {"law": len(daily_max_law(model, 24)), "cdf": len([*datafit._cdf_rows(model)]) + 1}
+        run = list(islice(model.pmf_from(0), max(rows.values())))
+        calls = []
+        log_pmf = model.log_pmf
+        monkeypatch.setattr(model, "log_pmf", lambda v: calls.append(v) or log_pmf(v))
+        for table, build in (("law", lambda: daily_max_law(model, 24)),
+                             ("cdf", lambda: [*datafit._cdf_rows(model)])):
+            calls.clear()
+            build()
+            n = rows[table]
+            below_normal = sum(f < sys.float_info.min for f in run[:n - 1])
+            if every_row:
+                assert len(calls) == n, table
+            else:
+                assert len(calls) <= -(-n // PMF_ANCHOR_STRIDE) + below_normal, table
 
     @pytest.mark.parametrize("fit,stop,cells", [
         (NBFit(mean=5000.0, variance=4900.0, r=None, p=None, overdispersed=False), 5466,

@@ -90,24 +90,40 @@ random arguments:
 - the Stirling remainder on both sides of 15, at subnormal arguments and
   at the half-integers, which are read from a table (worst 1.2e-15;
   3.5e-16 at the half-integers).
+
+The models' pmf run, pmf_from:
+
+- Poisson, lam log-uniform in [1e-300, 5e8], from the first class of the
+  multinomial's table or from 0 (Poisson(5000) from 0 underflows and
+  re-anchors below the normal floats): every anchor is exp(log_pmf) bit
+  for bit, every value is within 2j 2^-53 of its anchor times the exact
+  ratios j classes on, and so adds under 1.4e-14 to its anchor's error
+  against mpmath (3000 random windows pass; the anchors' own error,
+  exp(log_pmf)'s, reaches 1.9e-13 near lam = 1000);
+- NB (r log-uniform in [1e-3, 1e3], p up to 0.99967), geometric, discrete
+  Cauchy and empirical pmfs with zero atoms: every value is exp(log_pmf),
+  bit for bit.
 """
 
 import math
 import random
+import sys
+from itertools import islice
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from discmax import allocsim
 from discmax.datafit import LAW_TAIL_MASS, daily_max_law
 from discmax.extremes import (ExtremalProfile, Regime, RootBracketError, exact_max_cdf_log,
                               exact_order_stat_cdf_log, limiting_max_cdf, profile,
                               scan_oscillation, tie_distribution, tie_phase_threshold)
 from discmax.specfun import (_stirlerr, log_binomial, log_binomial_pmf, log_negbinom_pmf,
                               log_poisson_pmf, reg_gamma_p_log, reg_gamma_q_log)
-from discmax.tailmodel import (DiscreteCauchyModel, EmpiricalModel, GeometricModel,
-                               NegativeBinomialModel, PoissonModel, make_model)
+from discmax.tailmodel import (PMF_ANCHOR_STRIDE, DiscreteCauchyModel, EmpiricalModel,
+                               GeometricModel, NegativeBinomialModel, PoissonModel, make_model)
 
 poisson_models = st.builds(PoissonModel, st.floats(1e-3, 50.0))
 negbinom_models = st.builds(NegativeBinomialModel, st.floats(0.05, 20.0), st.floats(0.01, 0.95))
@@ -171,6 +187,53 @@ def test_negbinom_pmf_vs_mpmath(k, r, p):
         ref = (mp.loggamma(kr) - mp.loggamma(r) - mp.loggamma(k + 1)
                + r * mp.log1p(-mp.mpf(p)) + k * mp.log(p))
     assert_log_close(log_negbinom_pmf(k, r, p), ref, 1e-14, (k, r, p))
+
+
+@settings(deadline=None)
+@given(lam=log_uniform(1e-300, 5e8), at_table=st.booleans(),
+       width=st.integers(1, 4 * PMF_ANCHOR_STRIDE))
+@example(lam=5000.0, at_table=False, width=3000)  # e^-5000 underflows: re-anchored to ~v = 2400
+@example(lam=5e8, at_table=True, width=4 * PMF_ANCHOR_STRIDE)
+def test_poisson_pmf_run_vs_mpmath(lam, at_table, width):
+    # from the first class of the multinomial's table, or from 0
+    model = PoissonModel(lam)
+    first = allocsim._poisson_table(lam)[0] if at_table else 0
+    run = list(islice(model.pmf_from(first), width))
+    with mp.workdps(40):
+        lam_mp = mp.mpf(lam)
+        true = mp.exp(first * mp.log(lam_mp) - lam_mp - mp.loggamma(first + 1))
+        for v, got in enumerate(run, first):
+            if (v - first) % PMF_ANCHOR_STRIDE == 0 or run[v - first - 1] < sys.float_info.min:
+                # an anchor: exp(log_pmf), bit for bit
+                assert got == math.exp(model.log_pmf(v)), (lam, first, v)
+                from_anchor, anchor_error, steps = mp.mpf(got), abs(got - true) / true, 0
+            # two roundings a class since the anchor (one subnormal unit
+            # where the product leaves the normal floats) ...
+            drift = 2 * steps * 2.0 ** -53
+            assert abs(got - from_anchor) <= drift * from_anchor + 2.0 ** -1074, (lam, first, v)
+            # ... so the run adds under 1.4e-14 to its anchor's error
+            assert abs(got - true) <= (anchor_error + 1.4e-14) * true + 2.0 ** -1074, (
+                lam, first, v, got, true)
+            from_anchor *= lam_mp / (v + 1)
+            true *= lam_mp / (v + 1)
+            steps += 1
+
+
+empirical_models = st.builds(
+    lambda atoms, support_min: EmpiricalModel([a / math.fsum(atoms) for a in atoms], support_min),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=1, max_size=12).filter(any),
+    st.integers(-5, 5))
+
+
+@settings(deadline=None)
+@given(model=st.one_of(st.builds(NegativeBinomialModel, log_uniform(1e-3, 1e3),
+                                 st.floats(0.01, 0.99967)),
+                       geometric_models, st.just(DiscreteCauchyModel()), empirical_models),
+       start=st.integers(0, 1000), width=st.integers(1, 3 * PMF_ANCHOR_STRIDE))
+def test_pmf_run_without_a_term_ratio_is_log_pmf(model, start, width):
+    first = model.support_min + start
+    run = list(islice(model.pmf_from(first), width))
+    assert run == [math.exp(model.log_pmf(v)) for v in range(first, first + width)], model
 
 
 @settings(deadline=None)

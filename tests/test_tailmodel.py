@@ -6,6 +6,7 @@ import pytest
 
 from discmax.tailmodel import (
     DiscreteCauchyModel,
+    DiscreteTailModel,
     EmpiricalModel,
     GeometricModel,
     NegativeBinomialModel,
@@ -58,10 +59,15 @@ class TestLogPmf:
 
     @pytest.mark.parametrize("model", [
         PoissonModel(1.0), NegativeBinomialModel(2.0, 0.3), GeometricModel(0.5),
-        DiscreteCauchyModel()], ids=lambda m: m.name)
+        DiscreteCauchyModel(), EmpiricalModel([0.5, 0.5], support_min=3)], ids=lambda m: m.name)
     def test_domain(self, model):
-        with pytest.raises(ValueError, match="support starts at 0, got k=-1"):
-            model.log_pmf(-1)
+        # the models implement _log_pmf only: the base class refuses k below
+        # the support
+        edge = model.support_min
+        with pytest.raises(ValueError, match=f"support starts at {edge}, got k={edge - 1}") as raised:
+            model.log_pmf(edge - 1)
+        assert raised.traceback[-1].frame.code.raw is DiscreteTailModel.log_pmf.__code__
+        assert "_log_pmf" in type(model).__dict__
 
     def test_pmfs_sum_to_one(self):
         for m in builtin_models():
