@@ -19,8 +19,11 @@ representation above: the occupancy histogram of n Poisson(lambda') counts,
 lambda' = max(0, k - POISSON_MARGIN sqrt(k)) / n, drawn again while their
 sum S exceeds k, plus k - S uniform balls; its table, from the model's pmf
 run, absorbs the tails beyond 2^-53 in its end classes, so a trial is within
-n 2^-50 of the multinomial in total variation.  The Dirichlet mixture stays
-on version 2.  A spec holds fewer than 2^32 trials (its chunk indices).
+n 2^-50 of the multinomial in total variation.  The Dirichlet mixture is
+version 4, weights from numpy's Dirichlet sampler (no NaN at small r on
+numpy 2.4.6, down to r = 1e-8; version 2's gamma weights over their sum
+could be 0 / 0); version-2 Dirichlet summaries cannot be reproduced.  A
+spec holds fewer than 2^32 trials (its chunk indices).
 
 numpy is imported inside the functions that draw or tally samples, so
 importing this module (and the package) does not load it.
@@ -41,25 +44,22 @@ from .extremes import (ExtremalProfile, Regime, limiting_max_pmf, tie_distributi
                        tie_phase_threshold)
 from .record import Record, check_int
 from .specfun import reg_gamma_q_log
-from .tailmodel import NegativeBinomialModel, PoissonModel
+from .tailmodel import _LOG_TABLE_TAIL, NegativeBinomialModel, PoissonModel
 
 KINDS = ("multinomial", "dirichlet")
 
 ENUMERATION_MAX_BOXES = 6
 ENUMERATION_MAX_BALLS = 12
 
-# variates one chunk of several trials draws at most.  Chosen by peak memory
-# when the dense benchmark spec drew its 10^6 balls in one 8 MB call: 2^16
-# raised peak RSS by ~2 % and 2^17 by up to 9 %, 2^14 and 2^15 by under 1 %.
+# variates one chunk of several trials draws at most.  It fixes the chunk
+# plan, and so the draws, of every allocation stream: it is part of their
+# definitions and stays as it is.
 CHUNK_DRAWS = 2 ** 14
 
 # a multinomial trial starts from Poisson box counts of total mean
 # k - POISSON_MARGIN sqrt(k), POISSON_MARGIN standard deviations below k:
 # ~16 % of rows are drawn again, and ~1.3 sqrt(k) balls are thrown per row
 POISSON_MARGIN = 1.0
-
-# the Poisson table's window ends where each tail is below 2^-53
-_LOG_TABLE_TAIL = -53 * math.log(2.0)
 
 # tie phase-transition depths ceil(c z_n) checked by merging_report
 PHASE_CS = (0.5, 2.0)
@@ -131,9 +131,9 @@ def _poisson_table(lam: float) -> tuple:
 def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
     """(spawn key, trials) of each chunk, in trial order."""
     # a multinomial trial throws ~1.3 sqrt(k) balls; a Dirichlet trial draws
-    # one gamma weight and one binomial per box
+    # one weight and one binomial per box
     version, per_trial = ((3, math.isqrt(spec.n_balls) + 1) if spec.kind == "multinomial"
-                          else (2, 2 * spec.n_boxes))
+                          else (4, 2 * spec.n_boxes))
     size = max(1, CHUNK_DRAWS // per_trial)
     return (((version, c), min(size, spec.trials - first))
             for c, first in enumerate(range(0, spec.trials, size)))
@@ -148,8 +148,7 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> tuple:
     import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
     if spec.kind == "dirichlet":
-        weights = rng.gamma(spec.r, 1.0, (trials, spec.n_boxes))
-        weights /= weights.sum(axis=1, keepdims=True)
+        weights = rng.dirichlet(np.full(spec.n_boxes, spec.r), trials)
         return rng.multinomial(spec.n_balls, weights)
     lam = max(0.0, spec.n_balls - POISSON_MARGIN * math.sqrt(spec.n_balls)) / spec.n_boxes
     first, pvals = _poisson_table(lam)
@@ -173,25 +172,51 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> tuple:
     return first, hist
 
 
-def run_strided(workers: int, units, work) -> list:
-    """[work(stride 0), ..., work(stride workers - 1)], stride w being units()
-    at w, w + workers, ...: the calling thread works stride 0, workers - 1
-    threads the others.  After any failure (an interrupt while joining too)
-    every stride ends at its next unit; the first is raised once all join."""
-    results, failures = [None] * workers, []
+def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
+    """Run spec.trials allocations and tally maxima, ties and occupancy.
 
-    def run(first: int) -> None:
+    Chunks are tallied as `trial_counts` returns them, with no per-trial
+    Python, on W = min(usable CPUs, chunks) strides w, w + W, ...: stride 0
+    on the calling thread, the others on W - 1 threads.  After any failure
+    (an interrupt while joining too) each stride stops at its next chunk and
+    the first is raised once all threads join.  The tallies are integers,
+    merged after the join, so the summary does not depend on W.
+    """
+    import numpy as np
+    m = prof.m_n
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # one thread per usable CPU, but none without a chunk
+    workers = sum(1 for _ in islice(_chunks(spec), cpus or 1))
+    tallies, failures = [], []
+
+    def tally(stride: int) -> None:
+        counters, top_two_total = (Counter(), Counter(), Counter()), 0
         try:
-            stride = islice(units(), first, None, workers)
-            results[first] = work(takewhile(lambda _: not failures, stride))
+            chunks = islice(_chunks(spec), stride, None, workers)
+            for key, size in takewhile(lambda _: not failures, chunks):
+                drawn = trial_counts(spec, key, size)  # the module global: tracers patch it
+                # per trial: the maximum, the boxes holding it, at least m and at least m + 2
+                if spec.kind == "dirichlet":  # box counts
+                    mx = drawn.max(axis=1)
+                    at_max, ge, ge2 = (np.count_nonzero(drawn >= v, 1)
+                                       for v in (mx[:, None], m, m + 2))
+                else:  # occupancy histograms; the maximum is a row's last occupied class
+                    first, hist = drawn
+                    top = hist.shape[1] - 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
+                    mx, at_max = first + top, hist[np.arange(size), top]
+                    ge, ge2 = (hist[:, max(v - first, 0):].sum(axis=1) for v in (m, m + 2))
+                for counter, values in zip(counters, (mx, at_max - 1, ge)):  # max, ties, ge_anchor
+                    counter.update(values.tolist())
+                top_two_total += int((ge - ge2).sum())  # boxes holding m or m + 1 balls
         except BaseException as exc:
             failures.append(exc)
+        tallies.append((*counters, top_two_total))
 
-    threads = [threading.Thread(target=run, args=(first,)) for first in range(1, workers)]
+    threads = [threading.Thread(target=tally, args=(stride,)) for stride in range(1, workers)]
     try:
         for thread in threads:
             thread.start()
-        run(0)
+        tally(0)
     except BaseException as exc:  # a thread that could not start, or an interrupt
         failures.append(exc)
     for thread in threads:
@@ -202,44 +227,8 @@ def run_strided(workers: int, units, work) -> list:
                 failures.append(exc)
     if failures:
         raise failures[0]
-    return results
-
-
-def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
-    """Run spec.trials allocations and tally maxima, ties and occupancy.
-
-    Chunks are tallied as `trial_counts` returns them, with no per-trial
-    Python, one at a time on each of W = min(usable CPUs, chunks) threads
-    through run_strided, which stops them all at the first failure.  The
-    tallies are integers, merged once the threads join, so the summary does
-    not depend on W.
-    """
-    import numpy as np
-    m = prof.m_n
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # one thread per usable CPU, but none without a chunk
-    workers = sum(1 for _ in islice(_chunks(spec), cpus or 1))
-
-    def tally(chunks) -> tuple:
-        counters, top_two_total = (Counter(), Counter(), Counter()), 0
-        for key, size in chunks:
-            drawn = trial_counts(spec, key, size)  # the module global: tracers patch it
-            # per trial: the maximum, the boxes holding it, at least m and at least m + 2
-            if spec.kind == "dirichlet":  # box counts
-                mx = drawn.max(axis=1)
-                at_max, ge, ge2 = (np.count_nonzero(drawn >= v, 1) for v in (mx[:, None], m, m + 2))
-            else:  # occupancy histograms; the maximum is a row's last occupied class
-                first, hist = drawn
-                top = hist.shape[1] - 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
-                mx, at_max = first + top, hist[np.arange(size), top]
-                ge, ge2 = (hist[:, max(v - first, 0):].sum(axis=1) for v in (m, m + 2))
-            for counter, values in zip(counters, (mx, at_max - 1, ge)):  # max, ties, ge_anchor
-                counter.update(values.tolist())
-            top_two_total += int((ge - ge2).sum())  # boxes holding m or m + 1 balls
-        return *counters, top_two_total
-
-    *hists, top_two = zip(*run_strided(workers, lambda: _chunks(spec), tally))
-    # the threads' counts are positive, so Counter sums keep every value
+    *hists, top_two = zip(*tallies)
+    # the strides' counts are positive, so Counter sums keep every value
     max_hist, tie_hist, ge_hist = (sum(parts, Counter()) for parts in hists)
     return AllocationSummary(
         max_histogram=dict(sorted(max_hist.items())),

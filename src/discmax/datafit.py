@@ -30,7 +30,7 @@ from itertools import accumulate, islice
 
 from .extremes import exact_max_cdf_log
 from .record import Record, check_int
-from .tailmodel import DiscreteTailModel, NegativeBinomialModel, PoissonModel
+from .tailmodel import _LOG_TABLE_TAIL, DiscreteTailModel, NegativeBinomialModel, PoissonModel
 
 
 # daily_max_law lists values until P(max > v) falls below LAW_TAIL_MASS,
@@ -45,10 +45,6 @@ MAX_LAW_VALUES = 100_000
 # Xeon): 2^12 took 3.2-3.4 ms (zero-heavy) and 2.3-2.5 ms (busy), 2^14 to
 # 2^17 3.0-3.3 and 2.2-2.3 ms; the traced peak is 1.05 MB at 2^16.
 SIMULATION_DRAWS = 2 ** 16
-
-# simulate_daily_max's table of F(v) ends where P(X > v) < 2^-53, the gap
-# below 1 of the largest uniform
-_LOG_HOUR_TAIL_END = -53 * math.log(2.0)
 
 # hourly bins ingest(..., bin_by="hour") builds at most (~456 years); at the
 # bound, ingest, fit_nb_moments and empirical_daily_max of two timestamps
@@ -245,12 +241,12 @@ def empirical_daily_max(series: CountSeries) -> dict:
 def _cdf_rows(model: DiscreteTailModel):
     """F(v) for v = support_min, support_min + 1, ...: forward sums of the
     model's pmf run, ending before the first v whose pmf no longer changes
-    the sum and whose tail ln P(X > v) is below _LOG_HOUR_TAIL_END; every
+    the sum and whose tail ln P(X > v) is below _LOG_TABLE_TAIL; every
     model with a proper tail gets there."""
     total = 0.0
     for v, f in enumerate(model.pmf_from(model.support_min), model.support_min):
         before, total = total, total + f
-        if total == before and model.log_tail(v) < _LOG_HOUR_TAIL_END:
+        if total == before and model.log_tail(v) < _LOG_TABLE_TAIL:
             return
         yield total
 

@@ -33,10 +33,10 @@ import math
 
 
 class AccuracyError(RuntimeError):
-    """An iterative kernel failed to reach REL_TOL within MAX_ITER steps.
+    """An iterative kernel failed to reach REL_TOL within MAX_ITER steps or overflowed.
 
     ``inputs`` holds the arguments of the kernel that gave up, as named in
-    the message, and ``iterations`` the MAX_ITER it reached.
+    the message, and ``iterations`` the MAX_ITER it reached (0 on overflow).
     """
 
     def __init__(self, message: str, *, inputs: dict, iterations: int):
@@ -399,8 +399,12 @@ def reg_beta_log(a: float, b: float, x: float) -> float:
         return -math.inf
     if x == 1.0:
         return 0.0
-    log_pre = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-               + a * math.log(x) + b * math.log1p(-x))
+    try:
+        log_pre = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                   + a * math.log(x) + b * math.log1p(-x))
+    except OverflowError:  # lgamma past ~2.5e305
+        raise AccuracyError(f"incomplete beta prefactor overflowed (a={a}, b={b}, x={x})",
+                            inputs={"a": a, "b": b, "x": x}, iterations=0) from None
     if x < (a + 1.0) / (a + b + 2.0):
         return log_pre - math.log(a) + math.log(_beta_contfrac(a, b, x))
     # I_x(a,b) = 1 - I_{1-x}(b,a)

@@ -69,6 +69,11 @@ _FLOAT_UNITS = 2 ** 1074
 # pmf_from takes exp(log_pmf) at every PMF_ANCHOR_STRIDE-th class
 PMF_ANCHOR_STRIDE = 64
 
+# ln 2^-53, the gap below 1 of the largest uniform: the sampler tables read
+# from pmf_from (allocsim's Poisson table at both ends, datafit's table of
+# F(v) above) stop where their tails fall below it
+_LOG_TABLE_TAIL = -53 * math.log(2.0)
+
 
 class GammaDiagnostic(Record):
     """Convergence report for a numerically estimated tail ratio."""

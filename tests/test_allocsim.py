@@ -124,9 +124,8 @@ def reference_rows(spec, key, size) -> list:
     balls; writes it out as boxes in class order; and adds its missing
     balls to those boxes one by one."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
-    if spec.kind == "dirichlet":
-        weights = rng.gamma(spec.r, 1.0, size=(size, spec.n_boxes))
-        weights /= weights.sum(axis=1, keepdims=True)
+    if spec.kind == "dirichlet":  # stream version 4
+        weights = rng.dirichlet([spec.r] * spec.n_boxes, size)
         return [rng.multinomial(spec.n_balls, w).tolist() for w in weights]
     first, pvals = allocsim._poisson_table(poisson_rate(spec))
 
@@ -293,11 +292,11 @@ class TestChunks:
         (50, 20, "dirichlet", 1.0, 328)])   # exactly 2 full chunks
     def test_plans(self, n_boxes, n_balls, kind, r, trials):
         # the multinomial is stream version 3, about sqrt(k) draws a trial;
-        # the Dirichlet mixture keeps version 2, two draws a box
+        # the Dirichlet mixture is version 4, two draws a box
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
                               seed=0, r=r)
         plan = list(_chunks(spec))
-        version = 3 if kind == "multinomial" else 2
+        version = 3 if kind == "multinomial" else 4
         assert [key for key, _ in plan] == [(version, c) for c in range(len(plan))]
         assert sum(size for _, size in plan) == trials
         draws = math.isqrt(n_balls) + 1 if kind == "multinomial" else 2 * n_boxes
@@ -350,11 +349,12 @@ class TestTrialCounts:
     @pytest.mark.parametrize("n_boxes,n_balls,kind,r", [
         (7, 23, "multinomial", None), (50, 20, "multinomial", None), (8, 8, "multinomial", None),
         (10, 0, "multinomial", None), (3, 1, "multinomial", None),
-        (50, 40000, "multinomial", None), (7, 23, "dirichlet", 1.5), (10, 0, "dirichlet", 1.5)])
+        (50, 40000, "multinomial", None), (7, 23, "dirichlet", 1.5), (10, 0, "dirichlet", 1.5),
+        (3, 6, "dirichlet", 1e-8)])
     def test_rows_conserve_boxes_and_balls(self, n_boxes, n_balls, kind, r):
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1, seed=11,
                               r=r)
-        drawn = trial_counts(spec, (3, 3) if kind == "multinomial" else (2, 3), 25)
+        drawn = trial_counts(spec, (3, 3) if kind == "multinomial" else (4, 3), 25)
         if kind == "dirichlet":  # box counts, one row of n_boxes per trial
             assert drawn.shape == (25, n_boxes) and (drawn.sum(axis=1) == n_balls).all()
         first, hist = histograms(spec, drawn)
@@ -368,12 +368,14 @@ class TestTrialCounts:
         # Poisson windows that start above class 0
         (50, 40000, "multinomial", None), (3, 3 * CHUNK_DRAWS, "multinomial", None),
         (2000, 200_000, "multinomial", None),
-        # more gamma weights than CHUNK_DRAWS in one call
-        (CHUNK_DRAWS + 9, 100, "dirichlet", 0.5)])
+        # more Dirichlet weights than CHUNK_DRAWS in one call
+        (CHUNK_DRAWS + 9, 100, "dirichlet", 0.5),
+        # shapes below 1 that drove gamma weights to 0 / 0
+        (3, 6, "dirichlet", 1e-3), (5, 12, "dirichlet", 1e-8)])
     def test_matches_per_trial_reference(self, n_boxes, n_balls, kind, r):
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1, seed=41,
                               r=r)
-        version = 3 if kind == "multinomial" else 2
+        version = 3 if kind == "multinomial" else 4
         for key, size in (((4,), 1), ((version, 0), 13), ((version, 7), 13)):
             first, hist = histograms(spec, trial_counts(spec, key, size))
             rows = reference_rows(spec, key, size)
@@ -392,7 +394,7 @@ class TestTrialCounts:
                                   seed=2, r=r)
             calls.clear()
             first, hist = histograms(
-                spec, trial_counts(spec, (3 if kind == "multinomial" else 2, 0), trials))
+                spec, trial_counts(spec, (3 if kind == "multinomial" else 4, 0), trials))
             assert (hist @ np.arange(first, first + hist.shape[1]) == n_balls).all()
             return list(calls)
 
@@ -407,7 +409,7 @@ class TestTrialCounts:
             # no call grows with k: the thrown balls are a few sqrt(k) a trial
             assert last == "integers" and thrown[0] <= 8 * 6 * math.isqrt(n_balls), made
         dirichlet = record(CHUNK_DRAWS + 9, 100, "dirichlet", 2, 0.5)
-        assert dirichlet == [("gamma", (2, CHUNK_DRAWS + 9)),
+        assert dirichlet == [("dirichlet", (2, CHUNK_DRAWS + 9)),
                              ("multinomial", (2, CHUNK_DRAWS + 9))]
 
     def test_two_boxes_a_billion_balls(self):
@@ -437,7 +439,7 @@ class TestTrialCounts:
 
 
 # (spec, anchor (n_boxes, n_balls), summary) pinned on multinomial stream
-# version 3 and Dirichlet stream version 2
+# version 3 and Dirichlet stream version 4
 PINNED = {
     "multinomial_sparse": (
         dict(n_boxes=50, n_balls=20, kind="multinomial", trials=200, seed=12345), (50, 20),
@@ -458,11 +460,11 @@ PINNED = {
     "dirichlet": (
         dict(n_boxes=30, n_balls=45, kind="dirichlet", trials=150, seed=77, r=0.7), (30, 45),
         AllocationSummary(
-            max_histogram={4: 1, 5: 7, 6: 18, 7: 32, 8: 27, 9: 22, 10: 11, 11: 10, 12: 7,
-                           13: 9, 14: 3, 15: 2, 16: 1},
-            tie_histogram={0: 126, 1: 19, 2: 5},
-            cluster_freq=1 / 150, mean_top_two_occupancy=559 / 150,
-            ge_anchor_histogram={3: 1, 4: 9, 5: 24, 6: 45, 7: 45, 8: 19, 9: 6, 10: 1},
+            max_histogram={4: 2, 5: 12, 6: 23, 7: 30, 8: 25, 9: 25, 10: 14, 11: 11, 12: 4,
+                           13: 2, 14: 1, 19: 1},
+            tie_histogram={0: 124, 1: 18, 2: 6, 3: 2},
+            cluster_freq=2 / 150, mean_top_two_occupancy=622 / 150,
+            ge_anchor_histogram={4: 4, 5: 23, 6: 32, 7: 54, 8: 25, 9: 9, 10: 2, 11: 1},
             trials=150)),
     "zero_balls": (
         dict(n_boxes=10, n_balls=0, kind="multinomial", trials=20, seed=0), (10, 5),
@@ -548,7 +550,7 @@ class TestSimulate:
                                                ("dirichlet", 1.0, [2048, 2048, 904])])
     def test_max_law_at_4_boxes_8_balls(self, kind, r, chunks):
         # every max value's frequency within 5 binomial sigma of the exact
-        # law, from one chunk (version 3) or three (version 2)
+        # law, from one chunk (version 3) or three (version 4)
         trials = 5000
         spec = AllocationSpec(n_boxes=4, n_balls=8, kind=kind, trials=trials, seed=2718, r=r)
         assert [size for _, size in _chunks(spec)] == chunks
@@ -576,6 +578,28 @@ class TestSimulate:
         for (x, t), prob in law.items():
             max_law[x] += prob
             tie_law[t] += prob
+        assert_law_within_5_sigma(s.max_histogram, max_law, trials)
+        assert_law_within_5_sigma(s.tie_histogram, tie_law, trials)
+
+    @pytest.mark.parametrize("r", [1e-3, 0.01, 0.05, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n_boxes,n_balls", [(3, 6), (6, 12)])
+    def test_version_4_dirichlet_law_is_exact(self, n_boxes, n_balls, r):
+        # every sorted allocation of the chunks, and simulate's max and tie
+        # histograms of the same chunks, against enumerate_conditional's law;
+        # at r = 1e-3 version 2 drew 0 / 0 weights
+        trials = 20000
+        spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind="dirichlet",
+                              trials=trials, seed=1996, r=r)
+        law = {key: prob for key, (prob, _) in
+               enumerate_conditional(n_boxes, n_balls, "dirichlet", r=r).items()}
+        cells = Counter(tuple(sorted(row, reverse=True)) for key, size in _chunks(spec)
+                        for row in trial_counts(spec, key, size).tolist())
+        assert_law_within_5_sigma(cells, law, trials)
+        max_law, tie_law = Counter(), Counter()
+        for key, prob in law.items():
+            max_law[key[0]] += prob
+            tie_law[key.count(key[0]) - 1] += prob
+        s = simulate(spec, asym_profile(50, 20))
         assert_law_within_5_sigma(s.max_histogram, max_law, trials)
         assert_law_within_5_sigma(s.tie_histogram, tie_law, trials)
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -360,12 +361,33 @@ class TestExitCodes:
          "no genuine crossing"),
         # x_n ~ 4.8e299 lies past the bracket's last end, the float below 2^990
         (["--model", "dcauchy", "--n", "1e300"], "beyond the solver's range"),
-    ], ids=["bounded", "dcauchy-1e300"])
+        # lgamma(r + 1) overflows in the tail's incomplete beta
+        (["--model", "negbinom", "--params", "r=1e306,p=0.5", "--n", "1e6"],
+         "incomplete beta prefactor overflowed (a=1.0, b=1e+306, x=0.5)"),
+    ], ids=["bounded", "dcauchy-1e300", "negbinom-r1e306"])
     def test_numeric_failure(self, capsys, argv, message):
         assert main(["profile"] + argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--model", "negbinom", "--params", "r=1e306,p=0.5", "--n", "1e6"],
+        ["profile", "--model", "poisson", "--params", "lam=1e306", "--n", "1e6"],
+        ["profile", "--model", "geometric", "--params", "q=0.9999999999999999", "--n", "1e6"],
+        ["profile", "--model", "empirical", "--params", "probabilities=0.5:0.5", "--n", "1e6"],
+        ["simulate", "--kind", "dirichlet", "--boxes", "3", "--balls", "6", "--r", "0.001",
+         "--trials", "2000"],
+    ], ids=["negbinom-r1e306", "poisson-lam1e306", "geometric-q-near-1", "empirical-2-atoms",
+            "dirichlet-r1e-3"])
+    def test_extreme_valid_input_keeps_the_exit_contract(self, argv):
+        # a fresh interpreter: a crash shows as exit 1 and a traceback
+        proc = subprocess.run([sys.executable, "-m", "discmax", *argv], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode in (0, 2, 3, 4), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if argv[0] == "simulate":  # gamma weights of shape 1e-3 were once 0 / 0
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
     @pytest.mark.parametrize("n", ["nan", "inf"])
     def test_non_finite_n_usage_error(self, capsys, n):

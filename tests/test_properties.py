@@ -397,7 +397,8 @@ def test_block_max_law(model, block):
     assert list(law) == list(range(model.support_min, model.support_min + len(law)))
     assert all(step >= 0.0 for step in law.values()), law
     assert abs(math.fsum(law.values()) - 1.0) <= 1e-9
-    pmfs = [mp.mpf(math.exp(model.log_pmf(v))) for v in law]  # the model's own float f(v)
+    # the float f(v) the law sums: the model's pmf run
+    pmfs = [mp.mpf(f) for f in islice(model.pmf_from(model.support_min), len(law))]
     with mp.workdps(40):
         # the law's construction from those f and the float G(end), summed
         # exactly: F(v) forward below the median, 1 - G(v) above it

@@ -287,6 +287,15 @@ class TestAccuracyError:
             reg_gamma_q_log(900.0, 899.0)
         assert info.value.iterations == 100
 
+    def test_beta_prefactor_overflow(self):
+        # lgamma(a + b) overflows past ~2.5e305, before any step
+        with pytest.raises(AccuracyError) as info:
+            reg_beta_log(1.0, 1e306, 0.5)
+        exc = info.value
+        assert str(exc) == "incomplete beta prefactor overflowed (a=1.0, b=1e+306, x=0.5)"
+        assert exc.inputs == {"a": 1.0, "b": 1e306, "x": 0.5}
+        assert exc.iterations == 0
+
     def test_large_a_quadrature_panel_cap(self, monkeypatch):
         # a handful of panels suffice, so the cap is reached only when set
         # below that
