@@ -55,7 +55,15 @@ def _parse_params(text: str | None) -> dict:
     return params
 
 
-MAX_SCAN_POINTS = 10 ** 5  # the most n values a scan's --n-range may list
+MAX_ROWS = 10 ** 5  # the most rows any table may list: n values of a scan, t values of --t-max
+
+
+def _check_t_max(t_max: int) -> None:
+    # refused before any work
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if t_max > MAX_ROWS:
+        raise ValueError(f"t_max must be at most {MAX_ROWS}, got {t_max}")
 
 
 def _parse_n_range(text: str) -> list:
@@ -80,8 +88,8 @@ def _parse_n_range(text: str) -> list:
     end = min(stop * (1.0 + 1e-12), sys.float_info.max)
     while n <= end:
         # also ends a range whose step is lost to rounding (1e16 + 1 == 1e16)
-        if len(out) == MAX_SCAN_POINTS:
-            raise ValueError(f"n range {text!r} lists more than {MAX_SCAN_POINTS} values")
+        if len(out) == MAX_ROWS:
+            raise ValueError(f"n range {text!r} lists more than {MAX_ROWS} values")
         out.append(n)
         n = n * step if geometric else n + step
     if not out:
@@ -145,6 +153,7 @@ def cmd_scan(args) -> str:
 
 
 def cmd_ties(args) -> str:
+    _check_t_max(args.t_max)
     model = _build_model(args)
     prof = extremes.profile(model, float(args.n), x_sigfigs=args.x_sigfigs)
     ties = extremes.tie_distribution(prof, args.t_max)
@@ -154,8 +163,7 @@ def cmd_ties(args) -> str:
 
 
 def cmd_simulate(args) -> str:
-    if args.t_max < 0:  # refused before simulating; comparison_tables would refuse it after
-        raise ValueError(f"t_max must be >= 0, got {args.t_max}")
+    _check_t_max(args.t_max)
     spec = allocsim.AllocationSpec(
         n_boxes=args.boxes, n_balls=args.balls, kind=args.kind,
         trials=args.trials, seed=args.seed, r=args.r)

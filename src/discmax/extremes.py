@@ -96,8 +96,7 @@ class OscillationScan(Record):
 
 
 def _round_sigfigs(x: float, sigfigs: int) -> float:
-    if x == 0.0:
-        return 0.0
+    # x is a cell's midpoint, never the grid point 0, so log10 is defined
     return round(x, sigfigs - 1 - math.floor(math.log10(abs(x))))
 
 
@@ -165,12 +164,11 @@ class _ScanState:
 
     ``log_tails`` maps x to ln G(x), as log_tail_ext returned it, at the
     points the next row may read again: the lower end a of the last row's
-    final bracket, where G is at least 1/n, from which the next row's
-    bracket grows at no start-check evaluation, and m_n and m_n - 1, where
-    theta_n and z_n land for as long as m_n stays.  ``last`` is (ln n, a)
-    of the last row, and ``slope`` is da/d ln n between the last two rows
-    whose ends differ (0.0 before there are two), which predicts the first
-    bracket step.  A cold profile starts from an empty state.
+    final bracket, where the next row's bracket starts, and m_n and
+    m_n - 1, where theta_n and z_n land for as long as m_n stays.
+    ``last`` is (ln n, a) of the last row, None before the first, and
+    ``slope`` is da/d ln n between the last two rows whose ends differ
+    (0.0 before there are two), which predicts the first bracket step.
     """
 
     __slots__ = ("log_tails", "last", "slope")
@@ -187,28 +185,6 @@ class _ScanState:
             lg = self.log_tails[x] = model.log_tail_ext(x)
         return lg
 
-    def bracket_start(self, model: DiscreteTailModel, log_n: float, lo: float) -> tuple:
-        """(a, ln G(a), first step) for _crossing: the last row's end a,
-        where G is still at least 1/n, with the step the slope predicts (1
-        while none is known); else the support edge lo, with steps of 1."""
-        if self.last is not None and (a := self.last[1]) > lo:
-            la = self.log_tail(model, a)
-            if la + log_n >= 0.0:
-                step = max(self.slope * (log_n - self.last[0]), _CELL) if self.slope else 1.0
-                return a, la, step
-        return lo, 0.0, 1.0
-
-    def advance(self, log_n: float, a: float, la: float, keep: tuple) -> None:
-        """Take a solved row's ln n and final bracket end a with ln G(a) =
-        la; keep ln G only at a and the points of keep (m_n never falls
-        along a scan)."""
-        if self.last is not None and a > self.last[1] and log_n > self.last[0]:
-            self.slope = (a - self.last[1]) / (log_n - self.last[0])
-        self.last = (log_n, a)
-        tails = self.log_tails
-        self.log_tails = {k: tails[k] for k in keep if k in tails}
-        self.log_tails[a] = la
-
 
 def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
             _scan: _ScanState | None = None) -> ExtremalProfile:
@@ -221,10 +197,14 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
     from the solve's own evaluations; else RootBracketError.
 
     ``_scan`` is for scan_oscillation: the _ScanState its previous rows
-    left, which this row updates.  The bracket then grows from the last
-    row's final end a by a predicted first step, and ln G is read from
-    the state where the last row evaluated it at the same point; x_n is
-    the midpoint of the same sign-change cell as from a cold start.
+    left, which this row updates.  A cold row, and a scan's first, brackets
+    from the support edge support_min - 1, where G = 1, by steps of 1.  A
+    later scan row brackets from the last row's final end a, where f(a) >= 0
+    still holds since n grew, with ln G(a) read from the state and a first
+    step of da/d ln n times the row's step in ln n (at least 2^-34, and 1
+    while no slope is known); theta_n and z_n read ln G from the state where
+    the last row evaluated it at the same point.  x_n is the midpoint of the
+    same sign-change cell as from a cold start.
     """
     if not 2 <= n <= sys.float_info.max:  # also rejects nan, and ints no float holds
         raise ValueError(f"profile requires a finite n >= 2, got {n}")
@@ -232,11 +212,16 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
         x_sigfigs = check_int("x_sigfigs", x_sigfigs)
         if x_sigfigs < 1:
             raise ValueError(f"x_sigfigs must be at least 1, got {x_sigfigs}")
-    # G is 1 at the support edge lo, above the target 1/n <= 1/2
     log_n = math.log(n)
     lo = float(model.support_min - 1)
     scan = _ScanState() if _scan is None else _scan
-    raw, m, a, la, lb = _crossing(model, n, log_n, *scan.bracket_start(model, log_n, lo))
+    if scan.last is None:  # G is 1 at the support edge lo, above the target 1/n <= 1/2
+        start = lo, 0.0, 1.0
+    else:  # f(a) >= 0 held at the last row's smaller n, so it holds at this one
+        last_log_n, last_a = scan.last
+        step = max(scan.slope * (log_n - last_log_n), _CELL) if scan.slope else 1.0
+        start = last_a, scan.log_tails[last_a], step
+    raw, m, a, la, lb = _crossing(model, n, log_n, *start)
     if not (la + log_n <= 1e-6 and lb + log_n >= -1e-6):  # also refuses f(b) = -inf or nan
         raise RootBracketError(
             f"no genuine crossing of 1/n at x={raw} (discontinuous tail extension); "
@@ -264,7 +249,12 @@ def profile(model: DiscreteTailModel, n, x_sigfigs: int | None = None, *,
         theta = math.exp(log_n + scan.log_tail(model, float(m)))
     below = max(m - 1.0, lo)
     z = math.exp(log_n + scan.log_tail(model, below))
-    scan.advance(log_n, a, la, (float(m), below))
+    # ln G is kept at a and where m_n and m_n - 1 stay (m_n never falls along a scan)
+    if scan.last is not None and a > last_a and log_n > last_log_n:
+        scan.slope = (a - last_a) / (log_n - last_log_n)
+    scan.last = (log_n, a)
+    scan.log_tails = {k: scan.log_tails[k] for k in (float(m), below) if k in scan.log_tails}
+    scan.log_tails[a] = la
     return ExtremalProfile(
         n=float(n), gamma=gamma, x_n=x, m_n=m, theta_n=theta,
         p_n=math.exp(-theta), z_n=z, regime=regime)
@@ -429,11 +419,9 @@ def briggs_approximation(lam: float, n) -> float:
         for _ in range(4):
             w -= (w + math.log(w) - log_z) * w / (w + 1.0)
     y = log_n / w
-    denom = math.log(y) - math.log(lam)
-    if abs(denom) < 1e-12:
-        raise ValueError("degenerate geometry: ln y_n equals ln lam")
+    # ln y - ln lam = ln(u / W(u/e)), u = ln n / lam > 0, is at least 1 since W(v) <= v
     return y + (math.log(lam) - lam - 0.5 * math.log(2.0 * math.pi)
-                - 1.5 * math.log(y)) / denom
+                - 1.5 * math.log(y)) / (math.log(y) - math.log(lam))
 
 
 def scan_oscillation(model: DiscreteTailModel, n_values, x_sigfigs: int | None = None) -> OscillationScan:
@@ -442,11 +430,8 @@ def scan_oscillation(model: DiscreteTailModel, n_values, x_sigfigs: int | None =
     Each row equals ``profile(model, n, x_sigfigs)`` wherever ln G is
     monotone on the 2^-34 grid; where it is flat within its rounding over
     many cells, as for NB(2, 0.99999) at x ~ 1e6 and the discrete Cauchy
-    model, a row can land in a neighbouring cell.  Rows are solved from the
-    state one row leaves to the next: ln G at the lower end of the last
-    row's final bracket, m_n and m_n - 1, which the next row's start
-    check, theta_n and z_n read, and the slope of that end in ln n, which
-    predicts its first bracket step.
+    model, a row can land in a neighbouring cell.  Each row after the first
+    starts from the state the last row left, as ``profile`` describes.
     A breakpoint records the last n of a constant-m_n window: the next
     grid point has a strictly larger anchor.
     """

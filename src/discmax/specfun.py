@@ -136,13 +136,15 @@ def _bd0(x: float, m: float, diff: float | None = None) -> float:
     # the deviance x ln(x/m) + m - x, as m [(1 + u) ln1pmx(u) + u^2] with
     # u = (x - m)/m when x ~ m, where the closed form cancels: there
     # |u/(2 + u)| = |x - m|/(x + m) < 0.1 and x - m is exact, unless the
-    # caller passes it as diff because x and m themselves were rounded
+    # caller passes it as diff because x and m themselves were rounded; x/m
+    # overflows only at a subnormal m, where ln x - ln m is taken instead
     if diff is None:
         diff = x - m
     if abs(diff) < 0.1 * (x + m):
         u = diff / m
         return m * ((1.0 + u) * _log1pmx(u) + u * u)
-    return x * math.log(x / m) + m - x
+    ratio = x / m
+    return x * (math.log(ratio) if ratio < math.inf else math.log(x) - math.log(m)) + m - x
 
 
 def log_poisson_pmf(k: int, lam: float) -> float:
@@ -161,7 +163,9 @@ def log_negbinom_pmf(k: int, r: float, p: float) -> float:
 
     The pmf is r/(r + k) times the binomial probability of r successes of
     chance 1 - p in k + r trials, taken from Stirling remainders and
-    deviances, so no lgamma difference of size r ln r cancels.
+    deviances, so no lgamma difference of size r ln r cancels.  Where n p
+    (n = k + r) is subnormal, the product keeps only a few bits, so the
+    result is finite but can be off by up to ~1e-5 relative.
     """
     if k == 0:
         return r * math.log1p(-p)

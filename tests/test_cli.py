@@ -129,7 +129,7 @@ class TestScanCommand:
             cli._parse_n_range("1e3:1e50:x1.0001")
 
     def test_range_at_the_cap_accepted(self):
-        assert len(cli._parse_n_range(f"1:{cli.MAX_SCAN_POINTS}:+1")) == cli.MAX_SCAN_POINTS
+        assert len(cli._parse_n_range(f"1:{cli.MAX_ROWS}:+1")) == cli.MAX_ROWS
 
     def test_step_lost_to_rounding_usage_error(self, capsys):
         # 1e16 + 1 == 1e16: without the cap the range never ends
@@ -175,6 +175,23 @@ class TestTiesCommand:
         code, _ = run_cli(["ties", "--model", "geometric", "--params", "q=0.5",
                            "--n", "100"], capsys)
         assert code == 2
+
+    def test_t_max_at_the_row_cap_accepted(self, capsys):
+        code, out = run_cli(["ties", "--params", "lam=1", "--n", "1e6",
+                             "--t-max", str(cli.MAX_ROWS)], capsys)
+        assert code == 0
+        assert [row["t"] for row in parse_csv(out)][-1] == str(cli.MAX_ROWS)
+
+    def test_t_max_past_the_row_cap_refused_before_the_profile(self, capsys, monkeypatch):
+        def no_profile(*args, **kwargs):
+            raise AssertionError("profiled before refusing --t-max")
+
+        monkeypatch.setattr(extremes, "profile", no_profile)
+        code = main(["ties", "--params", "lam=1", "--n", "1e6",
+                     "--t-max", str(cli.MAX_ROWS + 1)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"usage error: t_max must be at most {cli.MAX_ROWS}, got 100001\n"
 
 
 class TestSimulateCommand:
@@ -444,6 +461,23 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "usage error: t_max must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("kind", [["--kind", "multinomial"],
+                                      ["--kind", "dirichlet", "--r", "1"]])
+    def test_t_max_row_cap(self, capsys, monkeypatch, kind):
+        argv = ["simulate", "--boxes", "10", "--balls", "5", "--trials", "5"] + kind
+        code, out = run_cli(argv + ["--t-max", str(cli.MAX_ROWS)], capsys)
+        assert code == 0
+        assert f",merging,ties_eq_{cli.MAX_ROWS}," in out
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before refusing --t-max")
+
+        monkeypatch.setattr(allocsim, "simulate", no_simulation)
+        code = main(argv + ["--t-max", str(cli.MAX_ROWS + 1)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"usage error: t_max must be at most {cli.MAX_ROWS}, got 100001\n"
 
     @pytest.mark.parametrize("argv, field", [
         (["--balls", "0"], "n_balls must be >= 1"),

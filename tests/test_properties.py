@@ -80,7 +80,8 @@ of max(1, |ln value|); each bound sits just above the worst of 44000
 random arguments:
 
 - the Poisson pmf for k up to 2 10^4 and lam log-uniform in [1e-2, 1e4]
-  (worst 7.2e-15), and the negative binomial pmf for k up to 2 10^4, r
+  (worst 7.2e-15), and for k up to 2000 at lam log-uniform in [5e-324,
+  1e-290], where k / lam overflows (worst 4.2e-16), and the negative binomial pmf for k up to 2 10^4, r
   log-uniform in [1e-2, 1e5] and p in [0.01, 0.99] (worst 5.9e-15);
 - ln C(n, k) for float n log-uniform in [1, 1e50], which includes
   n > 2^53, and k up to 10^5 (worst 7.9e-15);
@@ -175,6 +176,17 @@ def test_poisson_pmf_vs_mpmath(k, lam):
     with mp.workdps(40):
         ref = k * mp.log(lam) - lam - mp.loggamma(k + 1)
     assert_log_close(log_poisson_pmf(k, lam), ref, 1e-14, (k, lam))
+
+
+@settings(deadline=None)
+@given(k=st.integers(0, 2000), lam=log_uniform(5e-324, 1e-290))
+@example(k=1, lam=1e-310)
+@example(k=2, lam=1e-308)
+def test_poisson_pmf_vs_mpmath_at_subnormal_rates(k, lam):
+    # k / lam overflows in the deviance at a subnormal lam
+    with mp.workdps(40):
+        ref = k * mp.log(lam) - lam - mp.loggamma(k + 1)
+    assert_log_close(log_poisson_pmf(k, lam), ref, 1e-15, (k, lam))
 
 
 @settings(deadline=None)
