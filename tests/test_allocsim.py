@@ -727,6 +727,60 @@ class TestSimulate:
         # the other thread stops at its next chunk, not after its stride of 20
         assert len(calls) <= 8, calls
 
+    def test_a_thread_that_cannot_start_draws_nothing(self, monkeypatch):
+        calls = []
+        error = RuntimeError("can't start new thread")
+
+        def failing_start(thread):
+            raise error
+
+        prof = asym_profile(50, 20)
+        monkeypatch.setattr(allocsim, "trial_counts", lambda spec, key, trials: calls.append(key))
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        spec = AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=40 * 3276,
+                              seed=3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            simulate(spec, prof)
+        assert raised.value is error
+        assert calls == []
+        assert threading.active_count() == before
+
+    def test_an_interrupt_while_joining_waits_for_every_thread(self, monkeypatch):
+        # the calling thread's stride of 20 chunks ends long before the
+        # started one's, which draws slowly, so the interrupt lands while it runs
+        calls = []
+        kernel = allocsim.trial_counts
+
+        def slow_kernel(spec, key, trials):
+            if threading.current_thread() is not threading.main_thread():
+                calls.append(key)
+                time.sleep(0.1)
+            return kernel(spec, key, trials)
+
+        interrupt, join, joins = KeyboardInterrupt(), threading.Thread.join, []
+
+        def interrupted_join(thread, *args, **kwargs):
+            joins.append(thread)
+            if len(joins) == 1:
+                raise interrupt
+            return join(thread, *args, **kwargs)
+
+        monkeypatch.setattr(allocsim, "trial_counts", slow_kernel)
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        spec = AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=40 * 3276,
+                              seed=3)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt) as raised:
+            simulate(spec, asym_profile(50, 20))
+        assert raised.value is interrupt
+        assert len(joins) >= 2  # joined again after the interrupt
+        assert threading.active_count() == before
+        # the started stride stops at its next chunk, not after its 20
+        assert len(calls) <= 8, calls
+
     def test_import_leaves_numpy_unloaded(self):
         # the traced benchmark patches these five module globals by name
         proc = subprocess.run(

@@ -391,6 +391,10 @@ class TestExactOrderStat:
         got = exact_order_stat_cdf_log(m, 2, 1, 0)
         assert got == pytest.approx(math.log(0.75), rel=1e-12)
 
+    def test_below_the_support(self):
+        m = EmpiricalModel([0.5, 0.5], support_min=3)
+        assert exact_order_stat_cdf_log(m, 10, 2, 2) == -math.inf
+
     def test_minimum_of_ten_nearly_certain(self):
         m = GeometricModel(0.5)
         got = exact_order_stat_cdf_log(m, 10, 9, 9)  # P(min <= 9), tail 2^-10 each
