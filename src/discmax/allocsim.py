@@ -19,11 +19,18 @@ representation above: the occupancy histogram of n Poisson(lambda') counts,
 lambda' = max(0, k - POISSON_MARGIN sqrt(k)) / n, drawn again while their
 sum S exceeds k, plus k - S uniform balls; its table, from the model's pmf
 run, absorbs the tails beyond 2^-53 in its end classes, so a trial is within
-n 2^-50 of the multinomial in total variation.  The Dirichlet mixture is
-version 4, weights from numpy's Dirichlet sampler (no NaN at small r on
-numpy 2.4.6, down to r = 1e-8; version 2's gamma weights over their sum
-could be 0 / 0); version-2 Dirichlet summaries cannot be reproduced.  A
-spec holds fewer than 2^32 trials (its chunk indices).
+n 2^-50 of the multinomial in total variation.  The Dirichlet mixture takes
+one of two routes, picked by the spec alone (``_dirichlet_window``).  On
+histograms it is version 5: the occupancy histogram of n NB(r, p') counts of
+total mean k (p' cancels given their sum S, which is Dirichlet-multinomial),
+drawn again while S exceeds k, completed by k - S Pólya-urn steps, which
+keep the law Dirichlet-multinomial (Johnson & Kotz 1977).  On box counts,
+where the NB table is too wide for its Pólya steps to pay, it is version 4,
+weights from numpy's Dirichlet sampler (no NaN at small r on numpy 2.4.6,
+down to r = 1e-8; version 2's gamma weights over their sum could be 0 / 0).
+Dirichlet summaries of version 2, and of version 4 for specs now on
+histograms, cannot be reproduced.  A spec holds fewer than 2^32 trials (its
+chunk indices).
 
 numpy is imported inside the functions that draw or tally samples, so
 importing this module (and the package) does not load it.
@@ -43,7 +50,7 @@ from itertools import accumulate, islice, takewhile
 from .extremes import (ExtremalProfile, Regime, limiting_max_pmf, tie_distribution,
                        tie_phase_threshold)
 from .record import Record, check_int
-from .specfun import reg_gamma_q_log
+from .specfun import reg_beta_log, reg_gamma_q_log
 from .tailmodel import _LOG_TABLE_TAIL, NegativeBinomialModel, PoissonModel
 
 KINDS = ("multinomial", "dirichlet")
@@ -55,6 +62,22 @@ ENUMERATION_MAX_BALLS = 12
 # plan, and so the draws, of every allocation stream: it is part of their
 # definitions and stays as it is.
 CHUNK_DRAWS = 2 ** 14
+
+# cells (trials x table classes) one chunk of Dirichlet histograms holds at
+# most; like CHUNK_DRAWS it fixes the chunk plan of stream version 5
+CHUNK_CELLS = 2 ** 17
+
+# The route of a Dirichlet spec: histograms where width (ROUTE_CLASS_COST +
+# sd) < ROUTE_BOX_COST n, width that of its NB table and sd = sqrt(k (1 + k /
+# (n r))) that of the NB sum.  A histogram trial draws its table row about
+# twice and takes ~0.8 sd Pólya steps; a box-count trial draws a weight and a
+# binomial a box.  The two constants are a fit to 120 specs timed on both
+# routes (see README).  Past ROUTE_MAX_R the incomplete beta behind the table
+# loses ~r 2^-52 ln r to cancelling lgamma terms, so those specs stay on box
+# counts.  These constants are part of the stream definitions.
+ROUTE_CLASS_COST = 16.0
+ROUTE_BOX_COST = 32.0
+ROUTE_MAX_R = 2.0 ** 32
 
 # a multinomial trial starts from Poisson box counts of total mean
 # k - POISSON_MARGIN sqrt(k), POISSON_MARGIN standard deviations below k:
@@ -128,36 +151,137 @@ def _poisson_table(lam: float) -> tuple:
     return first, tuple(pvals)
 
 
+@functools.lru_cache(maxsize=1)
+def _dirichlet_window(n_boxes: int, n_balls: int, r: float) -> tuple | None:
+    """(p, q, first, last) of the NB(r, p) table of a histogram-route spec,
+    p = k / (k + n r) and q = 1 - p, so that the n counts hold k balls on
+    average, or None where the spec stays on box counts: where r >=
+    ROUTE_MAX_R, or where the table is not narrower than the width at which
+    a histogram trial would cost as much as a box-count trial (the route
+    constants above).  The ends are those of `_poisson_table`, found by
+    bisection on the incomplete beta tails up to that width, never listed."""
+    if r >= ROUTE_MAX_R:
+        return None
+    sd = math.sqrt(n_balls * (1.0 + n_balls / (n_boxes * r)))
+    widest = math.ceil(ROUTE_BOX_COST * n_boxes / (ROUTE_CLASS_COST + sd)) - 1
+    if widest < 1:
+        return None
+    total = n_balls + n_boxes * r
+    p, q = n_balls / total, n_boxes * r / total
+    mode = math.floor((r - 1.0) * n_balls / (n_boxes * r)) if r > 1.0 else 0
+    # the number of v in 1..mode with P(X < v) = I_q(r, v) below the end
+    first = bisect_left(range(1, mode + 1), True,
+                        key=lambda v: reg_beta_log(r, v, q) >= _LOG_TABLE_TAIL)
+    top = first + widest - 1  # the last class the widest table holds
+    if top < mode or reg_beta_log(top + 1.0, r, p) >= _LOG_TABLE_TAIL:
+        return None
+    # P(X > v) = I_p(v + 1, r)
+    last = mode + bisect_left(range(mode, top + 1), True,
+                              key=lambda v: reg_beta_log(v + 1.0, r, p) < _LOG_TABLE_TAIL)
+    return p, q, first, last
+
+
+@functools.lru_cache(maxsize=1)
+def _negbinom_table(r: float, p: float, q: float, first: int, last: int) -> tuple:
+    """(first, pvals): NB(r, p) probabilities of the classes first..last of
+    `_dirichlet_window`, read from the model's pmf run, the end classes
+    absorbing the tails below 2^-53 as `_poisson_table`'s do.  The tails are
+    added to the end classes' pmf rather than taken whole from the incomplete
+    beta, whose lgamma prefactor loses ~r 2^-52 ln r (4e-11 at r = 1e5 on
+    P(X <= 0) = (1 - p)^r)."""
+    if first == last:  # no ball (p = 0), or fewer than 2^-53 a box
+        return first, (1.0,)
+    model = NegativeBinomialModel(r, p)
+    pvals = list(islice(model.pmf_from(first), last - first + 1))
+    if first:
+        pvals[0] += math.exp(reg_beta_log(r, first, q))  # P(X < first)
+    pvals[-1] += math.exp(model.log_tail(last))  # P(X > last)
+    return first, tuple(pvals)
+
+
 def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
-    """(spawn key, trials) of each chunk, in trial order."""
-    # a multinomial trial throws ~1.3 sqrt(k) balls; a Dirichlet trial draws
-    # one weight and one binomial per box
-    version, per_trial = ((3, math.isqrt(spec.n_balls) + 1) if spec.kind == "multinomial"
-                          else (4, 2 * spec.n_boxes))
-    size = max(1, CHUNK_DRAWS // per_trial)
+    """(spawn key, trials) of each chunk, in trial order: stream version 3
+    for the multinomial, max(1, CHUNK_DRAWS // (isqrt(k) + 1)) trials a chunk
+    (~1.3 sqrt(k) balls thrown a trial); for the Dirichlet mixture, version 5
+    on the histogram route, max(1, CHUNK_CELLS // width) trials a chunk, and
+    version 4 on box counts, max(1, CHUNK_DRAWS // (2 n)) trials a chunk (one
+    weight and one binomial a box)."""
+    if spec.kind == "multinomial":
+        version, size = 3, CHUNK_DRAWS // (math.isqrt(spec.n_balls) + 1)
+    elif (window := _dirichlet_window(spec.n_boxes, spec.n_balls, spec.r)) is None:
+        version, size = 4, CHUNK_DRAWS // (2 * spec.n_boxes)
+    else:
+        version, size = 5, CHUNK_CELLS // (window[3] - window[2] + 1)
+    size = max(1, size)
     return (((version, c), min(size, spec.trials - first))
             for c, first in enumerate(range(0, spec.trials, size)))
 
 
-def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> tuple:
-    """One chunk, `trials` trials drawn from the stream (spec.seed, key): a
-    Dirichlet chunk's box counts, one row per trial, or a multinomial chunk's
-    (first, rows), rows[t, j] boxes of trial t holding first + j balls, drawn
-    over the Poisson table's classes again while its balls exceed n_balls,
-    the missing balls then hitting uniform boxes numbered class by class."""
+def _polya_steps(rng, rows, missing, first: int, r: float):
+    """The rows completed by Pólya-urn steps, each step adding one ball to
+    every trial that still misses one: class j is picked with probability
+    proportional to rows[t, j] (r + first + j), the first class whose
+    cumulative weight exceeds a uniform times the total, and one of its boxes
+    moves to class j + 1.  The trials step together, those missing the most
+    first (a stable sort), so the live ones are a prefix of that order and
+    each step draws one uniform per live trial.  The sums stop at the highest
+    class any row occupies (the classes above weigh 0), and the rows grow by
+    one column when a box reaches their last."""
+    import numpy as np
+    order = np.argsort(-missing, kind="stable")
+    need = missing[order]
+    hist = rows[order]
+    top = int(np.flatnonzero(hist.any(axis=0))[-1])
+    hist = np.pad(hist, ((0, 0), (0, max(0, top + 2 - hist.shape[1]))))
+    weight = r + np.arange(first, first + hist.shape[1])
+    at = np.arange(len(hist))
+    # live[s]: the trials still missing a ball at step s
+    live = np.searchsorted(-need, -np.arange(need.max(initial=0)), side="left")
+    for size in live.tolist():
+        cum = np.cumsum(hist[:size, :top + 1] * weight[:top + 1], axis=1)
+        # u < cum[:, -1] by rounding, so the class picked is never empty
+        j = np.count_nonzero(cum <= (rng.random(size) * cum[:, -1])[:, None], axis=1)
+        hist[at[:size], j] -= 1
+        hist[at[:size], j + 1] += 1
+        if j.max() == top:
+            top += 1
+            if top + 1 == hist.shape[1]:
+                hist = np.pad(hist, ((0, 0), (0, 1)))
+                weight = r + np.arange(first, first + hist.shape[1])
+    out = np.empty_like(hist)
+    out[order] = hist
+    return out
+
+
+def trial_counts(spec: AllocationSpec, key: tuple, trials: int):
+    """One chunk, `trials` trials drawn from the stream (spec.seed, key), on
+    the spec's route: box counts, one row of n_boxes per trial, for a
+    Dirichlet spec on box counts (weights from numpy's Dirichlet sampler, one
+    multinomial per trial); otherwise occupancy histograms (first, rows),
+    rows[t, j] boxes of trial t holding first + j balls, drawn over the
+    classes of the Poisson or NB table again while they hold more than
+    n_balls balls, then completed: a multinomial chunk's missing balls hit
+    uniform boxes numbered class by class, a Dirichlet chunk's come by
+    `_polya_steps`."""
     import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
     if spec.kind == "dirichlet":
-        weights = rng.dirichlet(np.full(spec.n_boxes, spec.r), trials)
-        return rng.multinomial(spec.n_balls, weights)
-    lam = max(0.0, spec.n_balls - POISSON_MARGIN * math.sqrt(spec.n_balls)) / spec.n_boxes
-    first, pvals = _poisson_table(lam)
+        window = _dirichlet_window(spec.n_boxes, spec.n_balls, spec.r)
+        if window is None:
+            weights = rng.dirichlet(np.full(spec.n_boxes, spec.r), trials)
+            return rng.multinomial(spec.n_balls, weights)
+        first, pvals = _negbinom_table(spec.r, *window)
+    else:
+        lam = max(0.0, spec.n_balls - POISSON_MARGIN * math.sqrt(spec.n_balls)) / spec.n_boxes
+        first, pvals = _poisson_table(lam)
     balls_at = np.arange(first, first + len(pvals))
     rows, draw = np.empty((trials, len(pvals)), dtype=np.int64), np.arange(trials)
     while draw.size:  # rows holding more than n_balls balls are drawn again
         rows[draw] = rng.multinomial(spec.n_boxes, pvals, size=draw.size)
         draw = draw[rows[draw] @ balls_at > spec.n_balls]
     missing = spec.n_balls - rows @ balls_at
+    if spec.kind == "dirichlet":
+        return first, _polya_steps(rng, rows, missing, first, spec.r)
     # boxes are exchangeable, so those of trial t are t n, ..., t n + n - 1 in
     # class order
     hits = rng.integers(0, spec.n_boxes, int(missing.sum()))
@@ -175,12 +299,15 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int) -> tuple:
 def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
     """Run spec.trials allocations and tally maxima, ties and occupancy.
 
-    Chunks are tallied as `trial_counts` returns them, with no per-trial
-    Python, on W = min(usable CPUs, chunks) strides w, w + W, ...: stride 0
+    Chunks are tallied as `trial_counts` returns them, box counts or
+    occupancy histograms (whatever the kind), with no per-trial Python, on
+    W = min(usable CPUs, chunks) strides w, w + W, ...: stride 0
     on the calling thread, the others on W - 1 threads.  After any failure
     (an interrupt while joining too) each stride stops at its next chunk and
     the first is raised once all threads join.  The tallies are integers,
-    merged after the join, so the summary does not depend on W.
+    merged after the join, so the summary does not depend on W.  The threads
+    pay on box-count specs of several chunks; a Dirichlet spec on histograms
+    is mostly one chunk of up to CHUNK_CELLS cells, and starts none.
     """
     import numpy as np
     m = prof.m_n
@@ -196,7 +323,7 @@ def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
             for key, size in takewhile(lambda _: not failures, chunks):
                 drawn = trial_counts(spec, key, size)  # the module global: tracers patch it
                 # per trial: the maximum, the boxes holding it, at least m and at least m + 2
-                if spec.kind == "dirichlet":  # box counts
+                if not isinstance(drawn, tuple):  # box counts
                     mx = drawn.max(axis=1)
                     at_max, ge, ge2 = (np.count_nonzero(drawn >= v, 1)
                                        for v in (mx[:, None], m, m + 2))

@@ -132,6 +132,34 @@ def _log1pmx(u: float) -> float:
     return -2.0 * s * s * acc
 
 
+_EULER_GAMMA = 0.5772156649015329
+
+# (zeta(k) - 1) / k for k = 2..21 (from mpmath at 40 digits), highest k
+# first; for |a| <= 0.2 the k-th term is below (a/2)^k / k, so the last is
+# below 1e-22
+_LGAMMA1P_COEFFS = (
+    0.3224670334241132, 0.0673523010531981, 0.020580808427784546, 0.007385551028673986,
+    0.0028905103307415234, 0.001192753911703261, 0.0005096695247430425,
+    0.00022315475845357939, 9.945751278180853e-05, 4.492623673813314e-05,
+    2.050721277567069e-05, 9.439488275268397e-06, 4.374866789907488e-06,
+    2.039215753801366e-06, 9.55141213040742e-07, 4.492469198764566e-07,
+    2.1207184805554665e-07, 1.0043224823968099e-07, 4.7698101693639804e-08,
+    2.2711094608943164e-08)[::-1]
+
+
+def _lgamma1p(a: float) -> float:
+    """ln Gamma(1 + a).  For |a| <= 0.2 the series -gamma a - ln1pmx(a) +
+    sum_{k>=2} (-1)^k (zeta(k) - 1) a^k / k: lgamma of the rounded 1 + a is
+    ~2e-16 off absolutely, which swamps the -gamma a it should return at
+    small a (6.5e-4 relative at a = 1e-12)."""
+    if abs(a) > 0.2:
+        return math.lgamma(a + 1.0)
+    acc = 0.0
+    for c in _LGAMMA1P_COEFFS:
+        acc = acc * -a + c
+    return -_EULER_GAMMA * a - _log1pmx(a) + a * a * acc
+
+
 def _bd0(x: float, m: float, diff: float | None = None) -> float:
     # the deviance x ln(x/m) + m - x, as m [(1 + u) ln1pmx(u) + u^2] with
     # u = (x - m)/m when x ~ m, where the closed form cancels: there
@@ -240,13 +268,13 @@ def _log_gamma_p_via_series(a: float, x: float) -> float:
         term *= x / ak
         total += term
         if term < total * REL_TOL:
-            return a * math.log(x) - x - math.lgamma(a + 1.0) + math.log(total)
+            return a * math.log(x) - x - _lgamma1p(a) + math.log(total)
     raise AccuracyError(f"lower gamma series did not converge (a={a}, x={x})",
                         inputs={"a": a, "x": x}, iterations=MAX_ITER)
 
 
 def _log_gamma_q_small_x(a: float, x: float) -> float:
-    # Q(a,x) = -expm1(a ln x - lgamma(a+1)) - x^a/Gamma(a) * D,
+    # Q(a,x) = -expm1(a ln x - lgamma(1+a)) - x^a/Gamma(a) * D,
     # D = sum_{n>=1} (-x)^n / (n! (a+n)); alternating and tiny for x <= 1.1
     fac = 1.0
     d = 0.0
@@ -259,7 +287,7 @@ def _log_gamma_q_small_x(a: float, x: float) -> float:
     else:
         raise AccuracyError(f"upper gamma series did not converge (a={a}, x={x})",
                             inputs={"a": a, "x": x}, iterations=MAX_ITER)
-    lead = -math.expm1(a * math.log(x) - math.lgamma(a + 1.0))
+    lead = -math.expm1(a * math.log(x) - _lgamma1p(a))
     q = lead - math.exp(a * math.log(x) - math.lgamma(a)) * d
     if q <= 0.0:
         return -math.inf

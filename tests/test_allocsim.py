@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from discmax import allocsim
 from discmax.allocsim import (
+    CHUNK_CELLS,
     CHUNK_DRAWS,
     KINDS,
     POISSON_MARGIN,
@@ -31,8 +34,8 @@ from discmax.allocsim import (
     trial_counts,
 )
 from discmax.extremes import limiting_max_pmf, profile, tie_distribution
-from discmax.specfun import reg_gamma_q_log
-from discmax.tailmodel import NegativeBinomialModel, PoissonModel
+from discmax.specfun import reg_beta_log, reg_gamma_q_log
+from discmax.tailmodel import _LOG_TABLE_TAIL, NegativeBinomialModel, PoissonModel
 
 
 def asym_profile(n_boxes: int, n_balls: int, sigfigs=6):
@@ -107,27 +110,64 @@ def poisson_rate(spec) -> float:
     return max(0.0, spec.n_balls - allocsim.POISSON_MARGIN * math.sqrt(spec.n_balls)) / spec.n_boxes
 
 
-def histograms(spec, drawn) -> tuple:
-    """(first, occupancy rows) of a trial_counts chunk: a multinomial chunk
-    as it comes, a Dirichlet chunk's box counts histogrammed row by row."""
-    if spec.kind == "multinomial":
+def histograms(drawn) -> tuple:
+    """(first, occupancy rows) of a trial_counts chunk: histograms as they
+    come, box counts histogrammed row by row."""
+    if isinstance(drawn, tuple):
         return drawn
     width = int(drawn.max(initial=0)) + 1
     return 0, np.array([np.bincount(row, minlength=width) for row in drawn])
 
 
+def version(spec) -> int:
+    """The stream version of the spec's route: 3 for the multinomial, 5 for
+    a Dirichlet spec on histograms, 4 for one on box counts."""
+    return next(_chunks(spec))[0][0]
+
+
+def dirichlet_spec(n_boxes, n_balls, r, trials=1, seed=0) -> AllocationSpec:
+    return AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind="dirichlet", trials=trials,
+                          seed=seed, r=r)
+
+
+def reference_polya(rng, hists: list, missing: list, r: float) -> None:
+    """Reference for _polya_steps, on {balls: boxes} dicts in plain Python:
+    the trials missing the most step first (a stable sort), and at each
+    step every trial still missing a ball takes the next uniform, in that
+    order, and moves one box up from the first class whose cumulative
+    weight boxes x (r + balls) exceeds the uniform times the total."""
+    order = sorted(range(len(hists)), key=lambda t: -missing[t])
+    step = 0
+    while live := [t for t in order if missing[t] > step]:
+        for t, x in zip(live, rng.random(len(live)).tolist()):
+            occ = hists[t]
+            classes = sorted(v for v in occ if occ[v])
+            cum = list(accumulate(occ[v] * (r + v) for v in classes))
+            v = next(v for v, c in zip(classes, cum) if c > x * cum[-1])
+            occ[v] -= 1
+            occ[v + 1] = occ.get(v + 1, 0) + 1
+        step += 1
+
+
 def reference_rows(spec, key, size) -> list:
     """Reference for trial_counts: each trial's box counts, drawn from the
-    chunk's stream in plain Python, one trial at a time.  A multinomial
-    trial (stream version 3) takes the histogram of its Poisson counts,
-    drawn again, in the kernel's rounds, while it holds more than n_balls
-    balls; writes it out as boxes in class order; and adds its missing
-    balls to those boxes one by one."""
+    chunk's stream in plain Python, one trial at a time (the Pólya steps of
+    version 5 in lock step).  A Dirichlet trial on box counts (version 4)
+    draws its weights and one multinomial.  A trial on histograms takes the
+    histogram of its Poisson (version 3) or NB (version 5) counts, drawn
+    again, in the kernel's rounds, while it holds more than n_balls balls;
+    a multinomial trial writes it out as boxes in class order and adds its
+    missing balls to those boxes one by one, a Dirichlet trial adds them by
+    `reference_polya`."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
-    if spec.kind == "dirichlet":  # stream version 4
-        weights = rng.dirichlet([spec.r] * spec.n_boxes, size)
-        return [rng.multinomial(spec.n_balls, w).tolist() for w in weights]
-    first, pvals = allocsim._poisson_table(poisson_rate(spec))
+    if spec.kind == "dirichlet":
+        window = allocsim._dirichlet_window(spec.n_boxes, spec.n_balls, spec.r)
+        if window is None:  # stream version 4
+            weights = rng.dirichlet([spec.r] * spec.n_boxes, size)
+            return [rng.multinomial(spec.n_balls, w).tolist() for w in weights]
+        first, pvals = allocsim._negbinom_table(spec.r, *window)
+    else:
+        first, pvals = allocsim._poisson_table(poisson_rate(spec))
 
     def draw() -> list:
         return rng.multinomial(spec.n_boxes, pvals).tolist()
@@ -141,6 +181,10 @@ def reference_rows(spec, key, size) -> list:
         for t in over:
             rows[t] = draw()
         over = [t for t in over if balls(rows[t]) > spec.n_balls]
+    if spec.kind == "dirichlet":
+        hists = [{first + j: c for j, c in enumerate(row) if c} for row in rows]
+        reference_polya(rng, hists, [spec.n_balls - balls(row) for row in rows], spec.r)
+        return [[v for v in sorted(occ) for _ in range(occ[v])] for occ in hists]
     trials = []
     for row in rows:
         boxes = [first + j for j, c in enumerate(row) for _ in range(c)]
@@ -208,6 +252,50 @@ def exact_max_tie_law(n_boxes: int, n_balls: int) -> dict:
             if count:
                 law[(x, t)] = count / n ** k
     return law
+
+
+def exact_dirichlet_max_tie_law(n_boxes: int, n_balls: int, r: float) -> dict:
+    """{(max, tie count): probability} of the symmetric Dirichlet mixture
+    from exact integers, the rising-factorial twin of exact_max_tie_law.
+    With r = a/d and R_j = a (a + d) ... (a + (j - 1) d), a count vector c
+    has probability k!/prod c_i! prod R_(c_i) / N, N = na (na + d) ...
+    (na + (k - 1) d) (the powers of d cancel), so P(max = x, t + 1 boxes at
+    x) is C(n, t+1) k!/((x!)^(t+1) s!) R_x^(t+1) E(n - t - 1, s) / N with
+    s = k - (t + 1) x, where E(m, s) sums s!/prod c_i! prod R_(c_i) over the
+    ways to put s balls in m boxes of at most x - 1 each.  E(m, s) is
+    sum_i C(m, i) F_i(s), F_i the i-th binomial-convolution power of
+    (0, R_1, ..., R_(x-1)), the i boxes that are not empty; the powers are
+    built one box at a time, not by recursion."""
+    k, n = n_balls, n_boxes
+    a, d = float(r).as_integer_ratio()
+    rising = allocsim._rising_factorials(a, d, k)
+    total = allocsim._rising_factorials(n * a, d, k)[-1]
+    if k == 0:
+        return {(0, n - 1): 1.0}
+    counts = {}
+    for x in range(1, k + 1):
+        top = k - x  # the most balls the boxes below x hold
+        cap = min(x - 1, top)
+        powers = [[1] + [0] * top]
+        for _ in range(min(n - 1, top)):
+            prev = powers[-1]
+            powers.append([sum(math.comb(s, j) * rising[j] * prev[s - j]
+                               for j in range(1, min(cap, s) + 1)) for s in range(top + 1)])
+        for t in range(min(n, k // x)):
+            s, m = k - (t + 1) * x, n - t - 1
+            ways = sum(math.comb(m, i) * powers[i][s] for i in range(min(m, s) + 1))
+            if ways:
+                counts[(x, t)] = (math.comb(n, t + 1) * rising[x] ** (t + 1) * ways
+                                  * (math.factorial(k)
+                                     // (math.factorial(x) ** (t + 1) * math.factorial(s))))
+    assert sum(counts.values()) == total
+    return {cell: count / total for cell, count in counts.items()}
+
+
+def max_tie_cells(first: int, hist) -> Counter:
+    """{(max, tie count): trials} of a chunk of occupancy histograms."""
+    top = hist.shape[1] - 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
+    return Counter(zip((first + top).tolist(), (hist[np.arange(len(hist)), top] - 1).tolist()))
 
 
 def record_draws(monkeypatch) -> list:
@@ -289,18 +377,25 @@ class TestChunks:
         (10, 0, "multinomial", None, 20000), (30, 45, "dirichlet", 0.7, 999),
         (100_000, 10 ** 6, "multinomial", None, 40),
         (2, 10 ** 9, "multinomial", None, 3),
-        (50, 20, "dirichlet", 1.0, 328)])   # exactly 2 full chunks
+        (50, 20, "dirichlet", 1.0, 328),
+        (50, 200, "dirichlet", 1.0, 326),   # exactly 2 full chunks of box counts
+        (2000, 2000, "dirichlet", 1.0, 1000),
+        (400, 60, "dirichlet", 0.5, 20000)])
     def test_plans(self, n_boxes, n_balls, kind, r, trials):
         # the multinomial is stream version 3, about sqrt(k) draws a trial;
-        # the Dirichlet mixture is version 4, two draws a box
+        # a Dirichlet spec is version 5 on histograms, CHUNK_CELLS over its
+        # table's width, or version 4 on box counts, two draws a box
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
                               seed=0, r=r)
         plan = list(_chunks(spec))
-        version = 3 if kind == "multinomial" else 4
-        assert [key for key, _ in plan] == [(version, c) for c in range(len(plan))]
+        window = allocsim._dirichlet_window(n_boxes, n_balls, r) if r else None
+        stream = 3 if kind == "multinomial" else 4 if window is None else 5
+        assert [key for key, _ in plan] == [(stream, c) for c in range(len(plan))]
         assert sum(size for _, size in plan) == trials
-        draws = math.isqrt(n_balls) + 1 if kind == "multinomial" else 2 * n_boxes
-        full = max(1, CHUNK_DRAWS // draws)
+        if stream == 5:
+            full = max(1, CHUNK_CELLS // (window[3] - window[2] + 1))
+        else:
+            full = max(1, CHUNK_DRAWS // (math.isqrt(n_balls) + 1 if stream == 3 else 2 * n_boxes))
         assert all(size == full for _, size in plan[:-1]) and 1 <= plan[-1][1] <= full
 
 
@@ -350,14 +445,14 @@ class TestTrialCounts:
         (7, 23, "multinomial", None), (50, 20, "multinomial", None), (8, 8, "multinomial", None),
         (10, 0, "multinomial", None), (3, 1, "multinomial", None),
         (50, 40000, "multinomial", None), (7, 23, "dirichlet", 1.5), (10, 0, "dirichlet", 1.5),
-        (3, 6, "dirichlet", 1e-8)])
+        (3, 6, "dirichlet", 1e-8), (2000, 2000, "dirichlet", 1.0), (200, 40, "dirichlet", 0.5)])
     def test_rows_conserve_boxes_and_balls(self, n_boxes, n_balls, kind, r):
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1, seed=11,
                               r=r)
-        drawn = trial_counts(spec, (3, 3) if kind == "multinomial" else (4, 3), 25)
-        if kind == "dirichlet":  # box counts, one row of n_boxes per trial
+        drawn = trial_counts(spec, (version(spec), 3), 25)
+        if not isinstance(drawn, tuple):  # box counts, one row of n_boxes per trial
             assert drawn.shape == (25, n_boxes) and (drawn.sum(axis=1) == n_balls).all()
-        first, hist = histograms(spec, drawn)
+        first, hist = histograms(drawn)
         assert hist.shape[0] == 25 and (hist >= 0).all()
         assert (hist.sum(axis=1) == n_boxes).all()
         assert (hist @ np.arange(first, first + hist.shape[1]) == n_balls).all()
@@ -368,16 +463,20 @@ class TestTrialCounts:
         # Poisson windows that start above class 0
         (50, 40000, "multinomial", None), (3, 3 * CHUNK_DRAWS, "multinomial", None),
         (2000, 200_000, "multinomial", None),
-        # more Dirichlet weights than CHUNK_DRAWS in one call
-        (CHUNK_DRAWS + 9, 100, "dirichlet", 0.5),
+        # more boxes than CHUNK_DRAWS, on histograms and on box counts (more
+        # Dirichlet weights than CHUNK_DRAWS in one call)
+        (CHUNK_DRAWS + 9, 100, "dirichlet", 0.5), (CHUNK_DRAWS + 9, 100, "dirichlet", 1e-8),
         # shapes below 1 that drove gamma weights to 0 / 0
-        (3, 6, "dirichlet", 1e-3), (5, 12, "dirichlet", 1e-8)])
+        (3, 6, "dirichlet", 1e-3), (5, 12, "dirichlet", 1e-8),
+        # Dirichlet histograms: the benchmark's spec, and an NB window from class 1
+        (2000, 2000, "dirichlet", 1.0), (200, 40, "dirichlet", 2.0),
+        (5000, 190000, "dirichlet", 1000.0)])
     def test_matches_per_trial_reference(self, n_boxes, n_balls, kind, r):
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1, seed=41,
                               r=r)
-        version = 3 if kind == "multinomial" else 4
-        for key, size in (((4,), 1), ((version, 0), 13), ((version, 7), 13)):
-            first, hist = histograms(spec, trial_counts(spec, key, size))
+        stream = version(spec)
+        for key, size in (((4,), 1), ((stream, 0), 13), ((stream, 7), 13)):
+            first, hist = histograms(trial_counts(spec, key, size))
             rows = reference_rows(spec, key, size)
             assert len(hist) == len(rows) == size
             for got, ref in zip(hist, rows):
@@ -386,15 +485,16 @@ class TestTrialCounts:
     def test_generator_calls(self, monkeypatch):
         # a multinomial chunk draws its histograms by one multinomial call,
         # its redrawn rows by one call a round, and its missing balls by one
-        # integers call; a Dirichlet chunk its weights and counts by one each
+        # integers call; a Dirichlet chunk on box counts its weights and
+        # counts by one each; one on histograms its rows as a multinomial
+        # chunk does, then one uniform a live trial a Pólya step
         calls = record_draws(monkeypatch)
 
         def record(n_boxes, n_balls, kind, trials, r=None):
             spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=1,
                                   seed=2, r=r)
             calls.clear()
-            first, hist = histograms(
-                spec, trial_counts(spec, (3 if kind == "multinomial" else 4, 0), trials))
+            first, hist = histograms(trial_counts(spec, (version(spec), 0), trials))
             assert (hist @ np.arange(first, first + hist.shape[1]) == n_balls).all()
             return list(calls)
 
@@ -408,9 +508,17 @@ class TestTrialCounts:
             assert all(name == "multinomial" and shape[0] < 8 for name, shape in draws[1:]), made
             # no call grows with k: the thrown balls are a few sqrt(k) a trial
             assert last == "integers" and thrown[0] <= 8 * 6 * math.isqrt(n_balls), made
-        dirichlet = record(CHUNK_DRAWS + 9, 100, "dirichlet", 2, 0.5)
+        dirichlet = record(CHUNK_DRAWS + 9, 100, "dirichlet", 2, 1e-8)
         assert dirichlet == [("dirichlet", (2, CHUNK_DRAWS + 9)),
                              ("multinomial", (2, CHUNK_DRAWS + 9))]
+        *_, first, last = allocsim._dirichlet_window(CHUNK_DRAWS + 9, 100, 0.5)
+        made = record(CHUNK_DRAWS + 9, 100, "dirichlet", 8, 0.5)
+        rows = [shape for name, shape in made if name == "multinomial"]
+        steps = [shape[0] for name, shape in made if name == "random"]
+        assert rows[0] == (8, last - first + 1) and all(s[0] < 8 for s in rows[1:]), made
+        assert [name for name, _ in made] == ["multinomial"] * len(rows) + ["random"] * len(steps)
+        # the trials still missing balls only fall, step by step
+        assert steps and steps == sorted(steps, reverse=True) and steps[0] <= 8, made
 
     def test_two_boxes_a_billion_balls(self):
         # the cost follows the table's width and sqrt(k), not k
@@ -439,7 +547,7 @@ class TestTrialCounts:
 
 
 # (spec, anchor (n_boxes, n_balls), summary) pinned on multinomial stream
-# version 3 and Dirichlet stream version 4
+# version 3 and Dirichlet stream versions 4 (box counts) and 5 (histograms)
 PINNED = {
     "multinomial_sparse": (
         dict(n_boxes=50, n_balls=20, kind="multinomial", trials=200, seed=12345), (50, 20),
@@ -465,6 +573,15 @@ PINNED = {
             tie_histogram={0: 124, 1: 18, 2: 6, 3: 2},
             cluster_freq=2 / 150, mean_top_two_occupancy=622 / 150,
             ge_anchor_histogram={4: 4, 5: 23, 6: 32, 7: 54, 8: 25, 9: 9, 10: 2, 11: 1},
+            trials=150)),
+    "dirichlet_histograms": (
+        dict(n_boxes=200, n_balls=40, kind="dirichlet", trials=150, seed=77, r=1.0), (200, 40),
+        AllocationSummary(
+            max_histogram={2: 59, 3: 74, 4: 13, 5: 1, 6: 3},
+            tie_histogram={0: 69, 1: 19, 2: 11, 3: 13, 4: 11, 5: 10, 6: 9, 7: 7, 8: 1},
+            cluster_freq=59 / 150, mean_top_two_occupancy=4897 / 150,
+            ge_anchor_histogram={27: 1, 28: 1, 29: 3, 30: 6, 31: 14, 32: 24, 33: 22, 34: 31,
+                                 35: 18, 36: 19, 37: 9, 38: 2},
             trials=150)),
     "zero_balls": (
         dict(n_boxes=10, n_balls=0, kind="multinomial", trials=20, seed=0), (10, 5),
@@ -538,6 +655,8 @@ class TestSimulate:
         (12, 40, "dirichlet", 2.0, 1),
         (3, 2, "multinomial", None, 50),       # fewer balls than POISSON_MARGIN^2: all thrown
         (20, 20000, "multinomial", None, 300),  # 3 chunks, a window from class 746
+        (200, 40, "dirichlet", 1.0, 300),       # histograms (stream version 5)
+        (100, 50, "dirichlet", 0.5, 200),
     ])
     def test_matches_per_trial_reference(self, n_boxes, n_balls, kind, r, trials):
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
@@ -822,6 +941,153 @@ class TestSimulate:
         sigma = math.sqrt(prof.p_n * (1 - prof.p_n) / trials)
         assert abs(f - prof.p_n) <= 4 * sigma
         assert s.cluster_freq >= 0.95
+
+
+class TestDirichletRoute:
+    """Stream version 5, the Dirichlet mixture on occupancy histograms, and
+    the rule that sends each Dirichlet spec to it or to box counts."""
+
+    @pytest.mark.parametrize("n_boxes,n_balls", [(1, 5), (2, 3), (3, 6), (4, 8), (6, 12), (5, 0)])
+    def test_oracle_matches_enumerate_conditional(self, n_boxes, n_balls):
+        for r in (1e-3, 0.5, 0.7, 1.0, 2.0):
+            law = exact_dirichlet_max_tie_law(n_boxes, n_balls, r)
+            ref = Counter()
+            for key, (prob, _) in enumerate_conditional(n_boxes, n_balls, "dirichlet", r=r).items():
+                ref[(key[0], key.count(key[0]) - 1)] += prob
+            assert set(law) == set(ref), r
+            for cell, prob in law.items():
+                assert prob == pytest.approx(ref[cell], abs=1e-15), (r, cell)
+
+    @pytest.mark.parametrize("n_boxes,n_balls,r,stream", [
+        (200, 40, 0.5, 5), (200, 40, 1.0, 5), (200, 40, 2.0, 5),
+        (400, 60, 0.5, 5), (400, 60, 1.0, 5), (400, 60, 2.0, 5),
+        (3, 60, 0.5, 4), (3, 60, 1.0, 4), (3, 60, 2.0, 4),
+        (4, 100, 0.5, 4), (4, 100, 1.0, 4), (4, 100, 2.0, 4),
+        (5, 40, 0.5, 4), (5, 40, 1.0, 4), (5, 40, 2.0, 4),
+        (15, 8, 2.0, 4), (16, 8, 2.0, 5)])  # the two sides of the switch at k = n / 2, r = 2
+    def test_max_and_tie_laws_are_exact(self, n_boxes, n_balls, r, stream):
+        # the (max, ties) cells of the chunks, and simulate's max and tie
+        # histograms of the same chunks, within 5 sigma of the exact law
+        trials = 20000
+        spec = dirichlet_spec(n_boxes, n_balls, r, trials, seed=1962)
+        assert version(spec) == stream
+        law = exact_dirichlet_max_tie_law(n_boxes, n_balls, r)
+        cells = Counter()
+        for key, size in _chunks(spec):
+            cells += max_tie_cells(*histograms(trial_counts(spec, key, size)))
+        assert_law_within_5_sigma(cells, law, trials)
+        max_law, tie_law = Counter(), Counter()
+        for (x, t), prob in law.items():
+            max_law[x] += prob
+            tie_law[t] += prob
+        s = simulate(spec, asym_profile(50, 20))
+        assert_law_within_5_sigma(s.max_histogram, max_law, trials)
+        assert_law_within_5_sigma(s.tie_histogram, tie_law, trials)
+
+    @pytest.mark.parametrize("n_boxes,n_balls,r", [(3, 6, 0.5), (3, 6, 2.0), (6, 12, 0.5),
+                                                   (6, 12, 1.0), (6, 12, 2.0)])
+    def test_polya_steps_from_empty_boxes_are_the_dirichlet_law(self, n_boxes, n_balls, r):
+        # k steps from n empty boxes draw the whole allocation; the rows
+        # start one class wide, so they grow a column at nearly every step
+        trials = 20000
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=1977, spawn_key=(5, 0)))
+        rows = np.full((trials, 1), n_boxes, dtype=np.int64)
+        hist = allocsim._polya_steps(rng, rows, np.full(trials, n_balls), 0, r)
+        assert hist.shape[1] > 2
+        assert (hist.sum(axis=1) == n_boxes).all()
+        assert (hist @ np.arange(hist.shape[1]) == n_balls).all()
+        cells = Counter(tuple(v for v in range(hist.shape[1] - 1, -1, -1) for _ in range(c[v]))
+                        for c in hist.tolist())
+        law = {key: prob for key, (prob, _) in
+               enumerate_conditional(n_boxes, n_balls, "dirichlet", r=r).items()}
+        assert_law_within_5_sigma(cells, law, trials)
+        # the same stream, replayed per trial in plain Python
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=1977, spawn_key=(5, 0)))
+        hists = [{0: n_boxes} for _ in range(trials)]
+        reference_polya(rng, hists, [n_balls] * trials, r)
+        assert [occupancy(0, row) for row in hist] == [
+            {v: c for v, c in sorted(occ.items()) if c} for occ in hists]
+
+    @pytest.mark.parametrize("n_boxes,n_balls,r", [
+        (2000, 2000, 1.0), (200, 40, 0.5), (16, 8, 2.0), (CHUNK_DRAWS + 9, 100, 0.5),
+        (5000, 190000, 1000.0), (1000, 1000, 2.0 ** 31), (10, 0, 1.5)])
+    def test_window_ends_where_each_tail_falls_below_2_to_the_minus_53(self, n_boxes, n_balls, r):
+        p, q, first, last = allocsim._dirichlet_window(n_boxes, n_balls, r)
+        assert p == n_balls / (n_balls + n_boxes * r) and q == pytest.approx(1.0 - p, rel=1e-15)
+        end = _LOG_TABLE_TAIL
+        mode = math.floor((r - 1.0) * n_balls / (n_boxes * r)) if r > 1.0 else 0
+        # P(X < first) < 2^-53 <= P(X < first + 1), and P(X > last) < 2^-53 <=
+        # P(X > last - 1), unless the window reaches 0 or the mode
+        assert first == 0 or reg_beta_log(r, first, q) < end <= reg_beta_log(r, first + 1.0, q)
+        assert reg_beta_log(last + 1.0, r, p) < end or p == 0.0
+        assert last == mode or reg_beta_log(float(last), r, p) >= end
+        table_first, pvals = allocsim._negbinom_table(r, p, q, first, last)
+        assert table_first == first and len(pvals) == last - first + 1
+        assert math.fsum(pvals) == pytest.approx(1.0, abs=1e-13)
+        if len(pvals) > 1:
+            # the inner classes are the pmf, the end classes also hold the tails
+            model = NegativeBinomialModel(r, p)
+            pmf = [math.exp(model.log_pmf(v)) for v in range(first, last + 1)]
+            assert list(pvals[1:-1]) == pmf[1:-1]
+            below = math.exp(reg_beta_log(r, first, q)) if first else 0.0
+            assert pvals[0] == pmf[0] + below
+            assert pvals[-1] == pmf[-1] + math.exp(model.log_tail(last))
+
+    @pytest.mark.parametrize("n_boxes,n_balls,r", [
+        (41, 41, 1.0), (42, 42, 1.0), (15, 8, 2.0), (16, 8, 2.0), (86, 86, 0.5),
+        (87, 87, 0.5), (2000, 2000, 1.0), (2000, 2000, 1e-8), (2, 10 ** 7, 1.0), (3, 6, 1.0),
+        (6, 12, 1.0), (30, 45, 0.7), (50, 200, 1.0), (10, 0, 1.5), (6, 0, 1.5),
+        (5000, 190000, 1000.0), (1000, 1000, 2.0 ** 32)])
+    def test_route_weighs_the_table_and_the_polya_steps_against_the_boxes(self, n_boxes,
+                                                                          n_balls, r):
+        # histograms where width (ROUTE_CLASS_COST + sd) is below
+        # ROUTE_BOX_COST n, the table's ends walked class by class
+        sd = math.sqrt(n_balls * (1.0 + n_balls / (n_boxes * r)))
+        total = n_balls + n_boxes * r
+        p, q = n_balls / total, n_boxes * r / total
+        mode = math.floor((r - 1.0) * n_balls / (n_boxes * r)) if r > 1.0 else 0
+        first = 0
+        while first < mode and reg_beta_log(r, first + 1.0, q) < _LOG_TABLE_TAIL:
+            first += 1
+        last, cap = mode, first + 10 * n_boxes
+        while last < cap and reg_beta_log(last + 1.0, r, p) >= _LOG_TABLE_TAIL:
+            last += 1
+        cost = (last - first + 1) * (allocsim.ROUTE_CLASS_COST + sd)
+        cheaper = last < cap and cost < allocsim.ROUTE_BOX_COST * n_boxes
+        window = allocsim._dirichlet_window(n_boxes, n_balls, r)
+        assert (window is not None) == (cheaper and r < allocsim.ROUTE_MAX_R)
+        if window is not None:
+            assert window[2:] == (first, last)
+
+    def test_the_route_follows_the_spec_alone(self):
+        # no argument, option or key picks the route: not simulate's or
+        # trial_counts' (they take none), nor the seed, the trial count or
+        # the chunk's key
+        assert list(inspect.signature(simulate).parameters) == ["spec", "prof"]
+        assert list(inspect.signature(trial_counts).parameters) == ["spec", "key", "trials"]
+        for n_boxes, n_balls, r, stream in ((2000, 2000, 1.0, 5), (2, 10 ** 7, 1.0, 4),
+                                            (2000, 2000, 1e-8, 4), (3, 6, 1.0, 4),
+                                            (6, 12, 1.0, 4), (30, 45, 0.7, 4),
+                                            (2000, 2000, 2.0 ** 32, 4), (41, 41, 1.0, 4),
+                                            (42, 42, 1.0, 5)):
+            for trials, seed in ((1, 0), (10 ** 6, 2 ** 70), (999, 7)):
+                assert version(dirichlet_spec(n_boxes, n_balls, r, trials, seed)) == stream
+            spec = dirichlet_spec(n_boxes, n_balls, r, seed=3)
+            for key in ((4, 0), (5, 0), (9,)):
+                assert isinstance(trial_counts(spec, key, 2), tuple) == (stream == 5), key
+
+    def test_histogram_chunks_do_not_depend_on_the_thread_count(self, monkeypatch):
+        # a small CHUNK_CELLS makes the 400 trials 22 chunks, 21 of 19
+        monkeypatch.setattr(allocsim, "CHUNK_CELLS", 400)
+        spec = dirichlet_spec(200, 40, 1.0, trials=400, seed=8)
+        plan = list(_chunks(spec))
+        assert len(plan) == 22 and plan[0] == ((5, 0), 19)
+        prof = asym_profile(50, 20)
+        want = reference_summary(spec, prof)
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            assert simulate(spec, prof) == want, cpus
 
 
 class TestEnumerateConditional:

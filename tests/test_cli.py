@@ -723,7 +723,8 @@ sys.exit(code)
         assert any(row["simulated"] for row in parse_csv(out))
 
     # the functions that draw or tally samples, as module.function
-    NUMPY_USERS = {"allocsim.trial_counts", "allocsim.simulate", "datafit.simulate_daily_max"}
+    NUMPY_USERS = {"allocsim.trial_counts", "allocsim._polya_steps", "allocsim.simulate",
+                   "datafit.simulate_daily_max"}
 
     def test_only_the_samplers_import_numpy(self):
         found = []

@@ -88,6 +88,9 @@ random arguments:
 - the binomial pmf for the same n and k, with p log-uniform in
   [e^-800, 1) or within a factor e^0.5 of k / n (worst 1.2e-14, beyond
   2^53, and 9.4e-15 below);
+- ln Q(a, x) and ln P(a, x) for a log-uniform in [1e-15, 0.2] and x in
+  (0, 1.1], the small-x corner whose series take lgamma(1 + a) (worst
+  2.5e-15 of 40000; 0.026 when that was lgamma of the rounded 1 + a);
 - the Stirling remainder on both sides of 15, at subnormal arguments and
   at the half-integers, which are read from a table (worst 1.2e-15;
   3.5e-16 at the half-integers).
@@ -168,6 +171,19 @@ def log_uniform(lo, hi):
 def assert_log_close(got, ref, bound, args):
     """got within bound * max(1, |ref|) of the mpmath value ref."""
     assert abs(got - float(ref)) <= bound * max(1.0, abs(float(ref))), (args, got, ref)
+
+
+@settings(deadline=None)
+@given(a=log_uniform(1e-15, 0.2), x=st.floats(0.0, 1.1, exclude_min=True))
+@example(a=1e-12, x=0.5)  # 6.8e-4 off when lgamma(1 + a) was taken of the rounded 1 + a
+def test_incomplete_gamma_at_small_a_vs_mpmath(a, x):
+    # the small-x series for Q and the lower series for P, both of which
+    # take lgamma(1 + a)
+    with mp.workdps(40):
+        ref_q = mp.log(mp.gammainc(a, x, mp.inf, regularized=True))
+        ref_p = mp.log(mp.gammainc(a, 0, x, regularized=True))
+    assert_log_close(reg_gamma_q_log(a, x), ref_q, 3e-15, (a, x))
+    assert_log_close(reg_gamma_p_log(a, x), ref_p, 3e-15, (a, x))
 
 
 @settings(deadline=None)
