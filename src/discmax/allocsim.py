@@ -218,39 +218,35 @@ def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
 
 
 def _polya_steps(rng, rows, missing, first: int, r: float):
-    """The rows completed by Pólya-urn steps, each step adding one ball to
-    every trial that still misses one: class j is picked with probability
-    proportional to rows[t, j] (r + first + j), the first class whose
-    cumulative weight exceeds a uniform times the total, and one of its boxes
-    moves to class j + 1.  The trials step together, those missing the most
-    first (a stable sort), so the live ones are a prefix of that order and
-    each step draws one uniform per live trial.  The sums stop at the highest
-    class any row occupies (the classes above weigh 0), and the rows grow by
-    one column when a box reaches their last."""
+    """The rows, in an order in which `missing` does not increase, completed
+    in place by Pólya-urn steps, each step adding one ball to every trial
+    that still misses one: class j is picked with probability proportional
+    to rows[t, j] (r + first + j), the first class whose cumulative weight
+    exceeds a uniform times the total, and one of its boxes moves to class
+    j + 1.  The trials step together, so the live ones are a prefix of the
+    rows and each step draws one uniform per live trial.  The sums stop at
+    the highest class any row occupies (the classes above weigh 0), and the
+    rows grow by one column when a box reaches their last."""
     import numpy as np
-    order = np.argsort(-missing, kind="stable")
-    need = missing[order]
-    hist = rows[order]
-    top = int(np.flatnonzero(hist.any(axis=0))[-1])
-    hist = np.pad(hist, ((0, 0), (0, max(0, top + 2 - hist.shape[1]))))
-    weight = r + np.arange(first, first + hist.shape[1])
-    at = np.arange(len(hist))
+    top = int(np.flatnonzero(rows.any(axis=0))[-1])
+    if top + 1 == rows.shape[1]:
+        rows = np.pad(rows, ((0, 0), (0, 1)))
+    weight = r + np.arange(first, first + rows.shape[1])
+    at = np.arange(len(rows))
     # live[s]: the trials still missing a ball at step s
-    live = np.searchsorted(-need, -np.arange(need.max(initial=0)), side="left")
+    live = np.searchsorted(-missing, -np.arange(missing.max(initial=0)), side="left")
     for size in live.tolist():
-        cum = np.cumsum(hist[:size, :top + 1] * weight[:top + 1], axis=1)
+        cum = np.cumsum(rows[:size, :top + 1] * weight[:top + 1], axis=1)
         # u < cum[:, -1] by rounding, so the class picked is never empty
         j = np.count_nonzero(cum <= (rng.random(size) * cum[:, -1])[:, None], axis=1)
-        hist[at[:size], j] -= 1
-        hist[at[:size], j + 1] += 1
+        rows[at[:size], j] -= 1
+        rows[at[:size], j + 1] += 1
         if j.max() == top:
             top += 1
-            if top + 1 == hist.shape[1]:
-                hist = np.pad(hist, ((0, 0), (0, 1)))
-                weight = r + np.arange(first, first + hist.shape[1])
-    out = np.empty_like(hist)
-    out[order] = hist
-    return out
+            if top + 1 == rows.shape[1]:
+                rows = np.pad(rows, ((0, 0), (0, 1)))
+                weight = r + np.arange(first, first + rows.shape[1])
+    return rows
 
 
 def trial_counts(spec: AllocationSpec, key: tuple, trials: int):
@@ -262,7 +258,8 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int):
     classes of the Poisson or NB table again while they hold more than
     n_balls balls, then completed: a multinomial chunk's missing balls hit
     uniform boxes numbered class by class, a Dirichlet chunk's come by
-    `_polya_steps`."""
+    `_polya_steps`, its rows in the order they step in (a chunk's trials
+    are exchangeable)."""
     import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
     if spec.kind == "dirichlet":
@@ -275,13 +272,20 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int):
         lam = max(0.0, spec.n_balls - POISSON_MARGIN * math.sqrt(spec.n_balls)) / spec.n_boxes
         first, pvals = _poisson_table(lam)
     balls_at = np.arange(first, first + len(pvals))
-    rows, draw = np.empty((trials, len(pvals)), dtype=np.int64), np.arange(trials)
+    rows = rng.multinomial(spec.n_boxes, pvals, size=trials)
+    draw = np.flatnonzero(rows @ balls_at > spec.n_balls)
     while draw.size:  # rows holding more than n_balls balls are drawn again
-        rows[draw] = rng.multinomial(spec.n_boxes, pvals, size=draw.size)
-        draw = draw[rows[draw] @ balls_at > spec.n_balls]
+        redrawn = rng.multinomial(spec.n_boxes, pvals, size=draw.size)
+        rows[draw] = redrawn
+        draw = draw[redrawn @ balls_at > spec.n_balls]
     missing = spec.n_balls - rows @ balls_at
     if spec.kind == "dirichlet":
-        return first, _polya_steps(rng, rows, missing, first, spec.r)
+        # the trials missing the most first (a stable sort), cut to the
+        # classes up to one above the highest occupied, so that the
+        # table-wide rows are freed before the steps
+        order = np.argsort(-missing, kind="stable")
+        rows = rows[order, :int(np.flatnonzero(rows.any(axis=0))[-1]) + 2]
+        return first, _polya_steps(rng, rows, missing[order], first, spec.r)
     # boxes are exchangeable, so those of trial t are t n, ..., t n + n - 1 in
     # class order
     hits = rng.integers(0, spec.n_boxes, int(missing.sum()))

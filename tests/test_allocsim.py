@@ -131,11 +131,12 @@ def dirichlet_spec(n_boxes, n_balls, r, trials=1, seed=0) -> AllocationSpec:
 
 
 def reference_polya(rng, hists: list, missing: list, r: float) -> None:
-    """Reference for _polya_steps, on {balls: boxes} dicts in plain Python:
-    the trials missing the most step first (a stable sort), and at each
-    step every trial still missing a ball takes the next uniform, in that
-    order, and moves one box up from the first class whose cumulative
-    weight boxes x (r + balls) exceeds the uniform times the total."""
+    """Reference for _polya_steps, on {balls: boxes} dicts in plain Python,
+    in place and in trial order: the trials missing the most step first (a
+    stable sort), and at each step every trial still missing a ball takes
+    the next uniform, in that order, and moves one box up from the first
+    class whose cumulative weight boxes x (r + balls) exceeds the uniform
+    times the total."""
     order = sorted(range(len(hists)), key=lambda t: -missing[t])
     step = 0
     while live := [t for t in order if missing[t] > step]:
@@ -158,7 +159,8 @@ def reference_rows(spec, key, size) -> list:
     again, in the kernel's rounds, while it holds more than n_balls balls;
     a multinomial trial writes it out as boxes in class order and adds its
     missing balls to those boxes one by one, a Dirichlet trial adds them by
-    `reference_polya`."""
+    `reference_polya`, and a version-5 chunk comes in the order its trials
+    step in."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
     if spec.kind == "dirichlet":
         window = allocsim._dirichlet_window(spec.n_boxes, spec.n_balls, spec.r)
@@ -181,10 +183,12 @@ def reference_rows(spec, key, size) -> list:
         for t in over:
             rows[t] = draw()
         over = [t for t in over if balls(rows[t]) > spec.n_balls]
-    if spec.kind == "dirichlet":
+    if spec.kind == "dirichlet":  # returned in the order the trials step in
         hists = [{first + j: c for j, c in enumerate(row) if c} for row in rows]
-        reference_polya(rng, hists, [spec.n_balls - balls(row) for row in rows], spec.r)
-        return [[v for v in sorted(occ) for _ in range(occ[v])] for occ in hists]
+        missing = [spec.n_balls - balls(row) for row in rows]
+        reference_polya(rng, hists, missing, spec.r)
+        order = sorted(range(size), key=lambda t: -missing[t])
+        return [[v for v in sorted(hists[t]) for _ in range(hists[t][v])] for t in order]
     trials = []
     for row in rows:
         boxes = [first + j for j, c in enumerate(row) for _ in range(c)]
