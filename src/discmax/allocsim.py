@@ -20,7 +20,7 @@ lambda' = max(0, k - POISSON_MARGIN sqrt(k)) / n, drawn again while their
 sum S exceeds k, plus k - S uniform balls; its table, from the model's pmf
 run, absorbs the tails beyond 2^-53 in its end classes, so a trial is within
 n 2^-50 of the multinomial in total variation.  The Dirichlet mixture takes
-one of two routes, picked by the spec alone (``_dirichlet_window``).  On
+one of two routes, picked by the spec alone (``_negbinom_table``).  On
 histograms it is version 5: the occupancy histogram of n NB(r, p') counts of
 total mean k (p' cancels given their sum S, which is Dirichlet-multinomial),
 drawn again while S exceeds k, completed by k - S Pólya-urn steps, which
@@ -152,14 +152,19 @@ def _poisson_table(lam: float) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _dirichlet_window(n_boxes: int, n_balls: int, r: float) -> tuple | None:
-    """(p, q, first, last) of the NB(r, p) table of a histogram-route spec,
-    p = k / (k + n r) and q = 1 - p, so that the n counts hold k balls on
-    average, or None where the spec stays on box counts: where r >=
-    ROUTE_MAX_R, or where the table is not narrower than the width at which
-    a histogram trial would cost as much as a box-count trial (the route
-    constants above).  The ends are those of `_poisson_table`, found by
-    bisection on the incomplete beta tails up to that width, never listed."""
+def _negbinom_table(n_boxes: int, n_balls: int, r: float) -> tuple | None:
+    """(first, pvals): NB(r, p) probabilities, p = k / (k + n r) so that the
+    n counts hold k balls on average, of the classes from the largest first
+    to the smallest last whose outer tails are below 2^-53, which the end
+    classes absorb as `_poisson_table`'s do; or None where the spec stays on
+    box counts: where r >= ROUTE_MAX_R, or where the table is not narrower
+    than the width at which a histogram trial would cost as much as a
+    box-count trial (the route constants above).  The ends are found by
+    bisection on the incomplete beta tails up to that width, so only a
+    histogram spec's table is listed.  Inner classes are read from the
+    model's pmf run; the tails are added to the end classes' pmf rather
+    than taken whole from the incomplete beta, whose lgamma prefactor loses
+    ~r 2^-52 ln r (4e-11 at r = 1e5 on P(X <= 0) = (1 - p)^r)."""
     if r >= ROUTE_MAX_R:
         return None
     sd = math.sqrt(n_balls * (1.0 + n_balls / (n_boxes * r)))
@@ -178,17 +183,6 @@ def _dirichlet_window(n_boxes: int, n_balls: int, r: float) -> tuple | None:
     # P(X > v) = I_p(v + 1, r)
     last = mode + bisect_left(range(mode, top + 1), True,
                               key=lambda v: reg_beta_log(v + 1.0, r, p) < _LOG_TABLE_TAIL)
-    return p, q, first, last
-
-
-@functools.lru_cache(maxsize=1)
-def _negbinom_table(r: float, p: float, q: float, first: int, last: int) -> tuple:
-    """(first, pvals): NB(r, p) probabilities of the classes first..last of
-    `_dirichlet_window`, read from the model's pmf run, the end classes
-    absorbing the tails below 2^-53 as `_poisson_table`'s do.  The tails are
-    added to the end classes' pmf rather than taken whole from the incomplete
-    beta, whose lgamma prefactor loses ~r 2^-52 ln r (4e-11 at r = 1e5 on
-    P(X <= 0) = (1 - p)^r)."""
     if first == last:  # no ball (p = 0), or fewer than 2^-53 a box
         return first, (1.0,)
     model = NegativeBinomialModel(r, p)
@@ -208,27 +202,32 @@ def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
     weight and one binomial a box)."""
     if spec.kind == "multinomial":
         version, size = 3, CHUNK_DRAWS // (math.isqrt(spec.n_balls) + 1)
-    elif (window := _dirichlet_window(spec.n_boxes, spec.n_balls, spec.r)) is None:
+    elif (table := _negbinom_table(spec.n_boxes, spec.n_balls, spec.r)) is None:
         version, size = 4, CHUNK_DRAWS // (2 * spec.n_boxes)
     else:
-        version, size = 5, CHUNK_CELLS // (window[3] - window[2] + 1)
+        version, size = 5, CHUNK_CELLS // len(table[1])
     size = max(1, size)
     return (((version, c), min(size, spec.trials - first))
             for c, first in enumerate(range(0, spec.trials, size)))
 
 
 def _polya_steps(rng, rows, missing, first: int, r: float):
-    """The rows, in an order in which `missing` does not increase, completed
-    in place by Pólya-urn steps, each step adding one ball to every trial
-    that still misses one: class j is picked with probability proportional
-    to rows[t, j] (r + first + j), the first class whose cumulative weight
-    exceeds a uniform times the total, and one of its boxes moves to class
-    j + 1.  The trials step together, so the live ones are a prefix of the
-    rows and each step draws one uniform per live trial.  The sums stop at
-    the highest class any row occupies (the classes above weigh 0), and the
-    rows grow by one column when a box reaches their last."""
+    """The rows completed by Pólya-urn steps, each step adding one ball to
+    every trial that still misses one: class j is picked with probability
+    proportional to rows[t, j] (r + first + j), the first class whose
+    cumulative weight exceeds a uniform times the total, and one of its
+    boxes moves to class j + 1.  The trials step together, those missing
+    the most first (a stable sort), so the live ones are a prefix of that
+    order, the order the rows are returned in, and each step draws one
+    uniform per live trial.  The rows are first cut to the classes up to
+    one above the highest occupied (so table-wide rows are freed before the
+    steps); the sums stop at the highest occupied class (the classes above
+    weigh 0), and the rows grow by one column when a box reaches their
+    last."""
     import numpy as np
     top = int(np.flatnonzero(rows.any(axis=0))[-1])
+    order = np.argsort(-missing, kind="stable")
+    rows, missing = rows[order, :top + 2], missing[order]
     if top + 1 == rows.shape[1]:
         rows = np.pad(rows, ((0, 0), (0, 1)))
     weight = r + np.arange(first, first + rows.shape[1])
@@ -263,11 +262,11 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int):
     import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
     if spec.kind == "dirichlet":
-        window = _dirichlet_window(spec.n_boxes, spec.n_balls, spec.r)
-        if window is None:
+        table = _negbinom_table(spec.n_boxes, spec.n_balls, spec.r)
+        if table is None:
             weights = rng.dirichlet(np.full(spec.n_boxes, spec.r), trials)
             return rng.multinomial(spec.n_balls, weights)
-        first, pvals = _negbinom_table(spec.r, *window)
+        first, pvals = table
     else:
         lam = max(0.0, spec.n_balls - POISSON_MARGIN * math.sqrt(spec.n_balls)) / spec.n_boxes
         first, pvals = _poisson_table(lam)
@@ -280,12 +279,7 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int):
         draw = draw[redrawn @ balls_at > spec.n_balls]
     missing = spec.n_balls - rows @ balls_at
     if spec.kind == "dirichlet":
-        # the trials missing the most first (a stable sort), cut to the
-        # classes up to one above the highest occupied, so that the
-        # table-wide rows are freed before the steps
-        order = np.argsort(-missing, kind="stable")
-        rows = rows[order, :int(np.flatnonzero(rows.any(axis=0))[-1]) + 2]
-        return first, _polya_steps(rng, rows, missing[order], first, spec.r)
+        return first, _polya_steps(rng, rows, missing, first, spec.r)
     # boxes are exchangeable, so those of trial t are t n, ..., t n + n - 1 in
     # class order
     hits = rng.integers(0, spec.n_boxes, int(missing.sum()))

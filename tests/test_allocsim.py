@@ -163,11 +163,11 @@ def reference_rows(spec, key, size) -> list:
     step in."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
     if spec.kind == "dirichlet":
-        window = allocsim._dirichlet_window(spec.n_boxes, spec.n_balls, spec.r)
-        if window is None:  # stream version 4
+        table = allocsim._negbinom_table(spec.n_boxes, spec.n_balls, spec.r)
+        if table is None:  # stream version 4
             weights = rng.dirichlet([spec.r] * spec.n_boxes, size)
             return [rng.multinomial(spec.n_balls, w).tolist() for w in weights]
-        first, pvals = allocsim._negbinom_table(spec.r, *window)
+        first, pvals = table
     else:
         first, pvals = allocsim._poisson_table(poisson_rate(spec))
 
@@ -392,12 +392,12 @@ class TestChunks:
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
                               seed=0, r=r)
         plan = list(_chunks(spec))
-        window = allocsim._dirichlet_window(n_boxes, n_balls, r) if r else None
-        stream = 3 if kind == "multinomial" else 4 if window is None else 5
+        table = allocsim._negbinom_table(n_boxes, n_balls, r) if r else None
+        stream = 3 if kind == "multinomial" else 4 if table is None else 5
         assert [key for key, _ in plan] == [(stream, c) for c in range(len(plan))]
         assert sum(size for _, size in plan) == trials
         if stream == 5:
-            full = max(1, CHUNK_CELLS // (window[3] - window[2] + 1))
+            full = max(1, CHUNK_CELLS // len(table[1]))
         else:
             full = max(1, CHUNK_DRAWS // (math.isqrt(n_balls) + 1 if stream == 3 else 2 * n_boxes))
         assert all(size == full for _, size in plan[:-1]) and 1 <= plan[-1][1] <= full
@@ -515,11 +515,11 @@ class TestTrialCounts:
         dirichlet = record(CHUNK_DRAWS + 9, 100, "dirichlet", 2, 1e-8)
         assert dirichlet == [("dirichlet", (2, CHUNK_DRAWS + 9)),
                              ("multinomial", (2, CHUNK_DRAWS + 9))]
-        *_, first, last = allocsim._dirichlet_window(CHUNK_DRAWS + 9, 100, 0.5)
+        width = len(allocsim._negbinom_table(CHUNK_DRAWS + 9, 100, 0.5)[1])
         made = record(CHUNK_DRAWS + 9, 100, "dirichlet", 8, 0.5)
         rows = [shape for name, shape in made if name == "multinomial"]
         steps = [shape[0] for name, shape in made if name == "random"]
-        assert rows[0] == (8, last - first + 1) and all(s[0] < 8 for s in rows[1:]), made
+        assert rows[0] == (8, width) and all(s[0] < 8 for s in rows[1:]), made
         assert [name for name, _ in made] == ["multinomial"] * len(rows) + ["random"] * len(steps)
         # the trials still missing balls only fall, step by step
         assert steps and steps == sorted(steps, reverse=True) and steps[0] <= 8, made
@@ -1016,8 +1016,10 @@ class TestDirichletRoute:
         (2000, 2000, 1.0), (200, 40, 0.5), (16, 8, 2.0), (CHUNK_DRAWS + 9, 100, 0.5),
         (5000, 190000, 1000.0), (1000, 1000, 2.0 ** 31), (10, 0, 1.5)])
     def test_window_ends_where_each_tail_falls_below_2_to_the_minus_53(self, n_boxes, n_balls, r):
-        p, q, first, last = allocsim._dirichlet_window(n_boxes, n_balls, r)
-        assert p == n_balls / (n_balls + n_boxes * r) and q == pytest.approx(1.0 - p, rel=1e-15)
+        first, pvals = allocsim._negbinom_table(n_boxes, n_balls, r)
+        last = first + len(pvals) - 1
+        total = n_balls + n_boxes * r
+        p, q = n_balls / total, n_boxes * r / total
         end = _LOG_TABLE_TAIL
         mode = math.floor((r - 1.0) * n_balls / (n_boxes * r)) if r > 1.0 else 0
         # P(X < first) < 2^-53 <= P(X < first + 1), and P(X > last) < 2^-53 <=
@@ -1025,8 +1027,6 @@ class TestDirichletRoute:
         assert first == 0 or reg_beta_log(r, first, q) < end <= reg_beta_log(r, first + 1.0, q)
         assert reg_beta_log(last + 1.0, r, p) < end or p == 0.0
         assert last == mode or reg_beta_log(float(last), r, p) >= end
-        table_first, pvals = allocsim._negbinom_table(r, p, q, first, last)
-        assert table_first == first and len(pvals) == last - first + 1
         assert math.fsum(pvals) == pytest.approx(1.0, abs=1e-13)
         if len(pvals) > 1:
             # the inner classes are the pmf, the end classes also hold the tails
@@ -1058,10 +1058,10 @@ class TestDirichletRoute:
             last += 1
         cost = (last - first + 1) * (allocsim.ROUTE_CLASS_COST + sd)
         cheaper = last < cap and cost < allocsim.ROUTE_BOX_COST * n_boxes
-        window = allocsim._dirichlet_window(n_boxes, n_balls, r)
-        assert (window is not None) == (cheaper and r < allocsim.ROUTE_MAX_R)
-        if window is not None:
-            assert window[2:] == (first, last)
+        table = allocsim._negbinom_table(n_boxes, n_balls, r)
+        assert (table is not None) == (cheaper and r < allocsim.ROUTE_MAX_R)
+        if table is not None:
+            assert (table[0], table[0] + len(table[1]) - 1) == (first, last)
 
     def test_the_route_follows_the_spec_alone(self):
         # no argument, option or key picks the route: not simulate's or
