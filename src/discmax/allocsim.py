@@ -212,22 +212,17 @@ def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
 
 
 def _polya_steps(rng, rows, missing, first: int, r: float):
-    """The rows completed by Pólya-urn steps, each step adding one ball to
-    every trial that still misses one: class j is picked with probability
-    proportional to rows[t, j] (r + first + j), the first class whose
-    cumulative weight exceeds a uniform times the total, and one of its
-    boxes moves to class j + 1.  The trials step together, those missing
-    the most first (a stable sort), so the live ones are a prefix of that
-    order, the order the rows are returned in, and each step draws one
-    uniform per live trial.  The rows are first cut to the classes up to
-    one above the highest occupied (so table-wide rows are freed before the
-    steps); the sums stop at the highest occupied class (the classes above
-    weigh 0), and the rows grow by one column when a box reaches their
-    last."""
+    """The rows, in an order in which `missing` does not increase, completed
+    in place by Pólya-urn steps, each step adding one ball to every trial
+    that still misses one: class j is picked with probability proportional
+    to rows[t, j] (r + first + j), the first class whose cumulative weight
+    exceeds a uniform times the total, and one of its boxes moves to class
+    j + 1.  The trials step together, so the live ones are a prefix of the
+    rows and each step draws one uniform per live trial.  The sums stop at
+    the highest class any row occupies (the classes above weigh 0), and the
+    rows grow by one column when a box reaches their last."""
     import numpy as np
     top = int(np.flatnonzero(rows.any(axis=0))[-1])
-    order = np.argsort(-missing, kind="stable")
-    rows, missing = rows[order, :top + 2], missing[order]
     if top + 1 == rows.shape[1]:
         rows = np.pad(rows, ((0, 0), (0, 1)))
     weight = r + np.arange(first, first + rows.shape[1])
@@ -279,7 +274,12 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int):
         draw = draw[redrawn @ balls_at > spec.n_balls]
     missing = spec.n_balls - rows @ balls_at
     if spec.kind == "dirichlet":
-        return first, _polya_steps(rng, rows, missing, first, spec.r)
+        # the trials missing the most first (a stable sort), cut to the
+        # classes up to one above the highest occupied, so that the
+        # table-wide rows are freed before the steps
+        order = np.argsort(-missing, kind="stable")
+        rows = rows[order, :int(np.flatnonzero(rows.any(axis=0))[-1]) + 2]
+        return first, _polya_steps(rng, rows, missing[order], first, spec.r)
     # boxes are exchangeable, so those of trial t are t n, ..., t n + n - 1 in
     # class order
     hits = rng.integers(0, spec.n_boxes, int(missing.sum()))
