@@ -213,33 +213,28 @@ def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
 
 def _polya_steps(rng, rows, missing, first: int, r: float):
     """The rows, in an order in which `missing` does not increase, completed
-    in place by Pólya-urn steps, each step adding one ball to every trial
-    that still misses one: class j is picked with probability proportional
-    to rows[t, j] (r + first + j), the first class whose cumulative weight
+    by Pólya-urn steps, each step adding one ball to every trial that still
+    misses one: class j is picked with probability proportional to
+    rows[t, j] (r + first + j), the first class whose cumulative weight
     exceeds a uniform times the total, and one of its boxes moves to class
     j + 1.  The trials step together, so the live ones are a prefix of the
     rows and each step draws one uniform per live trial.  The sums stop at
     the highest class any row occupies (the classes above weigh 0), and the
-    rows grow by one column when a box reaches their last."""
+    rows grow by one column when a box may reach their last."""
     import numpy as np
     top = int(np.flatnonzero(rows.any(axis=0))[-1])
-    if top + 1 == rows.shape[1]:
-        rows = np.pad(rows, ((0, 0), (0, 1)))
-    weight = r + np.arange(first, first + rows.shape[1])
     at = np.arange(len(rows))
     # live[s]: the trials still missing a ball at step s
     live = np.searchsorted(-missing, -np.arange(missing.max(initial=0)), side="left")
     for size in live.tolist():
-        cum = np.cumsum(rows[:size, :top + 1] * weight[:top + 1], axis=1)
+        if top + 1 == rows.shape[1]:
+            rows = np.pad(rows, ((0, 0), (0, 1)))
+        cum = np.cumsum(rows[:size, :top + 1] * (r + np.arange(first, first + top + 1)), axis=1)
         # u < cum[:, -1] by rounding, so the class picked is never empty
         j = np.count_nonzero(cum <= (rng.random(size) * cum[:, -1])[:, None], axis=1)
         rows[at[:size], j] -= 1
         rows[at[:size], j + 1] += 1
-        if j.max() == top:
-            top += 1
-            if top + 1 == rows.shape[1]:
-                rows = np.pad(rows, ((0, 0), (0, 1)))
-                weight = r + np.arange(first, first + rows.shape[1])
+        top += int(j.max() == top)
     return rows
 
 
