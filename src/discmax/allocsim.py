@@ -13,7 +13,7 @@ law of the matched model, gamma = 0 (Poisson) for the multinomial and
 
 Reproducibility: ``simulate`` draws chunk c of its trials from the stream
 ``SeedSequence(entropy=seed, spawn_key=(version, c))`` by ``trial_counts``,
-bit-identically whatever the thread count; a scheme's constants are part of
+the chunks in order on the calling thread; a scheme's constants are part of
 it.  The multinomial is version 3, the Poissonization (Devroye 1986) of the
 representation above: the occupancy histogram of n Poisson(lambda') counts,
 lambda' = max(0, k - POISSON_MARGIN sqrt(k)) / n, drawn again while their
@@ -40,12 +40,10 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
-from itertools import accumulate, islice, takewhile
+from itertools import accumulate, islice
 
 from .extremes import (ExtremalProfile, Regime, limiting_max_pmf, tie_distribution,
                        tie_phase_threshold)
@@ -129,7 +127,7 @@ class AllocationSummary(Record):
     trials: int
 
 
-# one table per spec; threads that miss the cache together build equal tables
+# one table per spec, built by its first chunk and read by the others
 @functools.lru_cache(maxsize=1)
 def _poisson_table(lam: float) -> tuple:
     """(first, pvals): Poisson(lam) probabilities of the ~17 sqrt(lam) classes
@@ -292,69 +290,35 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int):
 def simulate(spec: AllocationSpec, prof: ExtremalProfile) -> AllocationSummary:
     """Run spec.trials allocations and tally maxima, ties and occupancy.
 
-    Chunks are tallied as `trial_counts` returns them, box counts or
-    occupancy histograms (whatever the kind), with no per-trial Python, on
-    W = min(usable CPUs, chunks) strides w, w + W, ...: stride 0
-    on the calling thread, the others on W - 1 threads.  After any failure
-    (an interrupt while joining too) each stride stops at its next chunk and
-    the first is raised once all threads join.  The tallies are integers,
-    merged after the join, so the summary does not depend on W.  The threads
-    pay on box-count specs of several chunks; a Dirichlet spec on histograms
-    is mostly one chunk of up to CHUNK_CELLS cells, and starts none.
+    The chunks run in order on the calling thread, each tallied as
+    `trial_counts` returns it, box counts or occupancy histograms (whatever
+    the kind), with no per-trial Python.  A chunk that fails raises at once,
+    and no later chunk is drawn.
     """
     import numpy as np
     m = prof.m_n
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # one thread per usable CPU, but none without a chunk
-    workers = sum(1 for _ in islice(_chunks(spec), cpus or 1))
-    tallies, failures = [], []
-
-    def tally(stride: int) -> None:
-        counters, top_two_total = (Counter(), Counter(), Counter()), 0
-        try:
-            chunks = islice(_chunks(spec), stride, None, workers)
-            for key, size in takewhile(lambda _: not failures, chunks):
-                drawn = trial_counts(spec, key, size)  # the module global: tracers patch it
-                # per trial: the maximum, the boxes holding it, at least m and at least m + 2
-                if not isinstance(drawn, tuple):  # box counts
-                    mx = drawn.max(axis=1)
-                    at_max, ge, ge2 = (np.count_nonzero(drawn >= v, 1)
-                                       for v in (mx[:, None], m, m + 2))
-                else:  # occupancy histograms; the maximum is a row's last occupied class
-                    first, hist = drawn
-                    top = hist.shape[1] - 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
-                    mx, at_max = first + top, hist[np.arange(size), top]
-                    ge, ge2 = (hist[:, max(v - first, 0):].sum(axis=1) for v in (m, m + 2))
-                for counter, values in zip(counters, (mx, at_max - 1, ge)):  # max, ties, ge_anchor
-                    counter.update(values.tolist())
-                top_two_total += int((ge - ge2).sum())  # boxes holding m or m + 1 balls
-        except BaseException as exc:
-            failures.append(exc)
-        tallies.append((*counters, top_two_total))
-
-    threads = [threading.Thread(target=tally, args=(stride,)) for stride in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        tally(0)
-    except BaseException as exc:  # a thread that could not start, or an interrupt
-        failures.append(exc)
-    for thread in threads:
-        while thread.is_alive():
-            try:
-                thread.join()
-            except BaseException as exc:  # interrupted while waiting
-                failures.append(exc)
-    if failures:
-        raise failures[0]
-    *hists, top_two = zip(*tallies)
-    # the strides' counts are positive, so Counter sums keep every value
-    max_hist, tie_hist, ge_hist = (sum(parts, Counter()) for parts in hists)
+    max_hist, tie_hist, ge_hist = Counter(), Counter(), Counter()
+    top_two_total = 0
+    for key, size in _chunks(spec):
+        drawn = trial_counts(spec, key, size)  # the module global: tracers patch it
+        # per trial: the maximum, the boxes holding it, at least m and at least m + 2
+        if not isinstance(drawn, tuple):  # box counts
+            mx = drawn.max(axis=1)
+            at_max, ge, ge2 = (np.count_nonzero(drawn >= v, 1) for v in (mx[:, None], m, m + 2))
+        else:  # occupancy histograms; the maximum is a row's last occupied class
+            first, hist = drawn
+            top = hist.shape[1] - 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
+            mx, at_max = first + top, hist[np.arange(size), top]
+            ge, ge2 = (hist[:, max(v - first, 0):].sum(axis=1) for v in (m, m + 2))
+        max_hist.update(mx.tolist())
+        tie_hist.update((at_max - 1).tolist())
+        ge_hist.update(ge.tolist())
+        top_two_total += int((ge - ge2).sum())  # boxes holding m or m + 1 balls
     return AllocationSummary(
         max_histogram=dict(sorted(max_hist.items())),
         tie_histogram=dict(sorted(tie_hist.items())),
         cluster_freq=(max_hist[m] + max_hist[m + 1]) / spec.trials,
-        mean_top_two_occupancy=sum(top_two) / spec.trials,
+        mean_top_two_occupancy=top_two_total / spec.trials,
         ge_anchor_histogram=dict(sorted(ge_hist.items())),
         trials=spec.trials,
     )

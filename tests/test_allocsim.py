@@ -649,22 +649,33 @@ class TestSimulate:
         spec, anchor, want = PINNED[name]
         assert reference_summary(AllocationSpec(**spec), asym_profile(*anchor)) == want
 
-    @pytest.mark.parametrize("n_boxes,n_balls,kind,r,trials", [
-        (50, 20, "multinomial", None, 7000),   # fewer balls than boxes, 3 chunks
-        (20, 20, "multinomial", None, 1000),   # as many balls as boxes
-        (20, 60, "multinomial", None, 300),
-        (10, 0, "multinomial", None, 30),
-        (30, 45, "dirichlet", 0.7, 200),
-        (400, 4, "multinomial", None, 1),
-        (12, 40, "dirichlet", 2.0, 1),
-        (3, 2, "multinomial", None, 50),       # fewer balls than POISSON_MARGIN^2: all thrown
-        (20, 20000, "multinomial", None, 300),  # 3 chunks, a window from class 746
-        (200, 40, "dirichlet", 1.0, 300),       # histograms (stream version 5)
-        (100, 50, "dirichlet", 0.5, 200),
+    @pytest.mark.parametrize("n_boxes,n_balls,kind,r,trials,seed,cells", [
+        (50, 20, "multinomial", None, 7000, 321, CHUNK_CELLS),  # fewer balls than boxes, 3 chunks
+        (20, 20, "multinomial", None, 1000, 321, CHUNK_CELLS),  # as many balls as boxes
+        (20, 60, "multinomial", None, 300, 321, CHUNK_CELLS),
+        (10, 0, "multinomial", None, 30, 321, CHUNK_CELLS),
+        (30, 45, "dirichlet", 0.7, 200, 321, CHUNK_CELLS),
+        (400, 4, "multinomial", None, 1, 321, CHUNK_CELLS),
+        (12, 40, "dirichlet", 2.0, 1, 321, CHUNK_CELLS),
+        # fewer balls than POISSON_MARGIN^2: all thrown
+        (3, 2, "multinomial", None, 50, 321, CHUNK_CELLS),
+        # 3 chunks, a window from class 746
+        (20, 20000, "multinomial", None, 300, 321, CHUNK_CELLS),
+        (200, 40, "dirichlet", 1.0, 300, 321, CHUNK_CELLS),  # histograms (stream version 5)
+        (100, 50, "dirichlet", 0.5, 200, 321, CHUNK_CELLS),
+        (50, 20, "multinomial", None, 8000, 606, CHUNK_CELLS),  # 3 chunks
+        (20, 60, "multinomial", None, 5000, 606, CHUNK_CELLS),  # 3 chunks
+        (30, 45, "dirichlet", 0.7, 800, 606, CHUNK_CELLS),  # 3 chunks of box counts
+        # 3 chunks, a window from class 1635
+        (20, 40000, "multinomial", None, 200, 606, CHUNK_CELLS),
+        # a small CHUNK_CELLS makes the 400 trials 22 chunks of histograms, 21 of 19
+        (200, 40, "dirichlet", 1.0, 400, 8, 400),
     ])
-    def test_matches_per_trial_reference(self, n_boxes, n_balls, kind, r, trials):
+    def test_matches_per_trial_reference(self, monkeypatch, n_boxes, n_balls, kind, r, trials,
+                                         seed, cells):
+        monkeypatch.setattr(allocsim, "CHUNK_CELLS", cells)
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
-                              seed=321, r=r)
+                              seed=seed, r=r)
         for anchor in ((20, 1), (50, 20), (20, 60)):  # m_n = 0, 2 and 5
             prof = asym_profile(*anchor)
             assert simulate(spec, prof) == reference_summary(spec, prof), anchor
@@ -783,51 +794,21 @@ class TestSimulate:
         per_chunk = CHUNK_DRAWS // (math.isqrt(160) + 1)
         want = simulate(spec, asym_profile(16000, 160))
         assert len(calls) == -(-3000 // per_chunk)
-        # threads call the kernel in no fixed order
-        assert sorted(calls) == list(_chunks(spec))
+        assert calls == list(_chunks(spec))
         monkeypatch.setattr(allocsim, "trial_counts", kernel)
         assert simulate(spec, asym_profile(16000, 160)) == want
 
-    @pytest.mark.parametrize("n_boxes,n_balls,kind,r,trials", [
-        (50, 20, "multinomial", None, 8000),   # fewer balls than boxes
-        (20, 60, "multinomial", None, 5000),
-        (30, 45, "dirichlet", 0.7, 800),
-        (20, 40000, "multinomial", None, 200),  # a window from class 1635
-    ])
-    def test_summary_does_not_depend_on_the_thread_count(self, monkeypatch, n_boxes, n_balls,
-                                                         kind, r, trials):
-        spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
-                              seed=606, r=r)
-        prof = asym_profile(50, 20)
-        want = reference_summary(spec, prof)
-        chunks = len(list(_chunks(spec)))
-        kernel = allocsim.trial_counts
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # threads switch often: a lost tally would show
-        try:
-            for cpus in (1, 2, 5):
-                threads = set()
-
-                def recording(spec, key, trials):
-                    threads.add(threading.get_ident())
-                    return kernel(spec, key, trials)
-
-                monkeypatch.setattr(allocsim, "trial_counts", recording)
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                    raising=False)
-                assert simulate(spec, prof) == want, cpus
-                # no more threads than usable CPUs or chunks; one CPU runs on the caller
-                assert 1 <= len(threads) <= min(cpus, chunks)
-                if cpus == 1:
-                    assert threads == {threading.get_ident()}
-        finally:
-            sys.setswitchinterval(interval)
+    def test_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        spec = dirichlet_spec(30, 45, 0.7, trials=800, seed=606)
+        assert version(spec) == 4 and len(list(_chunks(spec))) == 3
+        assert simulate(spec, asym_profile(50, 20)).trials == 800
+        assert started == []
 
     @pytest.mark.parametrize("failing,error", [((3, 3), ValueError("chunk (3, 3)")),
                                                ((3, 0), KeyboardInterrupt())])
-    def test_a_failing_chunk_stops_every_thread(self, monkeypatch, failing, error):
-        # on two CPUs the calling thread takes the even chunks: (3, 3) fails
-        # in the started thread, (3, 0) in the calling one
+    def test_a_failing_chunk_stops_the_draws(self, monkeypatch, failing, error):
         calls = []
         kernel = allocsim.trial_counts
 
@@ -835,74 +816,16 @@ class TestSimulate:
             calls.append(key)
             if key == failing:
                 raise error
-            time.sleep(0.05)  # the failure lands while the other threads draw
             return kernel(spec, key, trials)
 
         monkeypatch.setattr(allocsim, "trial_counts", failing_kernel)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         spec = AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=40 * 3276,
                               seed=3)
-        before = threading.active_count()
         with pytest.raises(type(error)) as raised:
             simulate(spec, asym_profile(50, 20))
         assert raised.value is error
-        assert threading.active_count() == before
-        # the other thread stops at its next chunk, not after its stride of 20
-        assert len(calls) <= 8, calls
-
-    def test_a_thread_that_cannot_start_draws_nothing(self, monkeypatch):
-        calls = []
-        error = RuntimeError("can't start new thread")
-
-        def failing_start(thread):
-            raise error
-
-        prof = asym_profile(50, 20)
-        monkeypatch.setattr(allocsim, "trial_counts", lambda spec, key, trials: calls.append(key))
-        monkeypatch.setattr(threading.Thread, "start", failing_start)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        spec = AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=40 * 3276,
-                              seed=3)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as raised:
-            simulate(spec, prof)
-        assert raised.value is error
-        assert calls == []
-        assert threading.active_count() == before
-
-    def test_an_interrupt_while_joining_waits_for_every_thread(self, monkeypatch):
-        # the calling thread's stride of 20 chunks ends long before the
-        # started one's, which draws slowly, so the interrupt lands while it runs
-        calls = []
-        kernel = allocsim.trial_counts
-
-        def slow_kernel(spec, key, trials):
-            if threading.current_thread() is not threading.main_thread():
-                calls.append(key)
-                time.sleep(0.1)
-            return kernel(spec, key, trials)
-
-        interrupt, join, joins = KeyboardInterrupt(), threading.Thread.join, []
-
-        def interrupted_join(thread, *args, **kwargs):
-            joins.append(thread)
-            if len(joins) == 1:
-                raise interrupt
-            return join(thread, *args, **kwargs)
-
-        monkeypatch.setattr(allocsim, "trial_counts", slow_kernel)
-        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        spec = AllocationSpec(n_boxes=50, n_balls=20, kind="multinomial", trials=40 * 3276,
-                              seed=3)
-        before = threading.active_count()
-        with pytest.raises(KeyboardInterrupt) as raised:
-            simulate(spec, asym_profile(50, 20))
-        assert raised.value is interrupt
-        assert len(joins) >= 2  # joined again after the interrupt
-        assert threading.active_count() == before
-        # the started stride stops at its next chunk, not after its 20
-        assert len(calls) <= 8, calls
+        # the chunks up to the failing one, of 40, and none after it
+        assert calls == [(3, c) for c in range(failing[1] + 1)]
 
     def test_import_leaves_numpy_unloaded(self):
         # the traced benchmark patches these five module globals by name
@@ -1079,19 +1002,6 @@ class TestDirichletRoute:
             spec = dirichlet_spec(n_boxes, n_balls, r, seed=3)
             for key in ((4, 0), (5, 0), (9,)):
                 assert isinstance(trial_counts(spec, key, 2), tuple) == (stream == 5), key
-
-    def test_histogram_chunks_do_not_depend_on_the_thread_count(self, monkeypatch):
-        # a small CHUNK_CELLS makes the 400 trials 22 chunks, 21 of 19
-        monkeypatch.setattr(allocsim, "CHUNK_CELLS", 400)
-        spec = dirichlet_spec(200, 40, 1.0, trials=400, seed=8)
-        plan = list(_chunks(spec))
-        assert len(plan) == 22 and plan[0] == ((5, 0), 19)
-        prof = asym_profile(50, 20)
-        want = reference_summary(spec, prof)
-        for cpus in (1, 2, 5):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
-            assert simulate(spec, prof) == want, cpus
 
 
 class TestEnumerateConditional:

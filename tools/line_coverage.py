@@ -4,9 +4,9 @@
 
 Runs pytest in this process (default arguments: the Tier-1 `-q
 --continue-on-collection-errors`) from the repository root, with src/ on
-the import path, under `sys.settrace` and `threading.settrace`; the
-tracer records line events only in frames whose code lies under
-src/discmax.  It then prints every executable line that never ran as
+the import path, under `sys.settrace` (src/discmax runs on the calling
+thread); the tracer records line events only in frames whose code lies
+under src/discmax.  It then prints every executable line that never ran as
 `file:line: text`, a count per file and the total.  A line is executable
 when the compiled file maps bytecode to it; docstring lines are skipped.
 Code run in subprocesses (the CLI's `__main__` guards) is not traced, and
@@ -20,7 +20,6 @@ from __future__ import annotations
 import ast
 import os
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,13 +69,11 @@ def traced_pytest(args: list) -> tuple:
     sys.path.insert(0, str(SRC))
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC),
                                                              os.environ.get("PYTHONPATH")]))
-    threading.settrace(on_call)
     sys.settrace(on_call)
     try:
         code = pytest.main(args)
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return int(code), ran
 
 
