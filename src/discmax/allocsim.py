@@ -21,16 +21,18 @@ sum S exceeds k, plus k - S uniform balls; its table, from the model's pmf
 run, absorbs the tails beyond 2^-53 in its end classes, so a trial is within
 n 2^-50 of the multinomial in total variation.  The Dirichlet mixture takes
 one of two routes, picked by the spec alone (``_negbinom_table``).  On
-histograms it is version 5: the occupancy histogram of n NB(r, p') counts of
+histograms it is version 6: the occupancy histogram of n NB(r, p') counts of
 total mean k (p' cancels given their sum S, which is Dirichlet-multinomial),
-drawn again while S exceeds k, completed by k - S Pólya-urn steps, which
-keep the law Dirichlet-multinomial (Johnson & Kotz 1977).  On box counts,
-where the NB table is too wide for its Pólya steps to pay, it is version 4,
-weights from numpy's Dirichlet sampler (no NaN at small r on numpy 2.4.6,
-down to r = 1e-8; version 2's gamma weights over their sum could be 0 / 0).
-Dirichlet summaries of version 2, and of version 4 for specs now on
-histograms, cannot be reproduced.  A spec holds fewer than 2^32 trials (its
-chunk indices).
+drawn again while S lies outside [L, k], L one sd of the table's sum below
+its mean (``_least_sum``), completed by k - S Pólya-urn steps, which take
+DirMult(S) to DirMult(k) from any S (Johnson & Kotz 1977); a redraw rule
+that reads only S keeps that law.  On box counts, where the NB table is too
+wide for its Pólya steps to pay, it is version 4, weights from numpy's
+Dirichlet sampler (no NaN at small r on numpy 2.4.6, down to r = 1e-8;
+version 2's gamma weights over their sum could be 0 / 0).  Dirichlet
+summaries of versions 2 and 5 (histograms redrawn only above k), and of
+version 4 for specs now on histograms, cannot be reproduced.  A spec holds
+fewer than 2^32 trials (its chunk indices).
 
 numpy is imported inside the functions that draw or tally samples, so
 importing this module (and the package) does not load it.
@@ -62,17 +64,19 @@ ENUMERATION_MAX_BALLS = 12
 CHUNK_DRAWS = 2 ** 14
 
 # cells (trials x table classes) one chunk of Dirichlet histograms holds at
-# most; like CHUNK_DRAWS it fixes the chunk plan of stream version 5
+# most; like CHUNK_DRAWS it fixes the chunk plan of stream version 6
 CHUNK_CELLS = 2 ** 17
 
 # The route of a Dirichlet spec: histograms where width (ROUTE_CLASS_COST +
 # sd) < ROUTE_BOX_COST n, width that of its NB table and sd = sqrt(k (1 + k /
-# (n r))) that of the NB sum.  A histogram trial draws its table row about
-# twice and takes ~0.8 sd Pólya steps; a box-count trial draws a weight and a
-# binomial a box.  The two constants are a fit to 120 specs timed on both
-# routes (see README).  Past ROUTE_MAX_R the incomplete beta behind the table
-# loses ~r 2^-52 ln r to cancelling lgamma terms, so those specs stay on box
-# counts.  These constants are part of the stream definitions.
+# (n r))) that of the NB sum; a box-count trial draws a weight and a binomial
+# a box.  The two constants are a fit to 120 specs timed on both routes under
+# version 5, whose histogram trial drew its table row about twice and took
+# ~0.8 sd Pólya steps (version 6 draws it ~2.8 times and takes ~0.45 sd).
+# They are kept as fitted, so that no spec changes route; a refit is open in
+# ROADMAP.md.  Past ROUTE_MAX_R the incomplete beta behind the table loses ~r
+# 2^-52 ln r to cancelling lgamma terms, so those specs stay on box counts.
+# These constants are part of the stream definitions.
 ROUTE_CLASS_COST = 16.0
 ROUTE_BOX_COST = 32.0
 ROUTE_MAX_R = 2.0 ** 32
@@ -194,8 +198,9 @@ def _negbinom_table(n_boxes: int, n_balls: int, r: float) -> tuple | None:
 def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
     """(spawn key, trials) of each chunk, in trial order: stream version 3
     for the multinomial, max(1, CHUNK_DRAWS // (isqrt(k) + 1)) trials a chunk
-    (~1.3 sqrt(k) balls thrown a trial); for the Dirichlet mixture, version 5
-    on the histogram route, max(1, CHUNK_CELLS // width) trials a chunk, and
+    (~1.3 sqrt(k) balls thrown a trial); for the Dirichlet mixture, version 6
+    on the histogram route, max(1, CHUNK_CELLS // width) trials a chunk (the
+    plan of version 5, whose rows were redrawn only above k), and
     version 4 on box counts, max(1, CHUNK_DRAWS // (2 n)) trials a chunk (one
     weight and one binomial a box)."""
     if spec.kind == "multinomial":
@@ -203,10 +208,20 @@ def _chunks(spec: AllocationSpec) -> Iterator[tuple]:
     elif (table := _negbinom_table(spec.n_boxes, spec.n_balls, spec.r)) is None:
         version, size = 4, CHUNK_DRAWS // (2 * spec.n_boxes)
     else:
-        version, size = 5, CHUNK_CELLS // len(table[1])
+        version, size = 6, CHUNK_CELLS // len(table[1])
     size = max(1, size)
     return (((version, c), min(size, spec.trials - first))
             for c, first in enumerate(range(0, spec.trials, size)))
+
+
+def _least_sum(n_boxes: int, first: int, pvals: tuple) -> int:
+    """The fewest balls a Dirichlet histogram row may hold before its Pólya
+    steps: its table sum's mean less one sd, rounded up.  The sums are fsum
+    of Python floats, so the bound is the same on every machine; a one-class
+    table gives its only sum, n_boxes first, and every row is kept."""
+    mean = math.fsum(p * (first + j) for j, p in enumerate(pvals))
+    var = math.fsum(p * (first + j - mean) ** 2 for j, p in enumerate(pvals))
+    return math.ceil(n_boxes * mean - math.sqrt(n_boxes * var))
 
 
 def _polya_steps(rng, rows, missing, first: int, r: float):
@@ -243,10 +258,13 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int):
     multinomial per trial); otherwise occupancy histograms (first, rows),
     rows[t, j] boxes of trial t holding first + j balls, drawn over the
     classes of the Poisson or NB table again while they hold more than
-    n_balls balls, then completed: a multinomial chunk's missing balls hit
-    uniform boxes numbered class by class, a Dirichlet chunk's come by
-    `_polya_steps`, its rows in the order they step in (a chunk's trials
-    are exchangeable)."""
+    n_balls balls, or, on NB rows, fewer than `_least_sum` (one sd of the
+    table's sum below its mean), then completed: a multinomial chunk's
+    missing balls hit uniform boxes numbered class by class, a Dirichlet
+    chunk's come by `_polya_steps`, its rows in the order they step in (a
+    chunk's trials are exchangeable).  Given its sum S <= k a row is
+    DirMult(S) or multinomial(S), and the completion takes it to the law at
+    k from any S, so a redraw rule that reads only S keeps the law."""
     import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
     if spec.kind == "dirichlet":
@@ -255,16 +273,23 @@ def trial_counts(spec: AllocationSpec, key: tuple, trials: int):
             weights = rng.dirichlet(np.full(spec.n_boxes, spec.r), trials)
             return rng.multinomial(spec.n_balls, weights)
         first, pvals = table
+        least = _least_sum(spec.n_boxes, first, pvals)
     else:
         lam = max(0.0, spec.n_balls - POISSON_MARGIN * math.sqrt(spec.n_balls)) / spec.n_boxes
         first, pvals = _poisson_table(lam)
+        least = 0
     balls_at = np.arange(first, first + len(pvals))
+
+    def outside(rows):  # the rows whose balls lie outside [least, n_balls]
+        balls = rows @ balls_at
+        return (balls > spec.n_balls) | (balls < least)
+
     rows = rng.multinomial(spec.n_boxes, pvals, size=trials)
-    draw = np.flatnonzero(rows @ balls_at > spec.n_balls)
-    while draw.size:  # rows holding more than n_balls balls are drawn again
+    draw = np.flatnonzero(outside(rows))
+    while draw.size:  # drawn again, all those of a round in one call
         redrawn = rng.multinomial(spec.n_boxes, pvals, size=draw.size)
         rows[draw] = redrawn
-        draw = draw[redrawn @ balls_at > spec.n_balls]
+        draw = draw[outside(redrawn)]
     missing = spec.n_balls - rows @ balls_at
     if spec.kind == "dirichlet":
         # the trials missing the most first (a stable sort), cut to the

@@ -120,7 +120,7 @@ def histograms(drawn) -> tuple:
 
 
 def version(spec) -> int:
-    """The stream version of the spec's route: 3 for the multinomial, 5 for
+    """The stream version of the spec's route: 3 for the multinomial, 6 for
     a Dirichlet spec on histograms, 4 for one on box counts."""
     return next(_chunks(spec))[0][0]
 
@@ -128,6 +128,21 @@ def version(spec) -> int:
 def dirichlet_spec(n_boxes, n_balls, r, trials=1, seed=0) -> AllocationSpec:
     return AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind="dirichlet", trials=trials,
                           seed=seed, r=r)
+
+
+def least_sum(n_boxes: int, first: int, pvals) -> int:
+    """Reference for allocsim._least_sum, in exact rationals: the least
+    integer L >= n mean - sqrt(n var), mean and var those of one box under
+    the table's (float) probabilities."""
+    probs = [Fraction(p) for p in pvals]
+    mean = sum(p * (first + j) for j, p in enumerate(probs))
+    var = sum(p * (first + j - mean) ** 2 for j, p in enumerate(probs))
+    center, spread = n_boxes * mean, n_boxes * var
+    # L >= center - sqrt(spread) iff L >= center or (center - L)^2 <= spread
+    least = math.ceil(center)
+    while (center - least + 1) ** 2 <= spread:
+        least -= 1
+    return least
 
 
 def reference_polya(rng, hists: list, missing: list, r: float) -> None:
@@ -153,14 +168,14 @@ def reference_polya(rng, hists: list, missing: list, r: float) -> None:
 def reference_rows(spec, key, size) -> list:
     """Reference for trial_counts: each trial's box counts, drawn from the
     chunk's stream in plain Python, one trial at a time (the Pólya steps of
-    version 5 in lock step).  A Dirichlet trial on box counts (version 4)
+    version 6 in lock step).  A Dirichlet trial on box counts (version 4)
     draws its weights and one multinomial.  A trial on histograms takes the
-    histogram of its Poisson (version 3) or NB (version 5) counts, drawn
-    again, in the kernel's rounds, while it holds more than n_balls balls;
-    a multinomial trial writes it out as boxes in class order and adds its
-    missing balls to those boxes one by one, a Dirichlet trial adds them by
-    `reference_polya`, and a version-5 chunk comes in the order its trials
-    step in."""
+    histogram of its Poisson (version 3) or NB (version 6) counts, drawn
+    again, in the kernel's rounds, while it holds more than n_balls balls
+    or, on NB rows, fewer than `least_sum`; a multinomial trial writes it
+    out as boxes in class order and adds its missing balls to those boxes
+    one by one, a Dirichlet trial adds them by `reference_polya`, and a
+    version-6 chunk comes in the order its trials step in."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
     if spec.kind == "dirichlet":
         table = allocsim._negbinom_table(spec.n_boxes, spec.n_balls, spec.r)
@@ -168,8 +183,10 @@ def reference_rows(spec, key, size) -> list:
             weights = rng.dirichlet([spec.r] * spec.n_boxes, size)
             return [rng.multinomial(spec.n_balls, w).tolist() for w in weights]
         first, pvals = table
+        least = least_sum(spec.n_boxes, first, pvals)
     else:
         first, pvals = allocsim._poisson_table(poisson_rate(spec))
+        least = 0
 
     def draw() -> list:
         return rng.multinomial(spec.n_boxes, pvals).tolist()
@@ -177,12 +194,15 @@ def reference_rows(spec, key, size) -> list:
     def balls(row) -> int:
         return sum((first + j) * c for j, c in enumerate(row))
 
+    def outside(row) -> bool:
+        return not least <= balls(row) <= spec.n_balls
+
     rows = [draw() for _ in range(size)]
-    over = [t for t in range(size) if balls(rows[t]) > spec.n_balls]
-    while over:
-        for t in over:
+    redraw = [t for t in range(size) if outside(rows[t])]
+    while redraw:
+        for t in redraw:
             rows[t] = draw()
-        over = [t for t in over if balls(rows[t]) > spec.n_balls]
+        redraw = [t for t in redraw if outside(rows[t])]
     if spec.kind == "dirichlet":  # returned in the order the trials step in
         hists = [{first + j: c for j, c in enumerate(row) if c} for row in rows]
         missing = [spec.n_balls - balls(row) for row in rows]
@@ -387,16 +407,16 @@ class TestChunks:
         (400, 60, "dirichlet", 0.5, 20000)])
     def test_plans(self, n_boxes, n_balls, kind, r, trials):
         # the multinomial is stream version 3, about sqrt(k) draws a trial;
-        # a Dirichlet spec is version 5 on histograms, CHUNK_CELLS over its
+        # a Dirichlet spec is version 6 on histograms, CHUNK_CELLS over its
         # table's width, or version 4 on box counts, two draws a box
         spec = AllocationSpec(n_boxes=n_boxes, n_balls=n_balls, kind=kind, trials=trials,
                               seed=0, r=r)
         plan = list(_chunks(spec))
         table = allocsim._negbinom_table(n_boxes, n_balls, r) if r else None
-        stream = 3 if kind == "multinomial" else 4 if table is None else 5
+        stream = 3 if kind == "multinomial" else 4 if table is None else 6
         assert [key for key, _ in plan] == [(stream, c) for c in range(len(plan))]
         assert sum(size for _, size in plan) == trials
-        if stream == 5:
+        if stream == 6:
             full = max(1, CHUNK_CELLS // len(table[1]))
         else:
             full = max(1, CHUNK_DRAWS // (math.isqrt(n_balls) + 1 if stream == 3 else 2 * n_boxes))
@@ -491,7 +511,8 @@ class TestTrialCounts:
         # its redrawn rows by one call a round, and its missing balls by one
         # integers call; a Dirichlet chunk on box counts its weights and
         # counts by one each; one on histograms its rows as a multinomial
-        # chunk does, then one uniform a live trial a Pólya step
+        # chunk does (drawn again outside [least, k] rather than above k),
+        # then one uniform a live trial a Pólya step, at most k - least steps
         calls = record_draws(monkeypatch)
 
         def record(n_boxes, n_balls, kind, trials, r=None):
@@ -515,7 +536,8 @@ class TestTrialCounts:
         dirichlet = record(CHUNK_DRAWS + 9, 100, "dirichlet", 2, 1e-8)
         assert dirichlet == [("dirichlet", (2, CHUNK_DRAWS + 9)),
                              ("multinomial", (2, CHUNK_DRAWS + 9))]
-        width = len(allocsim._negbinom_table(CHUNK_DRAWS + 9, 100, 0.5)[1])
+        first, pvals = allocsim._negbinom_table(CHUNK_DRAWS + 9, 100, 0.5)
+        width, least = len(pvals), allocsim._least_sum(CHUNK_DRAWS + 9, first, pvals)
         made = record(CHUNK_DRAWS + 9, 100, "dirichlet", 8, 0.5)
         rows = [shape for name, shape in made if name == "multinomial"]
         steps = [shape[0] for name, shape in made if name == "random"]
@@ -523,6 +545,7 @@ class TestTrialCounts:
         assert [name for name, _ in made] == ["multinomial"] * len(rows) + ["random"] * len(steps)
         # the trials still missing balls only fall, step by step
         assert steps and steps == sorted(steps, reverse=True) and steps[0] <= 8, made
+        assert least == 90 and len(steps) <= 100 - least, made
 
     def test_two_boxes_a_billion_balls(self):
         # the cost follows the table's width and sqrt(k), not k
@@ -551,7 +574,7 @@ class TestTrialCounts:
 
 
 # (spec, anchor (n_boxes, n_balls), summary) pinned on multinomial stream
-# version 3 and Dirichlet stream versions 4 (box counts) and 5 (histograms)
+# version 3 and Dirichlet stream versions 4 (box counts) and 6 (histograms)
 PINNED = {
     "multinomial_sparse": (
         dict(n_boxes=50, n_balls=20, kind="multinomial", trials=200, seed=12345), (50, 20),
@@ -581,11 +604,11 @@ PINNED = {
     "dirichlet_histograms": (
         dict(n_boxes=200, n_balls=40, kind="dirichlet", trials=150, seed=77, r=1.0), (200, 40),
         AllocationSummary(
-            max_histogram={2: 59, 3: 74, 4: 13, 5: 1, 6: 3},
-            tie_histogram={0: 69, 1: 19, 2: 11, 3: 13, 4: 11, 5: 10, 6: 9, 7: 7, 8: 1},
-            cluster_freq=59 / 150, mean_top_two_occupancy=4897 / 150,
-            ge_anchor_histogram={27: 1, 28: 1, 29: 3, 30: 6, 31: 14, 32: 24, 33: 22, 34: 31,
-                                 35: 18, 36: 19, 37: 9, 38: 2},
+            max_histogram={2: 52, 3: 77, 4: 16, 5: 5},
+            tie_histogram={0: 70, 1: 22, 2: 20, 3: 11, 4: 11, 5: 6, 6: 3, 7: 4, 8: 3},
+            cluster_freq=52 / 150, mean_top_two_occupancy=4857 / 150,
+            ge_anchor_histogram={27: 1, 28: 1, 29: 5, 30: 7, 31: 21, 32: 17, 33: 25, 34: 21,
+                                 35: 25, 36: 12, 37: 12, 38: 3},
             trials=150)),
     "zero_balls": (
         dict(n_boxes=10, n_balls=0, kind="multinomial", trials=20, seed=0), (10, 5),
@@ -661,7 +684,7 @@ class TestSimulate:
         (3, 2, "multinomial", None, 50, 321, CHUNK_CELLS),
         # 3 chunks, a window from class 746
         (20, 20000, "multinomial", None, 300, 321, CHUNK_CELLS),
-        (200, 40, "dirichlet", 1.0, 300, 321, CHUNK_CELLS),  # histograms (stream version 5)
+        (200, 40, "dirichlet", 1.0, 300, 321, CHUNK_CELLS),  # histograms (stream version 6)
         (100, 50, "dirichlet", 0.5, 200, 321, CHUNK_CELLS),
         (50, 20, "multinomial", None, 8000, 606, CHUNK_CELLS),  # 3 chunks
         (20, 60, "multinomial", None, 5000, 606, CHUNK_CELLS),  # 3 chunks
@@ -871,7 +894,7 @@ class TestSimulate:
 
 
 class TestDirichletRoute:
-    """Stream version 5, the Dirichlet mixture on occupancy histograms, and
+    """Stream version 6, the Dirichlet mixture on occupancy histograms, and
     the rule that sends each Dirichlet spec to it or to box counts."""
 
     @pytest.mark.parametrize("n_boxes,n_balls", [(1, 5), (2, 3), (3, 6), (4, 8), (6, 12), (5, 0)])
@@ -886,12 +909,12 @@ class TestDirichletRoute:
                 assert prob == pytest.approx(ref[cell], abs=1e-15), (r, cell)
 
     @pytest.mark.parametrize("n_boxes,n_balls,r,stream", [
-        (200, 40, 0.5, 5), (200, 40, 1.0, 5), (200, 40, 2.0, 5),
-        (400, 60, 0.5, 5), (400, 60, 1.0, 5), (400, 60, 2.0, 5),
+        (200, 40, 0.5, 6), (200, 40, 1.0, 6), (200, 40, 2.0, 6),
+        (400, 60, 0.5, 6), (400, 60, 1.0, 6), (400, 60, 2.0, 6),
         (3, 60, 0.5, 4), (3, 60, 1.0, 4), (3, 60, 2.0, 4),
         (4, 100, 0.5, 4), (4, 100, 1.0, 4), (4, 100, 2.0, 4),
         (5, 40, 0.5, 4), (5, 40, 1.0, 4), (5, 40, 2.0, 4),
-        (15, 8, 2.0, 4), (16, 8, 2.0, 5)])  # the two sides of the switch at k = n / 2, r = 2
+        (15, 8, 2.0, 4), (16, 8, 2.0, 6)])  # the two sides of the switch at k = n / 2, r = 2
     def test_max_and_tie_laws_are_exact(self, n_boxes, n_balls, r, stream):
         # the (max, ties) cells of the chunks, and simulate's max and tie
         # histograms of the same chunks, within 5 sigma of the exact law
@@ -934,6 +957,48 @@ class TestDirichletRoute:
         reference_polya(rng, hists, [n_balls] * trials, r)
         assert [occupancy(0, row) for row in hist] == [
             {v: c for v, c in sorted(occ.items()) if c} for occ in hists]
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_polya_steps_from_any_sum_are_the_dirichlet_law(self, r):
+        # version 6 keeps NB rows by their sum alone, so it rests on this:
+        # NB counts given their sum s are DirMult(s), and k - s Pólya steps
+        # take them to DirMult(k), for every s <= k
+        n_boxes, n_balls, trials = 6, 12, 4000
+        law = {key: prob for key, (prob, _) in
+               enumerate_conditional(n_boxes, n_balls, "dirichlet", r=r).items()}
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=1977, spawn_key=(6, 1)))
+        for s in (1, 4, 8, 11):
+            # NB(r, p) counts of mean s / n a box, kept where they hold s balls
+            counts = rng.negative_binomial(r, r / (r + s / n_boxes), (30 * trials, n_boxes))
+            counts = counts[counts.sum(axis=1) == s][:trials]
+            assert len(counts) == trials, s
+            rows = (counts[:, :, None] == np.arange(s + 1)).sum(axis=1)
+            hist = allocsim._polya_steps(rng, rows, np.full(trials, n_balls - s), 0, r)
+            assert (hist.sum(axis=1) == n_boxes).all()
+            assert (hist @ np.arange(hist.shape[1]) == n_balls).all()
+            cells = Counter(tuple(v for v in range(hist.shape[1] - 1, -1, -1)
+                                  for _ in range(c[v])) for c in hist.tolist())
+            assert_law_within_5_sigma(cells, law, trials)
+
+    @pytest.mark.parametrize("n_boxes,n_balls,width", [(2 ** 56, 3, 1), (2 ** 60, 50, 1),
+                                                       (2 ** 56, 10, 2)])
+    def test_rows_below_k_minus_sd_terminate(self, n_boxes, n_balls, width):
+        # k - sd of the NB sum lies above n first, the least sum the table
+        # gives: a window from there would draw the one-class tables' rows
+        # (0 balls each) again forever.  The window starts at the table's
+        # own mean less its sd, which the table's sums reach.
+        first, pvals = allocsim._negbinom_table(n_boxes, n_balls, 1.0)
+        assert len(pvals) == width
+        sd = math.sqrt(n_balls * (1.0 + n_balls / n_boxes))
+        least = allocsim._least_sum(n_boxes, first, pvals)
+        assert least == least_sum(n_boxes, first, pvals)
+        assert n_boxes * first < n_balls - sd
+        assert n_boxes * first <= least <= min(n_balls, n_boxes * (first + len(pvals) - 1))
+        spec = dirichlet_spec(n_boxes, n_balls, 1.0, trials=5)
+        assert list(_chunks(spec)) == [((6, 0), 5)]
+        first, hist = trial_counts(spec, (6, 0), 5)
+        assert len(hist) == 5 and (hist.sum(axis=1) == n_boxes).all()
+        assert (hist @ np.arange(first, first + hist.shape[1]) == n_balls).all()
 
     @pytest.mark.parametrize("n_boxes,n_balls,r", [
         (2000, 2000, 1.0), (200, 40, 0.5), (16, 8, 2.0), (CHUNK_DRAWS + 9, 100, 0.5),
@@ -992,16 +1057,16 @@ class TestDirichletRoute:
         # the chunk's key
         assert list(inspect.signature(simulate).parameters) == ["spec", "prof"]
         assert list(inspect.signature(trial_counts).parameters) == ["spec", "key", "trials"]
-        for n_boxes, n_balls, r, stream in ((2000, 2000, 1.0, 5), (2, 10 ** 7, 1.0, 4),
+        for n_boxes, n_balls, r, stream in ((2000, 2000, 1.0, 6), (2, 10 ** 7, 1.0, 4),
                                             (2000, 2000, 1e-8, 4), (3, 6, 1.0, 4),
                                             (6, 12, 1.0, 4), (30, 45, 0.7, 4),
                                             (2000, 2000, 2.0 ** 32, 4), (41, 41, 1.0, 4),
-                                            (42, 42, 1.0, 5)):
+                                            (42, 42, 1.0, 6)):
             for trials, seed in ((1, 0), (10 ** 6, 2 ** 70), (999, 7)):
                 assert version(dirichlet_spec(n_boxes, n_balls, r, trials, seed)) == stream
             spec = dirichlet_spec(n_boxes, n_balls, r, seed=3)
             for key in ((4, 0), (5, 0), (9,)):
-                assert isinstance(trial_counts(spec, key, 2), tuple) == (stream == 5), key
+                assert isinstance(trial_counts(spec, key, 2), tuple) == (stream == 6), key
 
 
 class TestEnumerateConditional:
